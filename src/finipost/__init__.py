@@ -72,7 +72,6 @@ from .transport import (
     w1_scalar_samples,
 )
 from .bounds import (
-    BoundInputs,
     MedianLawInputs,
     bounded_support_bound,
     dudley_gamma,

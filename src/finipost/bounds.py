@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from scipy.special import betainc
+
 from .errors import FiniPostError
 
 __all__ = [
-    "BoundInputs",
     "MedianLawInputs",
     "mean_bound_unconditional",
     "mean_bound_conditional",
@@ -36,24 +37,6 @@ __all__ = [
     "median_tail_bounds",
     "regularized_incomplete_beta",
 ]
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Grab-bag of the quantities the rate bounds consume."""
-
-    n: int
-    N: int
-    k_alphabet: int | None = None
-    M_support: float | None = None
-    delta_moment: tuple[float, float] | None = None
-    l21_value: float | None = None
-    euclid: tuple[int, int, float] | None = None
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if not (0 <= self.n < self.N):
-            raise FiniPostError("bad-horizon", f"need 0 <= n < N, got n={self.n}, N={self.N}")
 
 
 @dataclass(frozen=True)
@@ -93,12 +76,19 @@ def mean_bound_unconditional(N: int, Ef2: float) -> float:
 def mean_bound_conditional(
     n: int, N: int, sample_mean_f: float, post_mean_f: float, pred_f2: float
 ) -> float:
-    """Conditional version: (n/N)(sample mean + posterior mean)
-    + 2 sqrt(predictive second moment) / sqrt(N - n)."""
+    """Conditional version: (n/N)(|sample mean of f| + predictive mean of |f|)
+    + 2 sqrt(predictive second moment) / sqrt(N - n).
+
+    ``post_mean_f`` is the predictive mean of |f|, not of f: the n/N
+    head comes from the triangle inequality, so it needs absolute values
+    to hold for signed test functions.
+    """
     _check_horizon(n, N)
     if pred_f2 < 0:
         raise FiniPostError("config-error", "predictive second moment must be nonnegative")
-    head = (n / N) * (sample_mean_f + post_mean_f) if n > 0 else 0.0
+    if post_mean_f < 0:
+        raise FiniPostError("config-error", "the predictive mean of |f| must be nonnegative")
+    head = (n / N) * (abs(sample_mean_f) + post_mean_f) if n > 0 else 0.0
     return head + 2.0 * math.sqrt(pred_f2) / math.sqrt(N - n)
 
 
@@ -187,69 +177,24 @@ def _median_poly_coeffs(N: int) -> tuple[Fraction, ...]:
     )
 
 
-def _betacf(a: float, b: float, x: float, max_iter: int = 400, eps: float = 1e-16) -> float:
-    # Continued fraction for the incomplete beta (modified Lentz scheme).
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise FiniPostError("config-error", f"incomplete beta did not converge for a={a}, b={b}, x={x}")
-
-
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) to relative accuracy near machine precision.
-
-    Continued fraction with the usual symmetry switch at the mean; used
-    here with a = b = N+1 for median laws, but valid for any a, b > 0.
-    """
+    """I_x(a, b) for any a, b > 0 (scipy's ``betainc``); used here with
+    a = b = N+1 for median laws."""
     if a <= 0 or b <= 0:
         raise FiniPostError("config-error", "beta parameters must be positive")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return float(betainc(a, b, x))
 
 
 def median_cdf(inputs: MedianLawInputs) -> float:
     """P{sample median <= x} for 2N+1 i.i.d. draws with F(x) given.
 
-    Exact integer-coefficient polynomial for N <= 20, continued fraction
-    above, both with the symmetry I_F(a,a) = 1 - I_(1-F)(a,a) enforced.
+    Exact integer-coefficient polynomial for N <= 20, the regularized
+    incomplete beta above, both with the symmetry
+    I_F(a,a) = 1 - I_(1-F)(a,a) enforced.
     """
     N, F = inputs.N, inputs.F_at_x
     if N == 0:

@@ -44,10 +44,11 @@ _BOUND_EVALUATORS = {
 def _cmd_run(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if args.seed is not None:
-        obj["master_seed"] = args.seed
-    if args.threads is not None:
-        obj["threads"] = args.threads
+    if isinstance(obj, dict):  # from_dict rejects any other top level
+        if args.seed is not None:
+            obj["master_seed"] = args.seed
+        if args.threads is not None:
+            obj["threads"] = args.threads
     cfg = ExperimentConfig.from_dict(obj)
     report = run_experiment(cfg)
     out = args.out or cfg.output

@@ -191,6 +191,10 @@ def family_from_spec(spec: dict) -> AnalyticLaw:
             return GaussianLaw(float(spec["mu"]), float(spec["sigma"]))
         if kind in ("point_mass", "point-mass"):
             return PointMassLaw(float(spec["c"]))
+    except FiniPostError:
+        raise
     except KeyError as exc:
         raise FiniPostError("config-error", f"family spec missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FiniPostError("config-error", f"malformed family spec: {exc}") from exc
     raise FiniPostError("config-error", f"unknown family {kind!r}")

@@ -6,6 +6,7 @@ Five experiment kinds share one report schema:
 * ``bound_finite`` / ``bound_real`` -- plug-in transport distance between
   posterior draws of the directing measure and empirical-measure draws,
   against the matching rate bound (total variation / bounded Lipschitz).
+  ``bound_finite`` cells run on (m, k) weight matrices, one row per draw.
 * ``bound_mean``     -- scalar pushforward distance for a named test
   function against the mean bounds.
 * ``estimator_sweep`` -- finite-horizon vs classical estimator gap with
@@ -36,6 +37,7 @@ from .priors import (
     FiniteDirichletModel,
     FixedLawModel,
     PolyaTreeModel,
+    _iid_from_measure,
     batched_fd_empirical_counts,
     batched_posterior_integrals,
     batched_sequences,
@@ -122,6 +124,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise FiniPostError("config-error", f"a config is a JSON object, not {type(obj).__name__}")
         try:
             return cls(
                 experiment=obj["experiment"],
@@ -137,8 +141,12 @@ class ExperimentConfig:
                 threads=int(obj.get("threads", 1)),
                 coupling=obj.get("coupling", "posterior"),
             )
+        except FiniPostError:
+            raise
         except KeyError as exc:
             raise FiniPostError("config-error", f"config missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FiniPostError("config-error", f"malformed config: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -187,8 +195,8 @@ class ExperimentReport:
 
 def _test_function(f_spec: dict | None) -> tuple[Callable, Callable, str]:
     """Scalar and vectorized forms of a named test function."""
-    if f_spec is None:
-        raise FiniPostError("config-error", "this experiment needs an f_spec")
+    if not isinstance(f_spec, dict):
+        raise FiniPostError("config-error", "this experiment needs an f_spec object")
     kind = f_spec.get("kind")
     if kind == "identity":
         return (lambda x: float(x)), (lambda a: a), "identity"
@@ -279,19 +287,7 @@ def run_bound_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None 
         cont_rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 1)))
         boot_rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 2)))
 
-        posts = [posterior_draw(model, history, post_rng) for _ in range(cfg.m_samples)]
-        if cfg.coupling == "posterior":
-            emps = _coupled_empiricals(model, history, posts, N, cont_rng)
-        elif isinstance(model, FiniteDirichletModel):
-            counts = batched_fd_empirical_counts(model, history, N, cfg.m_samples, cont_rng)
-            space = model_space(model)
-            emps = [
-                AtomicMeasure(list(zip(model.atoms, row / N)), space=space) for row in counts
-            ]
-        else:
-            emps = [
-                empirical(continue_sequence(model, history, N, cont_rng)) for _ in range(cfg.m_samples)
-            ]
+        posts, emps = _posterior_and_empirical_draws(cfg, model, history, N, post_rng, cont_rng)
         estimate, matched = meta_w1_matched(posts, emps, cfg.ground)
         se = _bootstrap_se(matched, boot_rng)
         slack = 3.0 * se
@@ -347,36 +343,43 @@ def _replicate_history(cfg: ExperimentConfig, model: ExchangeableModel, rep: int
     return sample_sequence(model, cfg.n, rng)
 
 
-def _coupled_empiricals(
+def _posterior_and_empirical_draws(
+    cfg: ExperimentConfig,
     model: ExchangeableModel,
     history: Sample,
-    posts: list[AtomicMeasure],
     N: int,
-    rng: RngState,
-) -> list[AtomicMeasure]:
-    """Empirical measures grown from the matching posterior draws.
+    post_rng: RngState,
+    cont_rng: RngState,
+) -> tuple:
+    """``m_samples`` posterior draws and as many horizon-N empirical measures.
 
-    Given a directing-measure draw, the remaining N - n observations are
-    i.i.d. from it, so each empirical measure mixes the history with
-    fresh draws from its paired posterior measure.  Marginally each
-    empirical measure follows the conditional law of the horizon-N
-    empirical measure (up to the documented truncation tolerance).
+    Under the posterior coupling each empirical measure mixes the history
+    with N - n i.i.d. draws from its paired posterior draw; marginally it
+    follows the conditional law of the horizon-N empirical measure (up to
+    the documented truncation tolerance).  A finite-Dirichlet model stays
+    on (m, k) weight matrices: one Dirichlet call gives the posterior rows
+    (the same stream as m ``posterior_draw`` calls), one multinomial call
+    their count continuations.  On a label alphabet the matrices come back
+    with columns in sorted-label order; on scalar atoms their rows become
+    measures for the bounded Lipschitz ground.
     """
-    from .priors import _fd_counts, _iid_from_measure
-
-    n = len(history)
-    space = model_space(model)
+    m, space = cfg.m_samples, model_space(model)
     if isinstance(model, FiniteDirichletModel):
-        base_counts = _fd_counts(model, history)
-        W = np.stack([[p.mass_at(a) for a in model.atoms] for p in posts])
-        W = W / W.sum(axis=1, keepdims=True)
-        counts = base_counts[None, :] + rng.multinomial(N - n, W)
-        return [AtomicMeasure(list(zip(model.atoms, row / N)), space=space) for row in counts]
-    out = []
-    for post in posts:
-        values = tuple(history.values) + _iid_from_measure(post, N - n, rng)
-        out.append(empirical(Sample(values, space=space)))
-    return out
+        P = post_rng.dirichlet(model.posterior_alpha(history), size=m)
+        coupled = P if cfg.coupling == "posterior" else None
+        Q = batched_fd_empirical_counts(model, history, N, m, cont_rng, coupled) / N
+        if isinstance(space, FiniteAlphabet):
+            order = [model.atom_index(label) for label in space.labels]
+            return P[:, order], Q[:, order]
+        return [[AtomicMeasure(list(zip(model.atoms, row)), space=space) for row in W] for W in (P, Q)]
+    posts = [posterior_draw(model, history, post_rng) for _ in range(m)]
+    if cfg.coupling == "independent":
+        return posts, [empirical(continue_sequence(model, history, N, cont_rng)) for _ in range(m)]
+    fresh = N - len(history)
+    return posts, [
+        empirical(Sample(tuple(history.values) + _iid_from_measure(p, fresh, cont_rng), space=space))
+        for p in posts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +389,8 @@ def _coupled_empiricals(
 def run_mean_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None = None) -> ExperimentReport:
     """Scalar pushforward check: the plug-in distance between f-means of
     full sequences and f-integrals of posterior draws, against the mean
-    bound (unconditional when n = 0, conditional otherwise)."""
+    bound (unconditional when n = 0, conditional otherwise; the
+    conditional bound takes the predictive mean of |f|)."""
     model = model_from_spec(cfg.model) if model is None else model
     if not isinstance(model_space(model), RealLine):
         raise FiniPostError("config-error", "bound_mean needs a scalar model")
@@ -411,9 +415,9 @@ def run_mean_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None =
             bound = bd.mean_bound_unconditional(N, Ef2)
         else:
             sample_mean_f = float(np.mean([f(v) for v in history.values]))
-            post_mean_f = predictive_expectation(model, history, f)
+            post_mean_abs_f = predictive_expectation(model, history, lambda x: abs(f(x)))
             pred_f2 = predictive_expectation(model, history, f2)
-            bound = bd.mean_bound_conditional(cfg.n, N, sample_mean_f, post_mean_f, pred_f2)
+            bound = bd.mean_bound_conditional(cfg.n, N, sample_mean_f, post_mean_abs_f, pred_f2)
 
         slack = 3.0 * se
         return [

@@ -1,11 +1,14 @@
 """Finite-support probability measures and the functionals built on them.
 
-The atomic measure is the universal carrier here: empirical measures of
+The atomic measure is the single-measure carrier: empirical measures of
 observed sequences, posterior draws from every prior in ``priors``, and
 mixtures of both are all finite collections of weighted points.  Points
 live in one of three spaces: a finite label alphabet, the real line, or
-a d-dimensional Euclidean space.  Continuous laws appear only through
-the analytic CDF families of ``families``.
+a d-dimensional Euclidean space.  A batch of measures on one common
+finite support is carried instead as an (m, k) weight matrix, one row
+per measure, checked once by ``weight_matrix``; ``bound_finite`` cells
+run on such matrices.  Continuous laws appear only through the analytic
+CDF families of ``families``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "Space",
     "Point",
     "AtomicMeasure",
+    "weight_matrix",
     "Cdf",
     "Sample",
     "empirical",
@@ -192,8 +196,20 @@ class AtomicMeasure:
         return out
 
 
-def dirac(point: Point, space: Space | None = None) -> AtomicMeasure:
-    return AtomicMeasure([(point, 1.0)], space=space)
+def weight_matrix(rows) -> np.ndarray:
+    """A batch of measures on one common support as an (m, k) float matrix.
+
+    Checks once per batch what ``AtomicMeasure`` checks per measure:
+    every row is nonnegative and sums to one, both within 1e-12.
+    """
+    W = np.asarray(rows, dtype=float)
+    if W.ndim != 2 or W.size == 0:
+        raise FiniPostError("bad-weights", f"need a nonempty (m, k) weight matrix, got shape {W.shape}")
+    if not np.all(W >= -_WEIGHT_TOL):
+        raise FiniPostError("bad-weights", "negative or NaN weight in a weight matrix")
+    if not np.all(np.abs(W.sum(axis=1) - 1.0) <= _WEIGHT_TOL):
+        raise FiniPostError("bad-weights", "a weight-matrix row does not sum to 1")
+    return W
 
 
 # ---------------------------------------------------------------------------

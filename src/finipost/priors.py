@@ -103,6 +103,12 @@ class FiniteDirichletModel:
         except ValueError:
             raise FiniPostError("space-mismatch", f"value {value!r} is not a support atom") from None
 
+    def posterior_alpha(self, history: Sample) -> np.ndarray:
+        """Dirichlet parameters of the weights given the history: the
+        concentration plus the atom counts, in ``atoms`` order.  The
+        predictive law of the next observation is their normalisation."""
+        return np.asarray(self.concentration) + _fd_counts(self, history)
+
 
 @dataclass(frozen=True)
 class DirichletProcessModel:
@@ -276,10 +282,9 @@ def continue_sequence(model: ExchangeableModel, history: Sample, upto: int, rng:
         return history
 
     if isinstance(model, FiniteDirichletModel):
-        counts = _fd_counts(model, history)
         values = list(history.values)
         total = sum(model.concentration) + n
-        weights = np.asarray(model.concentration, dtype=float) + counts
+        weights = model.posterior_alpha(history)
         for _ in range(upto - n):
             j = _categorical(weights / total, rng)
             values.append(model.atoms[j])
@@ -402,8 +407,7 @@ def posterior_draw(model: ExchangeableModel, history: Sample, rng: RngState) -> 
     n = len(history)
 
     if isinstance(model, FiniteDirichletModel):
-        alpha = np.asarray(model.concentration) + _fd_counts(model, history)
-        w = rng.dirichlet(alpha)
+        w = rng.dirichlet(model.posterior_alpha(history))
         return AtomicMeasure(list(zip(model.atoms, w)), space=model.space)
 
     if isinstance(model, DirichletProcessModel):
@@ -562,7 +566,7 @@ def predictive_expectation_mc(
     n = len(history)
 
     if isinstance(model, FiniteDirichletModel):
-        weights = np.asarray(model.concentration) + _fd_counts(model, history)
+        weights = model.posterior_alpha(history)
         vals = _finite_values(f, model.atoms)
         return float(np.dot(weights, vals) / weights.sum()), 0.0
 
@@ -632,7 +636,7 @@ def predictive_pair_expectation(
     n = len(history)
 
     if isinstance(model, FiniteDirichletModel):
-        weights = np.asarray(model.concentration) + _fd_counts(model, history)
+        weights = model.posterior_alpha(history)
         A = weights.sum()
         total = 0.0
         for j, aj in enumerate(model.atoms):
@@ -757,7 +761,7 @@ def batched_sequences(
 
     if isinstance(model, FiniteDirichletModel):
         atoms = np.asarray(model.atoms, dtype=float)
-        weights = np.tile(np.asarray(model.concentration) + _fd_counts(model, history), (draws, 1))
+        weights = np.tile(model.posterior_alpha(history), (draws, 1))
         total = weights[0].sum()
         for i in range(n, upto):
             u = rng.random(draws) * total
@@ -774,13 +778,21 @@ def batched_sequences(
 
 
 def batched_fd_empirical_counts(
-    model: FiniteDirichletModel, history: Sample, upto: int, draws: int, rng: RngState
+    model: FiniteDirichletModel,
+    history: Sample,
+    upto: int,
+    draws: int,
+    rng: RngState,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Atom counts of ``draws`` independent length-``upto`` continuations.
+    """Atom counts of ``draws`` length-``upto`` continuations, in ``atoms`` order.
 
-    The urn continuation law of the count vector is Dirichlet-multinomial,
-    so each row is one Dirichlet draw followed by one multinomial draw;
-    this is an exact sample, not an approximation.
+    Given a directing-measure draw the new observations are i.i.d. from
+    it, so each row is the history counts plus one multinomial draw.
+    ``weights`` are the (draws, k) directing rows to continue from (each
+    row normalised first); without them each row gets a fresh posterior
+    Dirichlet draw, which makes the rows exact, independent samples of
+    the Dirichlet-multinomial urn continuation.
     """
     if upto < len(history):
         raise FiniPostError("bad-horizon", f"target length {upto} below history length {len(history)}")
@@ -789,9 +801,11 @@ def batched_fd_empirical_counts(
     fresh = upto - len(history)
     if fresh == 0:
         return np.tile(base, (draws, 1))
-    alpha = np.asarray(model.concentration) + base
-    w = rng.dirichlet(alpha, size=draws)
-    return base[None, :] + rng.multinomial(fresh, w)
+    if weights is None:
+        weights = rng.dirichlet(model.posterior_alpha(history), size=draws)
+    else:
+        weights = weights / weights.sum(axis=1, keepdims=True)
+    return base[None, :] + rng.multinomial(fresh, weights)
 
 
 def batched_posterior_integrals(
@@ -812,8 +826,7 @@ def batched_posterior_integrals(
     if isinstance(model, FiniteDirichletModel):
         if not isinstance(model.space, RealLine):
             raise FiniPostError("space-mismatch", "batched posterior integrals need a scalar model")
-        alpha = np.asarray(model.concentration) + _fd_counts(model, history)
-        W = rng.dirichlet(alpha, size=draws)
+        W = rng.dirichlet(model.posterior_alpha(history), size=draws)
         vals = fvec(np.asarray(model.atoms, dtype=float))
         return W @ vals
 
@@ -903,6 +916,10 @@ def model_from_spec(spec: dict) -> ExchangeableModel:
             )
         if kind == "fixed":
             return FixedLawModel(family_from_spec(spec["base"]))
+    except FiniPostError:
+        raise
     except KeyError as exc:
         raise FiniPostError("config-error", f"model spec missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FiniPostError("config-error", f"malformed model spec: {exc}") from exc
     raise FiniPostError("config-error", f"unknown model kind {kind!r}")

@@ -18,7 +18,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import FiniPostError
-from .measures import AtomicMeasure, FiniteAlphabet, RealLine, _dist
+from .measures import AtomicMeasure, FiniteAlphabet, RealLine, _dist, weight_matrix
 
 __all__ = [
     "CostMatrix",
@@ -411,7 +411,7 @@ def verify_plan(
 _GROUNDS = ("TV", "BL", "W1REAL")
 
 
-def meta_w1(ps: Sequence[AtomicMeasure], qs: Sequence[AtomicMeasure], ground: str = "TV") -> float:
+def meta_w1(ps, qs, ground: str = "TV") -> float:
     """Plug-in transport distance between the laws behind two measure samples.
 
     Builds the m-by-m ground-cost matrix between the samples and solves
@@ -423,24 +423,28 @@ def meta_w1(ps: Sequence[AtomicMeasure], qs: Sequence[AtomicMeasure], ground: st
     return value
 
 
-def meta_w1_matched(
-    ps: Sequence[AtomicMeasure], qs: Sequence[AtomicMeasure], ground: str = "TV"
-) -> tuple[float, np.ndarray]:
+def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
     """As :func:`meta_w1`, also returning the optimally matched pair costs.
 
     The plug-in value is the mean of the returned array; resampling that
-    array gives a cheap bootstrap of the estimate.
+    array gives a cheap bootstrap of the estimate.  Under "TV" the two
+    samples may also be given as (m, k) weight matrices whose columns
+    share one alphabet order; measure lists are converted to such
+    matrices over their union alphabet on entry.
     """
     if ground not in _GROUNDS:
         raise FiniPostError("config-error", f"unknown ground metric {ground!r}")
     if len(ps) != len(qs) or len(ps) == 0:
         raise FiniPostError("size-mismatch", f"need equal nonempty samples, got {len(ps)} vs {len(qs)}")
     m = len(ps)
-    one_d = _one_dimensional_reduction(ps, qs, ground)
-    if one_d is not None:
-        xs, ys = one_d
-        matched = np.abs(np.sort(xs) - np.sort(ys))
-        return float(matched.mean()), matched
+    if ground == "TV":
+        ps, qs = _tv_weight_matrices(ps, qs)
+        k = ps.shape[1]
+        if k <= 2:
+            # On two letters the TV cost is the absolute difference of the
+            # first-letter masses, and the sorted matching is optimal.
+            matched = np.abs(np.sort(ps[:, 0]) - np.sort(qs[:, 0])) if k == 2 else np.zeros(m)
+            return float(matched.mean()), matched
     cost = meta_cost_matrix(ps, qs, ground)
     if m == 1:
         return float(cost[0, 0]), cost[0]
@@ -449,45 +453,36 @@ def meta_w1_matched(
     return float(matched.mean()), matched
 
 
-def meta_cost_matrix(ps: Sequence[AtomicMeasure], qs: Sequence[AtomicMeasure], ground: str) -> np.ndarray:
-    m = len(ps)
+def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
+    """Ground costs between two samples: (m, k) weight matrices under
+    "TV", measure lists under "BL" and "W1REAL"."""
     if ground == "TV":
-        alphabet = _union_alphabet(ps, qs)
-        P = np.stack([p.weight_vector(alphabet) for p in ps])
-        Q = np.stack([q.weight_vector(alphabet) for q in qs])
+        m, k = ps.shape
         out = np.empty((m, m))
-        block = max(1, int(2**22 // max(1, m * alphabet.k)))
+        block = max(1, int(2**22 // max(1, m * k)))
         for lo in range(0, m, block):
             hi = min(m, lo + block)
-            out[lo:hi] = 0.5 * np.abs(P[lo:hi, None, :] - Q[None, :, :]).sum(axis=2)
+            out[lo:hi] = 0.5 * np.abs(ps[lo:hi, None, :] - qs[None, :, :]).sum(axis=2)
         return out
     if ground == "BL":
         return np.array([[bounded_lipschitz(p, q)[0] for q in qs] for p in ps])
     return np.array([[w1_real(p, q) for q in qs] for p in ps])
 
 
-def _union_alphabet(ps, qs) -> FiniteAlphabet:
+def _tv_weight_matrices(ps, qs) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(ps, np.ndarray) and isinstance(qs, np.ndarray):
+        P, Q = weight_matrix(ps), weight_matrix(qs)
+        if P.shape != Q.shape:
+            raise FiniPostError("size-mismatch", f"weight matrices of shapes {P.shape} vs {Q.shape}")
+        return P, Q
+    if isinstance(ps, np.ndarray) or isinstance(qs, np.ndarray):
+        raise FiniPostError("space-mismatch", "give two weight matrices or two lists of measures")
     spaces = {p.space for p in ps} | {q.space for q in qs}
     if not all(isinstance(sp, FiniteAlphabet) for sp in spaces):
         raise FiniPostError("space-mismatch", "TV ground needs finite-alphabet measures")
-    if len(spaces) == 1:
-        return next(iter(spaces))
-    labels = sorted(set().union(*[sp.labels for sp in spaces]))
-    return FiniteAlphabet(tuple(labels))
-
-
-def _one_dimensional_reduction(ps, qs, ground) -> tuple[np.ndarray, np.ndarray] | None:
-    """TV on a binary alphabet reduces to sorting: the cost is the absolute
-    difference of first-label masses, for which the sorted matching is an
-    optimal assignment."""
-    if ground != "TV":
-        return None
-    alphabet = _union_alphabet(ps, qs)
-    if alphabet.k > 2:
-        return None
-    if alphabet.k == 1:
-        z = np.zeros(len(ps))
-        return z, z
-    xs = np.array([p.weight_vector(alphabet)[0] for p in ps])
-    ys = np.array([q.weight_vector(alphabet)[0] for q in qs])
-    return xs, ys
+    labels = tuple(sorted(set().union(*[sp.labels for sp in spaces])))
+    alphabet = next(iter(spaces)) if len(spaces) == 1 else FiniteAlphabet(labels)
+    return (
+        np.stack([p.weight_vector(alphabet) for p in ps]),
+        np.stack([q.weight_vector(alphabet) for q in qs]),
+    )

@@ -8,7 +8,6 @@ import pytest
 from scipy.special import betainc
 
 from finipost.bounds import (
-    BoundInputs,
     MedianLawInputs,
     bounded_support_bound,
     dudley_gamma,
@@ -28,13 +27,6 @@ from finipost.measures import AtomicMeasure, cdf_of, l21_functional, moment
 
 
 class TestInputCarriers:
-    def test_bound_inputs_validation(self):
-        BoundInputs(n=0, N=10)
-        BoundInputs(n=3, N=4, k_alphabet=5)
-        with pytest.raises(FiniPostError) as err:
-            BoundInputs(n=10, N=10)
-        assert err.value.code == "bad-horizon"
-
     def test_median_inputs_validation(self):
         MedianLawInputs(0, 0.5)
         with pytest.raises(FiniPostError):
@@ -55,6 +47,16 @@ class TestMeanBounds:
             0.2 + 2 / math.sqrt(90)
         )
         assert mean_bound_conditional(0, 50, 0.0, 0.0, 0.0) == 0.0
+
+    def test_conditional_head_is_sign_safe(self):
+        # The head takes |sample mean| and the predictive mean of |f|, so a
+        # negative sample mean cannot pull the bound below its tail term.
+        assert mean_bound_conditional(10, 100, -3.0, 3.0, 1.0) == pytest.approx(
+            0.6 + 2 / math.sqrt(90)
+        )
+        with pytest.raises(FiniPostError) as err:
+            mean_bound_conditional(10, 100, 1.0, -1.0, 1.0)
+        assert err.value.code == "config-error"
 
     def test_horizon_errors(self):
         with pytest.raises(FiniPostError) as err:

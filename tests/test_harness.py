@@ -11,6 +11,7 @@ import tempfile
 import numpy as np
 import pytest
 
+import finipost
 from finipost.errors import FiniPostError
 from finipost.harness import (
     ExperimentConfig,
@@ -31,7 +32,20 @@ K2_CONFIG = {
     "master_seed": 42,
 }
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "k2_oracle_seed42.csv")
+# Atoms out of label order, k = 3: reaches the atom-to-column mapping and
+# the assignment, which the binary golden never does.
+K3_UNSORTED_CONFIG = {
+    "experiment": "bound_finite",
+    "model": {"kind": "finite_dirichlet", "alpha": [1.0, 2.0, 0.5], "atoms": ["c", "a", "b"]},
+    "n": 10,
+    "N_grid": [25, 100],
+    "m_samples": 64,
+    "replicates": 4,
+    "ground": "TV",
+    "master_seed": 7,
+}
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def small_mean_config(**over):
@@ -70,9 +84,14 @@ class TestDeterminism:
         b = run_experiment(ExperimentConfig.from_dict(small_mean_config(master_seed=6))).rows
         assert a != b
 
-    def test_golden_file(self):
-        report = run_experiment(ExperimentConfig.from_dict(K2_CONFIG))
-        with open(GOLDEN, "r", encoding="utf-8") as fh:
+    @pytest.mark.parametrize(
+        "config, name",
+        [(K2_CONFIG, "k2_oracle_seed42.csv"), (K3_UNSORTED_CONFIG, "k3_unsorted_seed7.csv")],
+        ids=["k2_oracle_seed42", "k3_unsorted_seed7"],
+    )
+    def test_golden_file(self, config, name):
+        report = run_experiment(ExperimentConfig.from_dict(config))
+        with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
             assert report_to_csv(report) == fh.read()
 
 
@@ -196,6 +215,23 @@ class TestConfigValidation:
         assert row.estimate == 0.0
         assert row.bound == 0.0
         assert not row.violated
+
+    def test_conditional_mean_bound_translation_invariant(self):
+        # Shifting the base by -3 shifts every observation: the estimates do
+        # not move, and the sign-safe conditional bound must not fall below
+        # them (the signed head gave negative bounds here).
+        rows = {}
+        for mu in (0.0, -3.0):
+            base = {"family": "gaussian", "mu": mu, "sigma": 1.0}
+            cfg = small_mean_config(
+                model={"kind": "dirichlet_process", "mass": 1.0, "base": base},
+                n=50, N_grid=[100, 400], m_samples=400, master_seed=111,
+            )
+            rows[mu] = run_experiment(ExperimentConfig.from_dict(cfg)).rows
+        for a, b in zip(rows[0.0], rows[-3.0]):
+            assert a.estimate == pytest.approx(b.estimate, rel=1e-9)
+        assert not any(r.violated for r in rows[0.0] + rows[-3.0])
+        assert all(r.bound > 0 for r in rows[-3.0])
 
 
 class TestBoundExperimentShape:
@@ -383,10 +419,14 @@ class TestMedianExperiment:
 
 class TestCli:
     def run_cli(self, *args, expect=0):
+        # The child finds the same finipost as this process, installed or not.
+        src = os.path.dirname(os.path.dirname(finipost.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "finipost.cli", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == expect, proc.stderr
         return proc
@@ -406,10 +446,24 @@ class TestCli:
         lines = out_path.read_text().splitlines()
         assert lines[0].startswith("experiment,") and len(lines) == 2
 
-    def test_run_bad_config_exit_code(self, tmp_path):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {**K2_CONFIG, "experiment": "mystery"},
+            {**K2_CONFIG, "n": "x"},
+            {**K2_CONFIG, "m_samples": "ten"},
+            {**K2_CONFIG, "N_grid": 5},
+            [1, 2],
+            {**K2_CONFIG, "model": {"kind": "finite_dirichlet", "alpha": "ab"}},
+        ],
+        ids=["experiment-mystery", "n-str", "m_samples-str", "N_grid-int", "top-level-list", "alpha-str"],
+    )
+    def test_run_bad_config_exit_code(self, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**K2_CONFIG, "experiment": "mystery"}))
-        self.run_cli("run", "--config", str(cfg_path), expect=1)
+        cfg_path.write_text(json.dumps(config))
+        proc = self.run_cli("run", "--config", str(cfg_path), expect=1)
+        assert "error [config-error]" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_run_io_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

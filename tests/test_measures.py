@@ -24,6 +24,7 @@ from finipost.measures import (
     measure_to_csv,
     mixture,
     moment,
+    weight_matrix,
 )
 
 
@@ -32,6 +33,27 @@ def random_scalar_measure(rng, max_atoms=12, span=5.0):
     pts = rng.uniform(-span, span, size=k)
     w = rng.dirichlet(np.ones(k))
     return AtomicMeasure(list(zip(pts, w)))
+
+
+class TestWeightMatrix:
+    def test_accepts_probability_rows(self):
+        W = weight_matrix([[0.25, 0.75], [1.0, 0.0]])
+        assert W.shape == (2, 2) and W.dtype == float
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.5, 0.6]],
+            [[1.5, -0.5]],
+            [[float("nan"), 1.0]],
+            [0.5, 0.5],
+            np.empty((0, 2)),
+        ],
+    )
+    def test_rejects_what_a_measure_rejects(self, rows):
+        with pytest.raises(FiniPostError) as err:
+            weight_matrix(rows)
+        assert err.value.code == "bad-weights"
 
 
 class TestEmpirical:

@@ -360,6 +360,32 @@ class TestPredictives:
 
 
 class TestBatched:
+    @pytest.mark.parametrize(
+        "alpha", [(1.0, 2.0, 0.5), (1.0, 1.0), (0.05, 0.02, 0.08), (0.01, 0.01)]
+    )
+    def test_fd_posterior_batch_equals_per_draw(self, alpha):
+        # One Dirichlet call of size m consumes the stream exactly as m
+        # posterior_draw calls, so batching keeps seeded reports unchanged.
+        model = FiniteDirichletModel(alpha)
+        h = sample_sequence(model, 7, derive_seed(120))
+        batch = derive_seed(121).dirichlet(model.posterior_alpha(h), size=500)
+        rng = derive_seed(121)
+        per_draw = [posterior_draw(model, h, rng) for _ in range(500)]
+        W = np.stack([[p.mass_at(a) for a in model.atoms] for p in per_draw])
+        assert np.array_equal(batch, W)
+
+    def test_fd_posterior_alpha(self):
+        h = Sample((0.0, 1.0, 1.0))
+        assert FD01.posterior_alpha(h).tolist() == [2.0, 3.0]
+        assert FD01.posterior_alpha(Sample((), space=FD01.space)).tolist() == [1.0, 1.0]
+
+    def test_fd_counts_coupled_to_given_rows(self):
+        # Degenerate directing rows pin every fresh observation.
+        h = Sample((0.0, 1.0))
+        W = np.array([[1.0, 0.0], [0.0, 2.0]])  # rows are normalised first
+        counts = batched_fd_empirical_counts(FD01, h, 12, 2, derive_seed(122), W)
+        assert counts.tolist() == [[11.0, 1.0], [1.0, 11.0]]
+
     def test_fd_counts_mean(self):
         rng = derive_seed(117)
         h = Sample((0.0, 0.0, 1.0))

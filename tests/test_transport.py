@@ -330,6 +330,34 @@ class TestMetaW1:
         )
         assert got == pytest.approx(best, abs=1e-9)
 
+    @pytest.mark.parametrize("labels", [("c", "a", "b"), ("b", "a")])
+    def test_weight_matrices_equal_measure_lists(self, labels):
+        # Matrices with columns in sorted-label order give bit-identical
+        # results to the measure lists they came from.
+        rng = np.random.default_rng(19)
+        k = len(labels)
+        alpha = FiniteAlphabet(tuple(sorted(labels)))
+        order = [labels.index(lab) for lab in alpha.labels]
+        P, Q = rng.dirichlet(np.ones(k), size=30), rng.dirichlet(np.ones(k), size=30)
+        ps = [AtomicMeasure(list(zip(labels, row)), space=alpha) for row in P]
+        qs = [AtomicMeasure(list(zip(labels, row)), space=alpha) for row in Q]
+        est, matched = meta_w1_matched(P[:, order], Q[:, order], "TV")
+        est_m, matched_m = meta_w1_matched(ps, qs, "TV")
+        assert est == est_m and np.array_equal(matched, matched_m)
+
+    def test_weight_matrix_rows_are_checked(self):
+        P = np.array([[0.5, 0.5, 0.0], [0.2, 0.2, 0.2]])
+        with pytest.raises(FiniPostError) as err:
+            meta_w1(P, P, "TV")
+        assert err.value.code == "bad-weights"
+
+    def test_matrix_and_measure_list_do_not_mix(self):
+        alpha = FiniteAlphabet(("a", "b"))
+        p = AtomicMeasure([("a", 0.7), ("b", 0.3)], space=alpha)
+        with pytest.raises(FiniPostError) as err:
+            meta_w1(np.array([[0.7, 0.3]]), [p], "TV")
+        assert err.value.code == "space-mismatch"
+
     def test_size_mismatch(self):
         p = dirac(0.0)
         with pytest.raises(FiniPostError) as err:
