@@ -7,10 +7,21 @@ parsing messages.
 
 from __future__ import annotations
 
-__all__ = ["FiniPostError"]
+import numbers
+
+__all__ = ["FiniPostError", "config_int"]
 
 
 class FiniPostError(ValueError):
     def __init__(self, code: str, message: str | None = None):
         self.code = code
         super().__init__(message if message is not None else code)
+
+
+def config_int(value, field: str) -> int:
+    """An integral config value: an integer, or a float with no fractional
+    part.  Booleans, strings and fractional numbers are config errors."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise FiniPostError("config-error", f"{field} must be an integer, not {value!r}")
+    return int(value)

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds as bd
-from .errors import FiniPostError
+from .errors import FiniPostError, config_int
 from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, cdf_of, empirical, l21_functional
 from .priors import (
     ExchangeableModel,
@@ -130,15 +130,15 @@ class ExperimentConfig:
             return cls(
                 experiment=obj["experiment"],
                 model=obj["model"],
-                n=int(obj.get("n", 0)),
-                N_grid=tuple(obj["N_grid"]),
-                m_samples=int(obj.get("m_samples", 2000)),
-                replicates=int(obj.get("replicates", 1)),
+                n=config_int(obj.get("n", 0), "n"),
+                N_grid=tuple(config_int(N, "N_grid") for N in obj["N_grid"]),
+                m_samples=config_int(obj.get("m_samples", 2000), "m_samples"),
+                replicates=config_int(obj.get("replicates", 1), "replicates"),
                 ground=obj.get("ground", "TV"),
-                master_seed=int(obj.get("master_seed", 0)),
+                master_seed=config_int(obj.get("master_seed", 0), "master_seed"),
                 output=obj.get("output"),
                 f_spec=obj.get("f_spec"),
-                threads=int(obj.get("threads", 1)),
+                threads=config_int(obj.get("threads", 1), "threads"),
                 coupling=obj.get("coupling", "posterior"),
             )
         except FiniPostError:

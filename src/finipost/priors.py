@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FiniPostError
+from .errors import FiniPostError, config_int
 from .families import AnalyticLaw, PointMassLaw
 from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, Space
 from .rng import RngState
@@ -883,13 +883,15 @@ def model_from_spec(spec: dict) -> ExchangeableModel:
     kind = spec["kind"]
     try:
         if kind == "finite_dirichlet":
-            atoms = tuple(spec["atoms"]) if "atoms" in spec else ()
-            return FiniteDirichletModel(tuple(spec["alpha"]), atoms)
+            atoms = spec.get("atoms", ())
+            if not isinstance(atoms, (list, tuple)):
+                raise FiniPostError("config-error", f"atoms must be a list, not {atoms!r}")
+            return FiniteDirichletModel(tuple(spec["alpha"]), tuple(atoms))
         if kind == "dirichlet_process":
             return DirichletProcessModel(
                 float(spec["mass"]),
                 family_from_spec(spec["base"]),
-                int(spec.get("max_sticks", 4096)),
+                config_int(spec.get("max_sticks", 4096), "max_sticks"),
                 float(spec.get("residual_tol", 1e-8)),
             )
         if kind == "stick_breaking":
@@ -904,13 +906,13 @@ def model_from_spec(spec: dict) -> ExchangeableModel:
                 family_from_spec(spec["base"]),
                 beta_params=params,
                 beta_rule=rule,
-                max_sticks=int(spec.get("max_sticks", 4096)),
+                max_sticks=config_int(spec.get("max_sticks", 4096), "max_sticks"),
                 residual_tol=float(spec.get("residual_tol", 1e-8)),
             )
         if kind == "polya_tree":
             return PolyaTreeModel(
                 family_from_spec(spec["base"]),
-                int(spec["depth"]),
+                config_int(spec["depth"], "depth"),
                 dict(spec.get("params", {})),
                 tuple(spec["level_alpha"]) if "level_alpha" in spec else None,
             )

@@ -348,7 +348,7 @@ def test_criterion_8_ot_solver_exactness():
 
 def test_criterion_9_bounded_lipschitz_properties():
     """Identity, the diameter cap, domination by w1, and mixture convexity,
-    all on LP-certified values."""
+    all on certificate-checked values."""
     rng = np.random.default_rng(888)
 
     def random_measure(max_atoms=8):

@@ -45,6 +45,20 @@ K3_UNSORTED_CONFIG = {
     "master_seed": 7,
 }
 
+GAUSS = {"family": "gaussian", "mu": 0.0, "sigma": 1.0}
+
+# A small valid bound_real config: bad model fields in it fail on their own.
+BL_CONFIG = {
+    "experiment": "bound_real",
+    "model": {"kind": "dirichlet_process", "mass": 1.0, "base": GAUSS, "max_sticks": 64, "residual_tol": 1e-4},
+    "n": 0,
+    "N_grid": [5],
+    "m_samples": 2,
+    "replicates": 1,
+    "ground": "BL",
+    "master_seed": 3,
+}
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -161,6 +175,11 @@ class TestConfigValidation:
         with pytest.raises(FiniPostError) as err:
             ExperimentConfig.from_dict({**K2_CONFIG, "experiment": "mystery"})
         assert err.value.code == "config-error"
+
+    def test_integral_floats_are_integers(self):
+        cfg = ExperimentConfig.from_dict({**K2_CONFIG, "replicates": 2.0, "N_grid": [2.0, 4], "master_seed": 42.0})
+        assert (cfg.replicates, cfg.N_grid, cfg.master_seed) == (2, (2, 4), 42)
+        assert all(type(v) is int for v in (cfg.replicates, *cfg.N_grid, cfg.master_seed))
 
     def test_grid_floor(self):
         with pytest.raises(FiniPostError):
@@ -455,8 +474,20 @@ class TestCli:
             {**K2_CONFIG, "N_grid": 5},
             [1, 2],
             {**K2_CONFIG, "model": {"kind": "finite_dirichlet", "alpha": "ab"}},
+            {**K2_CONFIG, "replicates": 2.7},
+            {**K2_CONFIG, "N_grid": [2.9]},
+            {**K2_CONFIG, "n": True},
+            {**K2_CONFIG, "master_seed": 1.5},
+            {**K2_CONFIG, "m_samples": "64"},
+            {**BL_CONFIG, "model": {**BL_CONFIG["model"], "max_sticks": 64.9}},
+            {**BL_CONFIG, "model": {"kind": "polya_tree", "base": GAUSS, "depth": 2.5, "level_alpha": [1.0, 4.0]}},
+            {**K2_CONFIG, "model": {"kind": "finite_dirichlet", "alpha": [1, 1], "atoms": "ab"}},
         ],
-        ids=["experiment-mystery", "n-str", "m_samples-str", "N_grid-int", "top-level-list", "alpha-str"],
+        ids=[
+            "experiment-mystery", "n-str", "m_samples-str", "N_grid-int", "top-level-list", "alpha-str",
+            "replicates-fraction", "N_grid-fraction", "n-bool", "master_seed-fraction", "m_samples-digits",
+            "max_sticks-fraction", "depth-fraction", "atoms-str",
+        ],
     )
     def test_run_bad_config_exit_code(self, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"

@@ -14,6 +14,7 @@ from finipost.errors import FiniPostError
 from finipost.measures import AtomicMeasure, FiniteAlphabet, Sample, empirical
 from finipost.transport import (
     CostMatrix,
+    LipschitzDual,
     TransportPlan,
     bounded_lipschitz,
     meta_w1,
@@ -150,6 +151,121 @@ class TestBoundedLipschitz:
         assert value2 == pytest.approx(0.5, abs=1e-9)
 
 
+def line_bl_lp(p, q):
+    """Reference bounded Lipschitz value on the line: the chain LP
+    max sum_i f_i (p_i - q_i), |f_i| <= 1, |f_{i+1} - f_i| <= x_{i+1} - x_i,
+    solved by HiGHS over the sorted union support."""
+    from scipy.optimize import linprog
+
+    x = np.unique(np.concatenate([p.scalars(), q.scalars()]))
+    delta = np.zeros(x.size)
+    np.add.at(delta, np.searchsorted(x, p.scalars()), p.weights)
+    np.add.at(delta, np.searchsorted(x, q.scalars()), -q.weights)
+    if x.size == 1:
+        return 0.0
+    steps = np.diff(np.eye(x.size), axis=0)  # row i: f_{i+1} - f_i
+    res = linprog(
+        -delta,
+        A_ub=np.vstack([steps, -steps]),
+        b_ub=np.concatenate([np.diff(x), np.diff(x)]),
+        bounds=[(-1.0, 1.0)] * x.size,
+        method="highs",
+    )
+    assert res.success
+    return -res.fun
+
+
+def chain_pair(rng, kind):
+    """A random pair of line measures of one shape: "random" supports,
+    "shared" atoms drawn from one small pool, "one" atom in all, "two"
+    atoms in all, "far" apart atoms (gaps well beyond 2), or "grid":
+    empirical measures on a lattice, whose equal weights and gaps make the
+    slopes of the value function tie exactly."""
+    if kind == "one":
+        x = rng.normal()
+        return AtomicMeasure([(x, 1.0)]), AtomicMeasure([(x, 1.0)])
+    if kind == "two":
+        pts = rng.normal(scale=2.0, size=2)
+        return tuple(AtomicMeasure(list(zip(pts, rng.dirichlet(np.ones(2))))) for _ in range(2))
+    if kind == "random":
+        max_atoms, span = int(rng.choice([3, 12, 40])), float(rng.choice([0.1, 1.0, 4.0]))
+        return tuple(random_scalar_pair(rng, max_atoms=max_atoms, span=span))
+    if kind == "grid":
+        pts = 0.25 * rng.integers(-8, 9, size=(2, int(rng.integers(1, 9))))
+        return tuple(empirical(Sample(tuple(row.tolist()))) for row in pts)
+    pool = np.cumsum(rng.uniform(2.5, 10.0, size=8)) if kind == "far" else rng.normal(size=8)
+    out = []
+    for _ in range(2):
+        k = int(rng.integers(1, 9))
+        out.append(AtomicMeasure(list(zip(rng.choice(pool, size=k), rng.dirichlet(np.ones(k))))))
+    return tuple(out)
+
+
+CHAIN_KINDS = ("random", "shared", "one", "two", "far", "grid")
+
+
+class TestBoundedLipschitzChain:
+    """The line solver against an independent LP and its closed forms."""
+
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    def test_matches_lp(self, kind):
+        rng = np.random.default_rng(CHAIN_KINDS.index(kind))
+        for _ in range(60):
+            p, q = chain_pair(rng, kind)
+            value, _ = bounded_lipschitz(p, q)
+            assert value == pytest.approx(line_bl_lp(p, q), abs=1e-9)
+
+    def test_equals_w1_when_span_at_most_two(self):
+        # |f| <= 1 never binds on a support of span <= 2, which leaves the
+        # Kantorovich-Rubinstein dual of w1.
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            lo = rng.normal(scale=5.0)
+            pts = lo + rng.uniform(0.0, 2.0, size=int(rng.integers(2, 30)))
+            cut = int(rng.integers(1, pts.size))
+            p = AtomicMeasure(list(zip(pts[:cut], rng.dirichlet(np.ones(cut)))))
+            q = AtomicMeasure(list(zip(pts[cut - 1:], rng.dirichlet(np.ones(pts.size - cut + 1)))))
+            assert bounded_lipschitz(p, q)[0] == pytest.approx(w1_real(p, q), abs=1e-12)
+
+    def test_certificate_is_feasible_and_tight(self):
+        rng = np.random.default_rng(22)
+        for kind in ("random", "shared", "two", "far", "grid") * 20:
+            p, q = chain_pair(rng, kind)
+            value, dual = bounded_lipschitz(p, q)
+            x = np.asarray(dual.support, dtype=float)
+            f = dual.values[np.argsort(x)]
+            assert np.all(np.diff(np.sort(x)) > 0.0)
+            assert np.all(np.abs(f) <= 1.0 + 1e-12)
+            assert np.all(np.abs(np.diff(f)) <= np.diff(np.sort(x)) + 1e-12)
+            LipschitzDual(dual.support, dual.values)
+            assert dual.pairing(p, q) == pytest.approx(value, abs=1e-12)
+
+
+class TestInvariance:
+    def test_translation(self):
+        rng = np.random.default_rng(23)
+        for c in (-3.0, 0.5, 7.25):
+            for _ in range(50):
+                p, q = random_scalar_pair(rng, max_atoms=10)
+                pc, qc = (AtomicMeasure([(x + c, w) for x, w in zip(m.points, m.weights)]) for m in (p, q))
+                assert bounded_lipschitz(pc, qc)[0] == pytest.approx(bounded_lipschitz(p, q)[0], abs=1e-12)
+                assert w1_real(pc, qc) == pytest.approx(w1_real(p, q), abs=1e-12)
+
+    def test_w1_scale_covariance(self):
+        rng = np.random.default_rng(24)
+        for c in (0.01, 0.5, 3.0, 40.0):
+            for _ in range(50):
+                p, q = random_scalar_pair(rng, max_atoms=10)
+                pc, qc = (AtomicMeasure([(x * c, w) for x, w in zip(m.points, m.weights)]) for m in (p, q))
+                assert w1_real(pc, qc) == pytest.approx(c * w1_real(p, q), rel=1e-12, abs=1e-15)
+
+    def test_bl_symmetric(self):
+        rng = np.random.default_rng(25)
+        for kind in ("random", "shared", "two", "far", "grid") * 40:
+            p, q = chain_pair(rng, kind)
+            assert bounded_lipschitz(p, q)[0] == bounded_lipschitz(q, p)[0]
+
+
 class TestMetricProperties:
     def test_axioms_on_random_pairs(self):
         rng = np.random.default_rng(13)
@@ -167,11 +283,12 @@ class TestMetricProperties:
             assert tv_finite(pf, rf) <= tv_finite(pf, qf) + tv_finite(qf, rf) + 1e-9
 
     def test_bl_below_w1_and_two(self):
+        # |f| <= 1 and Lip f <= 1 give BL <= min(w1, 2 TV) <= 2.
         rng = np.random.default_rng(14)
         for _ in range(200):
             p, q = random_scalar_pair(rng, max_atoms=8)
             beta, _ = bounded_lipschitz(p, q)
-            assert beta <= w1_real(p, q) + 1e-9
+            assert beta <= min(w1_real(p, q), 2.0 * tv_finite(p, q)) + 1e-9
             assert beta <= 2.0 + 1e-9
 
     @given(st.integers(0, 2**32 - 1))
