@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FiniPostError
+from .families import IDENTITY, AbsDeviation, AbsDifference, Indicator, Product, Square
 from .measures import AtomicMeasure, RealLine, Sample, empirical, gini_md
 from .priors import (
     ExchangeableModel,
@@ -85,7 +86,7 @@ def mean_estimators(
     of the running sample mean with the predictive mean."""
     n, N = inputs.n, inputs.N
     _, mu_bar, _ = _history_stats(inputs)
-    mu_hat, se = predictive_expectation_mc(inputs.model, inputs.history, lambda x: float(x), mc_draws, rng)
+    mu_hat, se = predictive_expectation_mc(inputs.model, inputs.history, IDENTITY, mc_draws, rng)
     finitary = (n / N) * mu_bar + ((N - n) / N) * mu_hat
     comps = {"mu_bar_n": mu_bar, "mu_hat_n": mu_hat}
     if se:
@@ -114,11 +115,9 @@ def variance_estimators(
         raise FiniPostError("bad-horizon", "variance estimation needs a horizon of at least 2")
     _, mu_bar, s2_bar = _history_stats(inputs)
     c12_bar = mu_bar * mu_bar
-    s2_hat, se1 = predictive_expectation_mc(inputs.model, inputs.history, lambda x: float(x) ** 2, mc_draws, rng)
-    mu_hat, se2 = predictive_expectation_mc(inputs.model, inputs.history, lambda x: float(x), mc_draws, rng)
-    c12_hat, se3 = predictive_pair_expectation(
-        inputs.model, inputs.history, lambda x, y: float(x) * float(y), mc_draws or 4096, rng
-    )
+    s2_hat, se1 = predictive_expectation_mc(inputs.model, inputs.history, Square(), mc_draws, rng)
+    mu_hat, se2 = predictive_expectation_mc(inputs.model, inputs.history, IDENTITY, mc_draws, rng)
+    c12_hat, se3 = predictive_pair_expectation(inputs.model, inputs.history, Product(), mc_draws or 4096, rng)
     coef_s2 = (N - n + n / N - 1.0) / N
     coef_c12 = (N - n) * (N - n - 1.0) / N**2
     coef_cross = 2.0 * (N - n) * n / N**2
@@ -151,9 +150,7 @@ def cdf_estimators(
     n, N = inputs.n, inputs.N
     x, _, _ = _history_stats(inputs)
     ecdf = float(np.mean(x <= y)) if n else 0.0
-    pred, se = predictive_expectation_mc(
-        inputs.model, inputs.history, lambda v: 1.0 if float(v) <= y else 0.0, mc_draws, rng
-    )
+    pred, se = predictive_expectation_mc(inputs.model, inputs.history, Indicator(float(y)), mc_draws, rng)
     finitary = (n / N) * ecdf + ((N - n) / N) * pred
     comps = {"ecdf_at_y": ecdf, "pred_cdf_at_y": pred}
     if se:
@@ -177,15 +174,11 @@ def gini_estimators(
         raise FiniPostError("bad-horizon", "mean-difference estimation needs a horizon of at least 2")
     x, _, _ = _history_stats(inputs)
     gini_bar = gini_md(empirical(inputs.history)) if n else 0.0
-    pair_hat, se_pair = predictive_pair_expectation(
-        inputs.model, inputs.history, lambda a, b: abs(float(a) - float(b)), mc_draws, rng
-    )
+    pair_hat, se_pair = predictive_pair_expectation(inputs.model, inputs.history, AbsDifference(), mc_draws, rng)
     cross = 0.0
     se_cross = 0.0
     for xj in x:
-        val, se = predictive_expectation_mc(
-            inputs.model, inputs.history, lambda v, xj=xj: abs(float(v) - xj), mc_draws, rng
-        )
+        val, se = predictive_expectation_mc(inputs.model, inputs.history, AbsDeviation(float(xj)), mc_draws, rng)
         cross += val
         se_cross += se
     coef_pair = ((N - n) ** 2 - (N - n)) / N**2

@@ -1,9 +1,15 @@
-"""Named analytic distribution families on the real line.
+"""Named analytic distribution families on the real line, and named test
+functions with exact expectations under them.
 
 Three families cover every continuous law the package needs: uniform,
 gaussian and point-mass.  Each exposes a CDF, a quantile function, exact
-sampling, and quadrature-backed expectations.  Everything else in the
-package works with finite-support atomic measures.
+sampling, moments, and expectations.  The expectation of a named test
+function (identity and other linear maps, square, the indicator of
+(-inf, y], |x - c|, and the pair functions |x - y| and x*y) is its closed
+form in the law's mean, second moment, CDF, mean absolute deviation or
+mean absolute difference; any other callable is integrated by quadrature
+(the point mass evaluates it at its atom).  Everything else in the package
+works with finite-support atomic measures.
 """
 
 from __future__ import annotations
@@ -19,7 +25,22 @@ from scipy.special import ndtr, ndtri
 from .errors import FiniPostError
 from .rng import RngState
 
-__all__ = ["AnalyticLaw", "UniformLaw", "GaussianLaw", "PointMassLaw", "family_from_spec"]
+__all__ = [
+    "AnalyticLaw",
+    "UniformLaw",
+    "GaussianLaw",
+    "PointMassLaw",
+    "family_from_spec",
+    "NamedFunction",
+    "NamedPairFunction",
+    "Linear",
+    "IDENTITY",
+    "Square",
+    "Indicator",
+    "AbsDeviation",
+    "AbsDifference",
+    "Product",
+]
 
 
 @dataclass(frozen=True)
@@ -57,10 +78,14 @@ class UniformLaw:
         return (self.a * self.a + self.a * self.b + self.b * self.b) / 3.0
 
     def expect(self, f: Callable[[float], float]) -> float:
+        if isinstance(f, NamedFunction):
+            return f.expectation(self)
         val, _ = integrate.quad(lambda x: f(x) * 1.0 / (self.b - self.a), self.a, self.b, limit=200)
         return val
 
     def pair_expect(self, g: Callable[[float, float], float]) -> float:
+        if isinstance(g, NamedPairFunction):
+            return g.expectation(self)
         inv = 1.0 / (self.b - self.a)
         val, _ = integrate.dblquad(lambda y, x: g(x, y) * inv * inv, self.a, self.b, self.a, self.b)
         return val
@@ -114,10 +139,14 @@ class GaussianLaw:
         return self.mu * self.mu + self.sigma * self.sigma
 
     def expect(self, f: Callable[[float], float]) -> float:
+        if isinstance(f, NamedFunction):
+            return f.expectation(self)
         val, _ = integrate.quad(lambda x: f(x) * self.pdf(x), -np.inf, np.inf, limit=200)
         return val
 
     def pair_expect(self, g: Callable[[float, float], float]) -> float:
+        if isinstance(g, NamedPairFunction):
+            return g.expectation(self)
         val, _ = integrate.dblquad(
             lambda y, x: g(x, y) * self.pdf(x) * self.pdf(y),
             -np.inf, np.inf, -np.inf, np.inf,
@@ -160,6 +189,7 @@ class PointMassLaw:
         return self.c * self.c
 
     def expect(self, f: Callable[[float], float]) -> float:
+        # Evaluation at the atom is exact for every f, named or not.
         return float(f(self.c))
 
     def pair_expect(self, g: Callable[[float, float], float]) -> float:
@@ -173,6 +203,119 @@ class PointMassLaw:
 
 
 AnalyticLaw = UniformLaw | GaussianLaw | PointMassLaw
+
+
+# ---------------------------------------------------------------------------
+# Named test functions
+# ---------------------------------------------------------------------------
+
+class NamedFunction:
+    """A test function of one variable with its closed forms: the scalar
+    value ``f(x)``, the vectorised value ``f.vec(array)`` and the exact
+    expectation ``f.expectation(law)`` under an analytic law, which each
+    law's ``expect`` uses in place of quadrature."""
+
+    def __call__(self, x) -> float:
+        return float(self.vec(x))
+
+
+@dataclass(frozen=True)
+class Linear(NamedFunction):
+    """x -> slope * x: the identity at slope 1, zero at slope 0."""
+
+    slope: float
+
+    def vec(self, a):
+        # The identity hands back its input: the batched paths pass it blocks
+        # of millions of values.
+        return a if self.slope == 1.0 else self.slope * a
+
+    def expectation(self, law: AnalyticLaw) -> float:
+        return self.slope * law.mean()
+
+
+IDENTITY = Linear(1.0)
+
+
+@dataclass(frozen=True)
+class Square(NamedFunction):
+    """x -> x^2."""
+
+    def vec(self, a):
+        return a * a
+
+    def expectation(self, law: AnalyticLaw) -> float:
+        return law.second_moment()
+
+
+@dataclass(frozen=True)
+class Indicator(NamedFunction):
+    """x -> 1 if x <= y else 0."""
+
+    y: float
+
+    def vec(self, a):
+        return np.where(a <= self.y, 1.0, 0.0)
+
+    def expectation(self, law: AnalyticLaw) -> float:
+        return float(law.cdf(self.y))
+
+
+@dataclass(frozen=True)
+class AbsDeviation(NamedFunction):
+    """x -> |x - c|."""
+
+    c: float
+
+    def vec(self, a):
+        return np.abs(a - self.c)
+
+    def expectation(self, law: AnalyticLaw) -> float:
+        return law.abs_deviation(self.c)
+
+
+class NamedPairFunction:
+    """A symmetric test function of two variables with its closed forms: the
+    scalar value ``g(x, y)``, the vectorised value ``g.vec(a, b)``, the exact
+    expectation ``g.expectation(law)`` of g(X, Y) for X, Y i.i.d. from an
+    analytic law (used by each law's ``pair_expect``), and as named
+    functions the section ``g.section(x)`` = g(x, .) = g(., x) and the
+    diagonal ``g.diagonal`` = x -> g(x, x)."""
+
+    def __call__(self, x, y) -> float:
+        return float(self.vec(x, y))
+
+
+@dataclass(frozen=True)
+class AbsDifference(NamedPairFunction):
+    """(x, y) -> |x - y|."""
+
+    diagonal = Linear(0.0)
+
+    def vec(self, a, b):
+        return np.abs(a - b)
+
+    def section(self, x) -> AbsDeviation:
+        return AbsDeviation(float(x))
+
+    def expectation(self, law: AnalyticLaw) -> float:
+        return law.mean_abs_diff()
+
+
+@dataclass(frozen=True)
+class Product(NamedPairFunction):
+    """(x, y) -> x * y."""
+
+    diagonal = Square()
+
+    def vec(self, a, b):
+        return a * b
+
+    def section(self, x) -> Linear:
+        return Linear(float(x))
+
+    def expectation(self, law: AnalyticLaw) -> float:
+        return law.mean() ** 2
 
 
 def family_from_spec(spec: dict) -> AnalyticLaw:

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import bounds as bd
 from .errors import FiniPostError, config_int
+from .families import IDENTITY, AbsDeviation, Indicator, NamedFunction, Square
 from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, cdf_of, empirical, l21_functional
 from .priors import (
     ExchangeableModel,
@@ -44,6 +45,7 @@ from .priors import (
     continue_sequence,
     model_from_spec,
     model_space,
+    polya_tree_marginal,
     posterior_draw,
     predictive_expectation,
     sample_sequence,
@@ -193,26 +195,21 @@ class ExperimentReport:
 # Named test functions
 # ---------------------------------------------------------------------------
 
-def _test_function(f_spec: dict | None) -> tuple[Callable, Callable, str]:
-    """Scalar and vectorized forms of a named test function."""
+def _test_function(f_spec: dict | None) -> tuple[NamedFunction, NamedFunction, Callable, str]:
+    """The named test function f of an f_spec, with |f| and f^2 (named
+    wherever one exists; x^4 stays a quadrature integrand) and its name."""
     if not isinstance(f_spec, dict):
         raise FiniPostError("config-error", "this experiment needs an f_spec object")
     kind = f_spec.get("kind")
-    if kind == "identity":
-        return (lambda x: float(x)), (lambda a: a), "identity"
+    if kind in ("identity", "gini"):
+        return IDENTITY, AbsDeviation(0.0), Square(), kind
     if kind == "square":
-        return (lambda x: float(x) ** 2), (lambda a: a * a), "square"
+        return Square(), Square(), (lambda x: float(x) ** 4), "square"
     if kind == "indicator":
         if "y" not in f_spec:
             raise FiniPostError("config-error", "indicator f_spec needs a threshold y")
-        y = float(f_spec["y"])
-        return (
-            lambda x: 1.0 if float(x) <= y else 0.0,
-            lambda a: (a <= y).astype(float),
-            f"indicator({y})",
-        )
-    if kind == "gini":
-        return (lambda x: float(x)), (lambda a: a), "gini"
+        f = Indicator(float(f_spec["y"]))
+        return f, f, f, f"indicator({f.y})"
     raise FiniPostError("config-error", f"unknown f_spec kind {f_spec!r}")
 
 
@@ -394,8 +391,7 @@ def run_mean_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None =
     model = model_from_spec(cfg.model) if model is None else model
     if not isinstance(model_space(model), RealLine):
         raise FiniPostError("config-error", "bound_mean needs a scalar model")
-    f, fvec, _name = _test_function(cfg.f_spec)
-    f2 = lambda x: f(x) ** 2  # noqa: E731
+    f, abs_f, f2, _name = _test_function(cfg.f_spec)
 
     def worker(ni: int, rep: int) -> list[ReportRow]:
         N = cfg.N_grid[ni]
@@ -404,8 +400,8 @@ def run_mean_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None =
         post_rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 0)))
         boot_rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 2)))
 
-        xs = _batched_f_means(model, history, N, fvec, cfg.m_samples, seq_rng)
-        ys = batched_posterior_integrals(model, history, fvec, cfg.m_samples, post_rng)
+        xs = _batched_f_means(model, history, N, f.vec, cfg.m_samples, seq_rng)
+        ys = batched_posterior_integrals(model, history, f.vec, cfg.m_samples, post_rng)
         matched = np.abs(np.sort(xs) - np.sort(ys))
         estimate = float(matched.mean())
         se = _bootstrap_se(matched, boot_rng)
@@ -415,7 +411,7 @@ def run_mean_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None =
             bound = bd.mean_bound_unconditional(N, Ef2)
         else:
             sample_mean_f = float(np.mean([f(v) for v in history.values]))
-            post_mean_abs_f = predictive_expectation(model, history, lambda x: abs(f(x)))
+            post_mean_abs_f = predictive_expectation(model, history, abs_f)
             pred_f2 = predictive_expectation(model, history, f2)
             bound = bd.mean_bound_conditional(cfg.n, N, sample_mean_f, post_mean_abs_f, pred_f2)
 
@@ -466,7 +462,7 @@ def run_estimator_sweep(cfg: ExperimentConfig, model: ExchangeableModel | None =
     model = model_from_spec(cfg.model) if model is None else model
     if not isinstance(model_space(model), RealLine):
         raise FiniPostError("config-error", "estimator_sweep needs a scalar model")
-    _f, _fvec, name = _test_function(cfg.f_spec)
+    *_, name = _test_function(cfg.f_spec)
 
     def worker(ni: int, rep: int) -> list[ReportRow]:
         N = cfg.N_grid[ni]
@@ -543,7 +539,7 @@ def run_median_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None
         size = 2 * N + 1
         level = levels[rep]
         x = _predictive_quantile(model, level)
-        F_x = predictive_expectation(model, history, lambda v: 1.0 if float(v) <= x else 0.0)
+        F_x = predictive_expectation(model, history, Indicator(x))
         rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 1)))
         block = batched_sequences(model, history, size, cfg.m_samples, rng)
         medians = np.median(block, axis=1)
@@ -565,8 +561,6 @@ def run_median_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None
 
 def _predictive_quantile(model: ExchangeableModel, u: float) -> float:
     """Smallest x with prior predictive CDF at least u."""
-    if isinstance(model, (FixedLawModel,)):
-        return float(model.base.quantile(u))
     if isinstance(model, FiniteDirichletModel):
         atoms = np.asarray(model.atoms, dtype=float)
         order = np.argsort(atoms)
@@ -574,8 +568,6 @@ def _predictive_quantile(model: ExchangeableModel, u: float) -> float:
         cum = np.cumsum(w[order] / w.sum())
         return float(atoms[order][int(np.searchsorted(cum, u - 1e-12))])
     if isinstance(model, PolyaTreeModel):
-        from .priors import polya_tree_marginal
-
         leaves = [format(i, f"0{model.depth}b") for i in range(2**model.depth)]
         cum = np.cumsum([polya_tree_marginal(model, leaf) for leaf in leaves])
         return model.leaf_point(leaves[int(np.searchsorted(cum, u - 1e-12))])

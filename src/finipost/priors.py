@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import FiniPostError, config_int
-from .families import AnalyticLaw, PointMassLaw
+from .families import AnalyticLaw, NamedPairFunction, PointMassLaw
 from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, Space
 from .rng import RngState
 
@@ -547,7 +547,10 @@ def predictive_expectation(
 
     Exact for the Dirichlet models, the Polya tree, the fixed law, and
     the stick-breaking prior with no history; Monte Carlo (requiring
-    ``mc_draws`` and ``rng``) otherwise.
+    ``mc_draws`` and ``rng``) otherwise.  Where the base law enters (the
+    Dirichlet process, the fixed law, the stick-breaking prior), a named
+    test function of ``families`` takes its closed form there; any other
+    callable is integrated against the base law by quadrature.
     """
     value, _ = predictive_expectation_mc(model, history, f, mc_draws, rng)
     return value
@@ -630,7 +633,9 @@ def predictive_pair_expectation(
     draw conditions the inner predictive), exact leaf enumeration for
     small Polya trees, exact product integrals for the fixed law; Monte
     Carlo over predictive continuations otherwise (stderr zero only on
-    exact paths).
+    exact paths).  Base-law integrals of a named pair function of
+    ``families`` (|x - y|, x*y) and of its sections and diagonal are closed
+    forms; any other callable goes to ``quad``/``dblquad``.
     """
     _check_history(model, history)
     n = len(history)
@@ -670,15 +675,22 @@ def _dp_pair_expectation(model: DirichletProcessModel, history: Sample, g: Calla
     n = len(history)
     hist = [float(v) for v in history.values]
     base = model.base
+    if isinstance(g, NamedPairFunction):
+        # Symmetric, so g(., v) and g(v, .) are the same named section.
+        first_at, second_at, diagonal = g.section, g.section, g.diagonal
+    else:
+        first_at = lambda v: lambda x: g(x, v)  # noqa: E731
+        second_at = lambda x: lambda y: g(x, y)  # noqa: E731
+        diagonal = lambda x: g(x, x)  # noqa: E731
 
     pair_gg = base.pair_expect(g)                       # E g(X, Y), X, Y iid base
-    diag = base.expect(lambda x: g(x, x))               # E g(X, X)
-    first_to_hist = [base.expect(lambda x, v=v: g(x, v)) for v in hist]
+    diag = base.expect(diagonal)                        # E g(X, X)
+    first_to_hist = [base.expect(first_at(v)) for v in hist]
 
     # inner(x) = E[g(x, second) | first = x]
     def inner(x: float) -> float:
         tail = math.fsum(float(g(x, v)) for v in hist)
-        return (c * float(base.expect(lambda y, x=x: g(x, y))) + tail + float(g(x, x))) / (c + n + 1.0)
+        return (c * float(base.expect(second_at(x))) + tail + float(g(x, x))) / (c + n + 1.0)
 
     base_inner = (c * pair_gg + math.fsum(first_to_hist) + diag) / (c + n + 1.0)
     hist_inner = math.fsum(inner(v) for v in hist)

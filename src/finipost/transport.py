@@ -506,6 +506,7 @@ def verify_plan(
 # ---------------------------------------------------------------------------
 
 _GROUNDS = ("TV", "BL", "W1REAL")
+_MAX_COST_MATRIX_BYTES = 2**31  # m = 16384 float64 costs per side
 
 
 def meta_w1(ps, qs, ground: str = "TV") -> float:
@@ -552,7 +553,15 @@ def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
 
 def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
     """Ground costs between two samples: (m, k) weight matrices under
-    "TV", measure lists under "BL" and "W1REAL"."""
+    "TV", measure lists under "BL" and "W1REAL".  A matrix above 2 GiB is
+    refused with "resource-limit" before anything is allocated."""
+    size = 8 * len(ps) * len(qs)
+    if size > _MAX_COST_MATRIX_BYTES:
+        raise FiniPostError(
+            "resource-limit",
+            f"a {len(ps)} x {len(qs)} cost matrix needs {size / 2**30:.1f} GiB, above the "
+            f"{_MAX_COST_MATRIX_BYTES / 2**30:.0f} GiB limit; lower m_samples",
+        )
     if ground == "TV":
         m, k = ps.shape
         out = np.empty((m, m))

@@ -496,6 +496,17 @@ class TestCli:
         assert "error [config-error]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_run_refuses_huge_cost_matrix(self, tmp_path):
+        # At m = 20000 a k = 3 cell needs a 3.2 GB cost matrix; on two
+        # letters the sorted matching needs none, so the same m runs.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**K3_UNSORTED_CONFIG, "N_grid": [25], "m_samples": 20000, "replicates": 1}))
+        proc = self.run_cli("run", "--config", str(cfg_path), expect=1)
+        assert "error [resource-limit]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        report = run_experiment(ExperimentConfig.from_dict({**K2_CONFIG, "m_samples": 20000}))
+        assert len(report.rows) == 1
+
     def test_run_io_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**K2_CONFIG, "m_samples": 64}))

@@ -265,6 +265,17 @@ class TestInvariance:
             p, q = chain_pair(rng, kind)
             assert bounded_lipschitz(p, q)[0] == bounded_lipschitz(q, p)[0]
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_tv_label_permutation(self, k):
+        rng = np.random.default_rng(30 + k)
+        P, Q = rng.dirichlet(np.ones(k), size=40), rng.dirichlet(np.ones(k), size=40)
+        est, matched = meta_w1_matched(P, Q, "TV")
+        for _ in range(5):
+            perm = rng.permutation(k)
+            est_perm, matched_perm = meta_w1_matched(P[:, perm], Q[:, perm], "TV")
+            assert est_perm == pytest.approx(est, abs=1e-12)
+            np.testing.assert_allclose(np.sort(matched_perm), np.sort(matched), rtol=0, atol=1e-12)
+
 
 class TestMetricProperties:
     def test_axioms_on_random_pairs(self):
