@@ -87,8 +87,7 @@ class UniformLaw:
         if isinstance(g, NamedPairFunction):
             return g.expectation(self)
         inv = 1.0 / (self.b - self.a)
-        val, _ = integrate.dblquad(lambda y, x: g(x, y) * inv * inv, self.a, self.b, self.a, self.b)
-        return val
+        return _dblquad_split_diagonal(lambda y, x: g(x, y) * inv * inv, self.a, self.b)
 
     def mean_abs_diff(self) -> float:
         # E|X - Y| for two independent copies.
@@ -147,11 +146,7 @@ class GaussianLaw:
     def pair_expect(self, g: Callable[[float, float], float]) -> float:
         if isinstance(g, NamedPairFunction):
             return g.expectation(self)
-        val, _ = integrate.dblquad(
-            lambda y, x: g(x, y) * self.pdf(x) * self.pdf(y),
-            -np.inf, np.inf, -np.inf, np.inf,
-        )
-        return val
+        return _dblquad_split_diagonal(lambda y, x: g(x, y) * self.pdf(x) * self.pdf(y), -np.inf, np.inf)
 
     def mean_abs_diff(self) -> float:
         return 2.0 * self.sigma / math.sqrt(math.pi)
@@ -203,6 +198,18 @@ class PointMassLaw:
 
 
 AnalyticLaw = UniformLaw | GaussianLaw | PointMassLaw
+
+
+def _dblquad_split_diagonal(h: Callable[[float, float], float], lo: float, hi: float) -> float:
+    """Integral of h(y, x) over [lo, hi]^2, with the inner range split at
+    y = x, so that a kink on the diagonal (|x - y| and the like) sits on
+    an endpoint of each piece instead of inside it.  Each piece runs to an
+    absolute tolerance of 1e-12: at the default 1.5e-8 the two pieces of a
+    smooth integrand (a constant) lose 1e-10 that one whole-plane call
+    does not."""
+    below, _ = integrate.dblquad(h, lo, hi, lo, lambda x: x, epsabs=1e-12)
+    above, _ = integrate.dblquad(h, lo, hi, lambda x: x, hi, epsabs=1e-12)
+    return below + above
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ __all__ = [
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 _EXPERIMENTS = ("bound_finite", "bound_real", "bound_mean", "estimator_sweep", "median_law")
 _BOOTSTRAP_RESAMPLES = 200
@@ -391,7 +391,9 @@ def run_mean_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None =
     model = model_from_spec(cfg.model) if model is None else model
     if not isinstance(model_space(model), RealLine):
         raise FiniPostError("config-error", "bound_mean needs a scalar model")
-    f, abs_f, f2, _name = _test_function(cfg.f_spec)
+    f, abs_f, f2, name = _test_function(cfg.f_spec)
+    if name == "gini":
+        raise FiniPostError("config-error", "bound_mean has no gini f_spec; use estimator_sweep")
 
     def worker(ni: int, rep: int) -> list[ReportRow]:
         N = cfg.N_grid[ni]

@@ -5,7 +5,10 @@ Lipschitz with an optimal test-function certificate, generic discrete
 optimal transport with dual certificates) and one meta-level plug-in: the
 order-1 transport distance between two equal-size samples of measures
 under a chosen bounded ground metric.  Bounded Lipschitz is an exact chain
-dynamic program on the line and a HiGHS linear program in R^d.
+dynamic program on the line and a HiGHS linear program in R^d.  Discrete
+optimal transport is one HiGHS transportation LP for every pair of
+marginals, uniform or not; the meta distance takes its optimal matching
+from scipy's ``linear_sum_assignment``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import FiniPostError
 from .measures import AtomicMeasure, FiniteAlphabet, RealLine, _dist, weight_matrix
@@ -357,75 +360,12 @@ def _signed_weights(p: AtomicMeasure, q: AtomicMeasure) -> tuple[list, np.ndarra
 # Discrete optimal transport
 # ---------------------------------------------------------------------------
 
-def _assignment_with_duals(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact square assignment by shortest augmenting paths with potentials.
-
-    Returns (col_of_row, u, v) with u_i + v_j <= c_ij everywhere and
-    equality on assigned pairs, so (u, v) certifies optimality.  The
-    search loop is dense and numpy-vectorized; a row-reduction warm start
-    clears most rows of well-spread instances before any path search.
-    """
-    c = np.ascontiguousarray(c, dtype=float)
-    n = c.shape[0]
-    v = c.min(axis=0).astype(float)
-    red0 = c - v[None, :]
-    u = red0.min(axis=1)
-    row_of_col = np.full(n, -1, dtype=np.int64)
-    col_of_row = np.full(n, -1, dtype=np.int64)
-
-    # Greedy warm start: claim columns whose reduced cost is exactly zero.
-    red = red0 - u[:, None]
-    for i in range(n):
-        j = int(np.argmin(red[i]))
-        if row_of_col[j] == -1 and red[i, j] <= 0.0:
-            row_of_col[j] = i
-            col_of_row[i] = j
-
-    inf = np.inf
-    for start in np.flatnonzero(col_of_row == -1):
-        minv = np.full(n, inf)
-        way = np.full(n, -1, dtype=np.int64)
-        used = np.zeros(n, dtype=bool)
-        i0 = int(start)
-        j_prev = -1
-        while True:
-            cur = c[i0] - u[i0] - v
-            improve = ~used & (cur < minv)
-            minv[improve] = cur[improve]
-            way[improve] = j_prev
-            free_minv = np.where(used, inf, minv)
-            j1 = int(np.argmin(free_minv))
-            delta = free_minv[j1]
-            u[start] += delta
-            if used.any():
-                u[row_of_col[used]] += delta
-                v[used] -= delta
-            minv[~used] -= delta
-            used[j1] = True
-            j_prev = j1
-            if row_of_col[j1] == -1:
-                break
-            i0 = int(row_of_col[j1])
-        # Augment backwards along the predecessor chain.
-        j = j1
-        while True:
-            jp = int(way[j])
-            if jp == -1:
-                row_of_col[j] = int(start)
-                col_of_row[start] = j
-                break
-            row_of_col[j] = row_of_col[jp]
-            col_of_row[row_of_col[j]] = j
-            j = jp
-    return col_of_row, u, v
-
-
 def solve_discrete_ot(cost: CostMatrix | np.ndarray, a: Sequence[float], b: Sequence[float]) -> TransportPlan:
     """Exact optimal transport between two discrete weight vectors.
 
-    Uniform equal-size marginals use the assignment solver; general
-    marginals fall back to the transportation linear program (HiGHS),
-    whose equality multipliers provide the dual certificate.
+    Every pair of marginals, uniform or not, goes to the transportation
+    linear program (HiGHS), whose equality multipliers provide the dual
+    certificate that :func:`verify_plan` checks.
     """
     c = cost.entries if isinstance(cost, CostMatrix) else CostMatrix(np.asarray(cost, dtype=float)).entries
     a = np.asarray(a, dtype=float)
@@ -437,14 +377,6 @@ def solve_discrete_ot(cost: CostMatrix | np.ndarray, a: Sequence[float], b: Sequ
         raise FiniPostError("bad-marginals", "negative marginal weight")
     if abs(a.sum() - 1.0) > _FEAS_TOL or abs(b.sum() - 1.0) > _FEAS_TOL:
         raise FiniPostError("bad-marginals", "marginals must each sum to 1")
-
-    uniform = m == mp and np.allclose(a, 1.0 / m, atol=_FEAS_TOL) and np.allclose(b, 1.0 / m, atol=_FEAS_TOL)
-    if uniform:
-        col_of_row, u, v = _assignment_with_duals(c)
-        coupling = np.zeros((m, m))
-        coupling[np.arange(m), col_of_row] = 1.0 / m
-        total = float(c[np.arange(m), col_of_row].sum() / m)
-        return TransportPlan(coupling, total, a, b, (u, v))
 
     res = linprog(
         c=c.reshape(-1),
@@ -544,10 +476,7 @@ def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
             matched = np.abs(np.sort(ps[:, 0]) - np.sort(qs[:, 0])) if k == 2 else np.zeros(m)
             return float(matched.mean()), matched
     cost = meta_cost_matrix(ps, qs, ground)
-    if m == 1:
-        return float(cost[0, 0]), cost[0]
-    col_of_row, _, _ = _assignment_with_duals(cost)
-    matched = cost[np.arange(m), col_of_row]
+    matched = cost[linear_sum_assignment(cost)]
     return float(matched.mean()), matched
 
 

@@ -42,7 +42,6 @@ from finipost.transport import (
     verify_plan,
     w1_real,
 )
-from finipost.transport import _assignment_with_duals
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -82,6 +82,16 @@ def test_pair_closed_forms_match_quadrature(law_id, pair_id):
     assert exact == pytest.approx(pair_by_quadrature(law, plain), abs=1e-7)
 
 
+@pytest.mark.parametrize(
+    "law_id, exact", [("uniform", 1.0), ("gaussian-shifted", 3.0 / np.sqrt(np.pi))], ids=["uniform", "gaussian-shifted"]
+)
+def test_plain_abs_difference_meets_quadrature_tolerance(law_id, exact):
+    # The kink of |x - y| on the diagonal must not cost the plain-callable
+    # route its accuracy: E|X - Y| is (b - a)/3 and 2 sigma / sqrt(pi).
+    law, _ = LAWS[law_id]
+    assert law.pair_expect(lambda x, y: abs(x - y)) == pytest.approx(exact, abs=1e-8)
+
+
 @pytest.mark.parametrize("law_id", ["uniform", "gaussian-shifted"])
 def test_scalar_vector_section_and_diagonal_agree(law_id):
     _, points = LAWS[law_id]

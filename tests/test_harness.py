@@ -482,11 +482,12 @@ class TestCli:
             {**BL_CONFIG, "model": {**BL_CONFIG["model"], "max_sticks": 64.9}},
             {**BL_CONFIG, "model": {"kind": "polya_tree", "base": GAUSS, "depth": 2.5, "level_alpha": [1.0, 4.0]}},
             {**K2_CONFIG, "model": {"kind": "finite_dirichlet", "alpha": [1, 1], "atoms": "ab"}},
+            small_mean_config(f_spec={"kind": "gini"}),
         ],
         ids=[
             "experiment-mystery", "n-str", "m_samples-str", "N_grid-int", "top-level-list", "alpha-str",
             "replicates-fraction", "N_grid-fraction", "n-bool", "master_seed-fraction", "m_samples-digits",
-            "max_sticks-fraction", "depth-fraction", "atoms-str",
+            "max_sticks-fraction", "depth-fraction", "atoms-str", "mean-gini",
         ],
     )
     def test_run_bad_config_exit_code(self, tmp_path, config):

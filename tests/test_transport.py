@@ -25,7 +25,6 @@ from finipost.transport import (
     w1_real,
     w1_scalar_samples,
 )
-from finipost.transport import _assignment_with_duals
 
 
 def dirac(x):
@@ -276,6 +275,22 @@ class TestInvariance:
             assert est_perm == pytest.approx(est, abs=1e-12)
             np.testing.assert_allclose(np.sort(matched_perm), np.sort(matched), rtol=0, atol=1e-12)
 
+    def test_sample_order(self):
+        # The tie-break between optimal matchings may move the matched-cost
+        # multiset, but never the estimate.
+        rng = np.random.default_rng(33)
+        P, Q = rng.dirichlet(np.ones(3), size=60), rng.dirichlet(np.ones(3), size=60)
+        ps = [random_scalar_pair(rng, max_atoms=5)[0] for _ in range(8)]
+        qs = [random_scalar_pair(rng, max_atoms=5)[0] for _ in range(8)]
+        for A, B, ground in ((P, Q, "TV"), (ps, qs, "BL")):
+            est = meta_w1(A, B, ground)
+            for _ in range(3):
+                pa, pb = rng.permutation(len(A)), rng.permutation(len(B))
+                A_perm = A[pa] if ground == "TV" else [A[i] for i in pa]
+                B_perm = B[pb] if ground == "TV" else [B[i] for i in pb]
+                for args in ((A_perm, B), (A, B_perm), (A_perm, B_perm)):
+                    assert meta_w1(*args, ground) == pytest.approx(est, abs=1e-12)
+
 
 class TestMetricProperties:
     def test_axioms_on_random_pairs(self):
@@ -323,31 +338,6 @@ class TestMetricProperties:
             for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
                 mixed = mixture(q1, q2, eps)
                 assert bounded_lipschitz(p, mixed)[0] <= eps * b1 + (1 - eps) * b2 + 1e-9
-
-
-class TestAssignment:
-    def test_exact_against_brute_force(self):
-        rng = np.random.default_rng(4)
-        for m in range(2, 7):
-            for _ in range(30):
-                c = rng.random((m, m))
-                col, u, v = _assignment_with_duals(c)
-                cost = c[np.arange(m), col].sum()
-                best = min(
-                    sum(c[i, p[i]] for i in range(m)) for p in itertools.permutations(range(m))
-                )
-                assert cost == pytest.approx(best, abs=1e-12)
-                assert np.max(u[:, None] + v[None, :] - c) <= 1e-9
-
-    def test_matches_scipy_on_larger_instances(self):
-        from scipy.optimize import linear_sum_assignment
-
-        rng = np.random.default_rng(6)
-        for m in (20, 60, 150):
-            c = rng.random((m, m))
-            col, _, _ = _assignment_with_duals(c)
-            r, cc = linear_sum_assignment(c)
-            assert c[np.arange(m), col].sum() == pytest.approx(c[r, cc].sum(), abs=1e-10)
 
 
 class TestSolveDiscreteOt:
@@ -419,31 +409,50 @@ class TestMetaW1:
         q = AtomicMeasure([("a", 0.2), ("b", 0.8)], space=alpha)
         assert meta_w1([p], [q], "TV") == pytest.approx(tv_finite(p, q), abs=1e-15)
 
-    def test_brute_force_permutations(self):
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_brute_force_permutations(self, m):
         rng = np.random.default_rng(10)
         alpha = FiniteAlphabet(("a", "b", "c"))
-        for _ in range(20)[:20]:
-            ps = [random_finite_pair(rng, alpha)[0] for _ in range(3)]
-            qs = [random_finite_pair(rng, alpha)[0] for _ in range(3)]
+        for _ in range(20):
+            ps = [random_finite_pair(rng, alpha)[0] for _ in range(m)]
+            qs = [random_finite_pair(rng, alpha)[0] for _ in range(m)]
             got = meta_w1(ps, qs, "TV")
             cost = np.array([[tv_finite(p, q) for q in qs] for p in ps])
             best = min(
-                np.mean([cost[i, perm[i]] for i in range(3)])
-                for perm in itertools.permutations(range(3))
+                np.mean([cost[i, perm[i]] for i in range(m)])
+                for perm in itertools.permutations(range(m))
             )
             assert got == pytest.approx(best, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [20, 60, 150])
+    def test_assignment_equals_transport_lp(self, m):
+        # The transportation LP is an independent route to the same value.
+        rng = np.random.default_rng(40 + m)
+        P, Q = rng.dirichlet(np.ones(3), size=m), rng.dirichlet(np.ones(3), size=m)
+        uniform = np.full(m, 1.0 / m)
+        lp = solve_discrete_ot(0.5 * np.abs(P[:, None, :] - Q[None, :, :]).sum(axis=2), uniform, uniform)
+        assert meta_w1_matched(P, Q, "TV")[0] == pytest.approx(lp.cost, abs=1e-12)
+
+    def test_bl_assignment_equals_transport_lp(self):
+        rng = np.random.default_rng(19)
+        ps = [random_scalar_pair(rng, max_atoms=6)[0] for _ in range(12)]
+        qs = [random_scalar_pair(rng, max_atoms=6)[0] for _ in range(12)]
+        cost = np.array([[bounded_lipschitz(p, q)[0] for q in qs] for p in ps])
+        uniform = np.full(12, 1.0 / 12)
+        lp = solve_discrete_ot(cost, uniform, uniform)
+        assert meta_w1(ps, qs, "BL") == pytest.approx(lp.cost, abs=1e-12)
+
     def test_binary_reduction_matches_assignment(self):
         # The sorted fast path for two-label alphabets must agree with the
-        # generic assignment on the full cost matrix.
+        # transportation LP on the full cost matrix.
         rng = np.random.default_rng(12)
         alpha = FiniteAlphabet(("a", "b"))
         ps = [random_finite_pair(rng, alpha)[0] for _ in range(40)]
         qs = [random_finite_pair(rng, alpha)[0] for _ in range(40)]
         got, matched = meta_w1_matched(ps, qs, "TV")
         cost = np.array([[tv_finite(p, q) for q in qs] for p in ps])
-        col, _, _ = _assignment_with_duals(cost)
-        assert got == pytest.approx(cost[np.arange(40), col].mean(), abs=1e-12)
+        uniform = np.full(40, 1.0 / 40)
+        assert got == pytest.approx(solve_discrete_ot(cost, uniform, uniform).cost, abs=1e-12)
         assert matched.mean() == pytest.approx(got, abs=1e-15)
 
     def test_bl_ground(self):
