@@ -128,8 +128,6 @@ def _selftest_configs(quick: bool) -> list[dict]:
                 "kind": "dirichlet_process",
                 "mass": 1.0,
                 "base": {"family": "gaussian", "mu": 0, "sigma": 1},
-                "max_sticks": 64,
-                "residual_tol": 1e-4,
             },
             "n": 0,
             "N_grid": [25] if quick else [25, 50],
@@ -144,8 +142,6 @@ def _selftest_configs(quick: bool) -> list[dict]:
                 "kind": "dirichlet_process",
                 "mass": 2.0,
                 "base": {"family": "uniform", "a": 0, "b": 1},
-                "max_sticks": 64,
-                "residual_tol": 1e-4,
             },
             "n": 5,
             "N_grid": [50],

@@ -7,9 +7,10 @@ parsing messages.
 
 from __future__ import annotations
 
+import math
 import numbers
 
-__all__ = ["FiniPostError", "config_int"]
+__all__ = ["FiniPostError", "config_int", "config_float"]
 
 
 class FiniPostError(ValueError):
@@ -25,3 +26,11 @@ def config_int(value, field: str) -> int:
     if isinstance(value, bool) or not integral:
         raise FiniPostError("config-error", f"{field} must be an integer, not {value!r}")
     return int(value)
+
+
+def config_float(value, field: str) -> float:
+    """A real config value: a finite integer or float.  Booleans, strings,
+    NaN and infinities are config errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise FiniPostError("config-error", f"{field} must be a finite number, not {value!r}")
+    return float(value)

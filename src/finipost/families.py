@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 
-from .errors import FiniPostError
+from .errors import FiniPostError, config_float
 from .rng import RngState
 
 __all__ = [
@@ -336,11 +336,11 @@ def family_from_spec(spec: dict) -> AnalyticLaw:
     kind = spec["family"]
     try:
         if kind == "uniform":
-            return UniformLaw(float(spec["a"]), float(spec["b"]))
+            return UniformLaw(config_float(spec["a"], "a"), config_float(spec["b"], "b"))
         if kind == "gaussian":
-            return GaussianLaw(float(spec["mu"]), float(spec["sigma"]))
+            return GaussianLaw(config_float(spec["mu"], "mu"), config_float(spec["sigma"], "sigma"))
         if kind in ("point_mass", "point-mass"):
-            return PointMassLaw(float(spec["c"]))
+            return PointMassLaw(config_float(spec["c"], "c"))
     except FiniPostError:
         raise
     except KeyError as exc:

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds as bd
-from .errors import FiniPostError, config_int
+from .errors import FiniPostError, config_float, config_int
 from .families import IDENTITY, AbsDeviation, Indicator, NamedFunction, Square
 from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, cdf_of, empirical, l21_functional
 from .priors import (
@@ -74,7 +74,7 @@ __all__ = [
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 _EXPERIMENTS = ("bound_finite", "bound_real", "bound_mean", "estimator_sweep", "median_law")
 _BOOTSTRAP_RESAMPLES = 200
@@ -208,7 +208,7 @@ def _test_function(f_spec: dict | None) -> tuple[NamedFunction, NamedFunction, C
     if kind == "indicator":
         if "y" not in f_spec:
             raise FiniPostError("config-error", "indicator f_spec needs a threshold y")
-        f = Indicator(float(f_spec["y"]))
+        f = Indicator(config_float(f_spec["y"], "y"))
         return f, f, f, f"indicator({f.y})"
     raise FiniPostError("config-error", f"unknown f_spec kind {f_spec!r}")
 
@@ -464,7 +464,7 @@ def run_estimator_sweep(cfg: ExperimentConfig, model: ExchangeableModel | None =
     model = model_from_spec(cfg.model) if model is None else model
     if not isinstance(model_space(model), RealLine):
         raise FiniPostError("config-error", "estimator_sweep needs a scalar model")
-    *_, name = _test_function(cfg.f_spec)
+    f, *_, name = _test_function(cfg.f_spec)
 
     def worker(ni: int, rep: int) -> list[ReportRow]:
         N = cfg.N_grid[ni]
@@ -475,8 +475,7 @@ def run_estimator_sweep(cfg: ExperimentConfig, model: ExchangeableModel | None =
             pair = mean_estimators(inputs)
             envelope = (n / N) * (abs(pair.components["mu_bar_n"]) + abs(pair.components["mu_hat_n"]))
         elif name.startswith("indicator"):
-            y = float(cfg.f_spec["y"])
-            pair = cdf_estimators(inputs, y)
+            pair = cdf_estimators(inputs, f.y)
             envelope = (n / N) * (pair.components["ecdf_at_y"] + pair.components["pred_cdf_at_y"])
         elif name == "square":
             pair = variance_estimators(inputs)

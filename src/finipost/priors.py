@@ -6,8 +6,9 @@ Five concrete models share one operation surface:
 * ``FiniteDirichletModel`` -- conjugate Dirichlet weights on k fixed atoms,
   sampled by the classic urn; posteriors are exact Dirichlet draws.
 * ``DirichletProcessModel`` -- Blackwell-MacQueen urn over an analytic base;
-  posteriors are truncated stick-breaking draws with the residual mass
-  reassigned to one extra atom.
+  posteriors are drawn by the conjugate decomposition: exact Beta/Dirichlet
+  weights on the distinct history values plus a truncated stick-breaking
+  draw of the prior, whose residual mass goes to one extra atom.
 * ``StickBreakingModel`` -- general independent Beta(a_k, b_k) sticks; the
   posterior has no tractable form and is served by partition-matching
   rejection for histories of at most four points.
@@ -28,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FiniPostError, config_int
+from .errors import FiniPostError, config_float, config_int
 from .families import AnalyticLaw, NamedPairFunction, PointMassLaw
 from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, Space
 from .rng import RngState
@@ -371,8 +372,10 @@ def _truncated_sticks(
     max_sticks: int,
     residual_tol: float,
     rng: RngState,
+    scale: float = 1.0,
 ) -> tuple[np.ndarray, float]:
-    """Stick weights until the residual falls below tolerance or the cap.
+    """Stick weights until ``scale`` times the residual falls below tolerance
+    or the cap.  ``scale`` is the mass of the whole measure inside a mixture.
 
     Returns (weights, residual); weights sum to 1 - residual up to float
     rounding.
@@ -380,7 +383,7 @@ def _truncated_sticks(
     weights: list[float] = []
     residual = 1.0
     k = 0
-    while residual >= residual_tol and k < max_sticks:
+    while scale * residual >= residual_tol and k < max_sticks:
         k += 1
         a, b = beta_at(k)
         v = rng.beta(a, b)
@@ -389,12 +392,26 @@ def _truncated_sticks(
     return np.asarray(weights, dtype=float), residual
 
 
-def _dp_posterior_location(model: DirichletProcessModel, history: Sample, rng: RngState) -> float:
-    n = len(history)
-    c = model.total_mass
-    if n == 0 or rng.random() < c / (c + n):
-        return float(model.base.sample(rng))
-    return float(history.values[int(rng.integers(0, n))])
+def _stick_atoms(
+    model: DirichletProcessModel | StickBreakingModel, beta_at: Callable, rng: RngState, scale: float = 1.0
+) -> list[tuple[float, float]]:
+    """Atoms of a truncated stick-breaking measure of total mass ``scale``
+    under ``model``'s truncation and base: all sticks, then i.i.d. base
+    locations, the last one carrying the residual."""
+    sticks, residual = _truncated_sticks(beta_at, model.max_sticks, model.residual_tol, rng, scale)
+    locs = np.asarray(model.base.sample(rng, sticks.size + 1), dtype=float)
+    return list(zip(locs.tolist(), (scale * np.append(sticks, residual)).tolist()))
+
+
+def _dp_history_part(model: DirichletProcessModel, history: Sample, rng: RngState, size: int | None = None):
+    """(x*, V·D, 1 − V) of the DP posterior V·Σⱼ Dⱼ δ_{x*ⱼ} + (1−V)·P′, with
+    V ~ Beta(n, c), D ~ Dirichlet(n₁…n_K) on the K distinct history values
+    and P′ ~ DP(c, base) independent (Ferguson 1973); one row per draw when
+    ``size`` is given.  The history must be nonempty."""
+    xstar, counts = np.unique(history.scalars(), return_counts=True)
+    v = rng.beta(len(history), model.total_mass, size=size)
+    d = rng.dirichlet(counts, size=size)
+    return xstar, np.expand_dims(v, -1) * d, 1.0 - v
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +428,16 @@ def posterior_draw(model: ExchangeableModel, history: Sample, rng: RngState) -> 
         return AtomicMeasure(list(zip(model.atoms, w)), space=model.space)
 
     if isinstance(model, DirichletProcessModel):
-        mass = model.total_mass + n
-        sticks, residual = _truncated_sticks(
-            lambda _k: (1.0, mass), model.max_sticks, model.residual_tol, rng
-        )
-        atoms = [(_dp_posterior_location(model, history, rng), w) for w in sticks]
-        atoms.append((_dp_posterior_location(model, history, rng), residual))
+        atoms, scale = [], 1.0
+        if n:
+            xstar, w, scale = _dp_history_part(model, history, rng)
+            atoms = list(zip(xstar.tolist(), w.tolist()))
+        atoms += _stick_atoms(model, lambda _k: (1.0, model.total_mass), rng, scale)
         return AtomicMeasure(atoms, space=model.space)
 
     if isinstance(model, StickBreakingModel):
         if n == 0:
-            return _sb_prior_measure(model, rng)
+            return AtomicMeasure(_stick_atoms(model, model.stick_beta, rng), space=model.space)
         if n > 4:
             raise FiniPostError(
                 "posterior-unavailable",
@@ -438,14 +454,6 @@ def posterior_draw(model: ExchangeableModel, history: Sample, rng: RngState) -> 
         )
 
     raise FiniPostError("config-error", f"unknown model type {type(model).__name__}")
-
-
-def _sb_prior_measure(model: StickBreakingModel, rng: RngState) -> AtomicMeasure:
-    sticks, residual = _truncated_sticks(model.stick_beta, model.max_sticks, model.residual_tol, rng)
-    locs = model.base.sample(rng, sticks.size + 1)
-    atoms = [(float(locs[i]), w) for i, w in enumerate(sticks)]
-    atoms.append((float(locs[-1]), residual))
-    return AtomicMeasure(atoms, space=model.space)
 
 
 def _history_pattern(values: Sequence) -> tuple[int, ...]:
@@ -843,42 +851,31 @@ def batched_posterior_integrals(
         return W @ vals
 
     if isinstance(model, DirichletProcessModel):
-        mass = model.total_mass + n
-        c = model.total_mass
-        hist = np.asarray(history.scalars()) if n else None
+        # Only the prior part P' breaks sticks; row r stops once
+        # scale[r] * residual[r], its untruncated mass, is below tolerance.
         acc = np.zeros(draws)
+        scale = np.ones(draws)
+        if n:
+            xstar, w, scale = _dp_history_part(model, history, rng, draws)
+            acc = w @ fvec(xstar)
         residual = np.ones(draws)
-        alive = np.arange(draws)
+        alive = np.flatnonzero(scale >= model.residual_tol)
         sticks_used = 0
         while alive.size and sticks_used < model.max_sticks:
-            v = rng.beta(1.0, mass, size=alive.size)
-            locs = _dp_locations(model, hist, alive.size, rng)
-            acc[alive] += residual[alive] * v * fvec(locs)
+            v = rng.beta(1.0, model.total_mass, size=alive.size)
+            locs = np.asarray(model.base.sample(rng, alive.size), dtype=float)
+            acc[alive] += scale[alive] * residual[alive] * v * fvec(locs)
             residual[alive] *= 1.0 - v
             sticks_used += 1
-            alive = alive[residual[alive] >= model.residual_tol]
-        locs = _dp_locations(model, hist, draws, rng)
-        acc += residual * fvec(locs)
+            alive = alive[scale[alive] * residual[alive] >= model.residual_tol]
+        locs = np.asarray(model.base.sample(rng, draws), dtype=float)
+        acc += scale * residual * fvec(locs)
         return acc
 
     out = np.empty(draws)
     for r in range(draws):
         m = posterior_draw(model, history, rng)
         out[r] = float(np.dot(m.weights, fvec(np.asarray(m.points, dtype=float))))
-    return out
-
-
-def _dp_locations(model: DirichletProcessModel, hist: np.ndarray | None, size: int, rng: RngState) -> np.ndarray:
-    c = model.total_mass
-    if hist is None or hist.size == 0:
-        return np.asarray(model.base.sample(rng, size), dtype=float)
-    n = hist.size
-    fresh = rng.random(size) < c / (c + n)
-    out = np.empty(size)
-    if fresh.any():
-        out[fresh] = model.base.sample(rng, int(fresh.sum()))
-    if (~fresh).any():
-        out[~fresh] = hist[rng.integers(0, n, size=int((~fresh).sum()))]
     return out
 
 
@@ -898,35 +895,37 @@ def model_from_spec(spec: dict) -> ExchangeableModel:
             atoms = spec.get("atoms", ())
             if not isinstance(atoms, (list, tuple)):
                 raise FiniPostError("config-error", f"atoms must be a list, not {atoms!r}")
-            return FiniteDirichletModel(tuple(spec["alpha"]), tuple(atoms))
+            alpha = tuple(config_float(a, "alpha") for a in spec["alpha"])
+            return FiniteDirichletModel(alpha, tuple(atoms))
         if kind == "dirichlet_process":
             return DirichletProcessModel(
-                float(spec["mass"]),
+                config_float(spec["mass"], "mass"),
                 family_from_spec(spec["base"]),
                 config_int(spec.get("max_sticks", 4096), "max_sticks"),
-                float(spec.get("residual_tol", 1e-8)),
+                config_float(spec.get("residual_tol", 1e-8), "residual_tol"),
             )
         if kind == "stick_breaking":
             rule = None
             params = None
             if "beta_rule" in spec:
-                a, b = float(spec["beta_rule"]["a"]), float(spec["beta_rule"]["b"])
+                a, b = (config_float(spec["beta_rule"][key], "beta_rule") for key in "ab")
                 rule = lambda k, a=a, b=b: (a, b)  # noqa: E731
             if "beta_params" in spec:
-                params = tuple((float(a), float(b)) for a, b in spec["beta_params"])
+                params = tuple(tuple(config_float(x, "beta_params") for x in ab) for ab in spec["beta_params"])
             return StickBreakingModel(
                 family_from_spec(spec["base"]),
                 beta_params=params,
                 beta_rule=rule,
                 max_sticks=config_int(spec.get("max_sticks", 4096), "max_sticks"),
-                residual_tol=float(spec.get("residual_tol", 1e-8)),
+                residual_tol=config_float(spec.get("residual_tol", 1e-8), "residual_tol"),
             )
         if kind == "polya_tree":
+            level_alpha = spec.get("level_alpha")
             return PolyaTreeModel(
                 family_from_spec(spec["base"]),
                 config_int(spec["depth"], "depth"),
-                dict(spec.get("params", {})),
-                tuple(spec["level_alpha"]) if "level_alpha" in spec else None,
+                {eps: config_float(a, "params") for eps, a in dict(spec.get("params", {})).items()},
+                None if level_alpha is None else tuple(config_float(a, "level_alpha") for a in level_alpha),
             )
         if kind == "fixed":
             return FixedLawModel(family_from_spec(spec["base"]))

@@ -59,6 +59,8 @@ BL_CONFIG = {
     "master_seed": 3,
 }
 
+DP_MODEL = {"kind": "dirichlet_process", "mass": 1.0, "base": GAUSS}
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -483,11 +485,29 @@ class TestCli:
             {**BL_CONFIG, "model": {"kind": "polya_tree", "base": GAUSS, "depth": 2.5, "level_alpha": [1.0, 4.0]}},
             {**K2_CONFIG, "model": {"kind": "finite_dirichlet", "alpha": [1, 1], "atoms": "ab"}},
             small_mean_config(f_spec={"kind": "gini"}),
+            small_mean_config(model={**DP_MODEL, "mass": float("nan")}),
+            small_mean_config(model={**DP_MODEL, "mass": float("inf")}),
+            small_mean_config(model={**DP_MODEL, "mass": "1.0"}),
+            small_mean_config(model={**DP_MODEL, "mass": True}),
+            small_mean_config(model={**DP_MODEL, "residual_tol": "1e-6"}),
+            small_mean_config(model={**DP_MODEL, "base": {**GAUSS, "mu": float("nan")}}),
+            small_mean_config(model={**DP_MODEL, "base": {**GAUSS, "sigma": float("inf")}}),
+            small_mean_config(model={**DP_MODEL, "base": {"family": "uniform", "a": "0", "b": 1}}),
+            small_mean_config(model={**DP_MODEL, "base": {"family": "point_mass", "c": True}}),
+            small_mean_config(f_spec={"kind": "indicator", "y": float("nan")}),
+            {**K2_CONFIG, "model": {"kind": "finite_dirichlet", "alpha": [1.0, float("nan")]}},
+            small_mean_config(model={"kind": "stick_breaking", "base": GAUSS, "beta_rule": {"a": 1, "b": float("inf")}}),
+            small_mean_config(model={"kind": "stick_breaking", "base": GAUSS, "beta_params": [[1, "2"]] * 8}),
+            {**BL_CONFIG, "model": {"kind": "polya_tree", "base": GAUSS, "depth": 2, "level_alpha": [1.0, float("nan")]}},
+            {**BL_CONFIG, "model": {"kind": "polya_tree", "base": GAUSS, "depth": 1, "params": {"0": True, "1": 1.0}}},
         ],
         ids=[
             "experiment-mystery", "n-str", "m_samples-str", "N_grid-int", "top-level-list", "alpha-str",
             "replicates-fraction", "N_grid-fraction", "n-bool", "master_seed-fraction", "m_samples-digits",
             "max_sticks-fraction", "depth-fraction", "atoms-str", "mean-gini",
+            "mass-nan", "mass-inf", "mass-str", "mass-bool", "residual_tol-str", "mu-nan", "sigma-inf",
+            "uniform-a-str", "point_mass-c-bool", "indicator-y-nan", "alpha-nan", "beta_rule-inf",
+            "beta_params-str", "level_alpha-nan", "params-bool",
         ],
     )
     def test_run_bad_config_exit_code(self, tmp_path, config):

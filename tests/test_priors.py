@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from finipost.errors import FiniPostError
-from finipost.families import GaussianLaw, PointMassLaw, UniformLaw
+from finipost.families import IDENTITY, GaussianLaw, Indicator, PointMassLaw, UniformLaw
 from finipost.measures import RealLine, Sample
 from finipost.priors import (
     DirichletProcessModel,
@@ -33,6 +34,7 @@ from finipost.rng import derive_seed
 FD = FiniteDirichletModel((1.0, 1.0), atoms=("a", "b"))
 FD01 = FiniteDirichletModel((1.0, 1.0), atoms=(0.0, 1.0))
 DP = DirichletProcessModel(1.0, GaussianLaw(0, 1))
+DP_SHIFTED = DirichletProcessModel(1.0, GaussianLaw(-3.0, 1.0))
 
 
 def freq(events):
@@ -424,6 +426,142 @@ class TestBatched:
         vals = batched_posterior_integrals(DP, h, lambda a: a, 30000, rng)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) <= 4 * se  # posterior mean of the integral
+
+    def test_dp_posterior_batch_matches_per_draw(self):
+        h = Sample((-3.0, -2.5, -3.0, -3.0, -4.0))
+        K = len(set(h.values))
+        batch = batched_posterior_integrals(DP_SHIFTED, h, IDENTITY.vec, 4000, derive_seed(123))
+        rng = derive_seed(124)
+        per_draw = np.empty(1000)
+        for r in range(per_draw.size):
+            m = posterior_draw(DP_SHIFTED, h, rng)
+            assert abs(math.fsum(m.weights) - 1.0) <= 1e-12
+            if len(m) - K - 1 < DP_SHIFTED.max_sticks:
+                # The last atom is the residual of P', scaled by 1 - V.
+                assert m.weights[-1] < DP_SHIFTED.residual_tol
+            per_draw[r] = np.dot(m.weights, m.scalars())
+        assert ks_2samp(batch, per_draw).pvalue > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Reference DP posterior: sticks of DP(c + n, ·) with Pólya-urn locations
+# ---------------------------------------------------------------------------
+
+# Values on a half-integer grid, so the history has many ties.
+TIED_HISTORY = tuple(float(v) for v in np.round(2.0 * derive_seed(130).normal(-3.0, 1.0, 50)) / 2.0)
+TEST_FUNCTIONS = {"identity": IDENTITY.vec, "indicator": Indicator(-3.0).vec}
+
+
+def tied_history(n):
+    return Sample(TIED_HISTORY[:n], space=RealLine())
+
+
+def polya_locations(model, hist, size, rng):
+    """Locations from the posterior predictive: base w.p. c/(c+n), else a
+    uniformly chosen history value."""
+    if hist.size == 0:
+        return np.asarray(model.base.sample(rng, size), dtype=float)
+    c = model.total_mass
+    fresh = rng.random(size) < c / (c + hist.size)
+    out = np.empty(size)
+    out[fresh] = model.base.sample(rng, int(fresh.sum()))
+    out[~fresh] = hist[rng.integers(0, hist.size, size=int((~fresh).sum()))]
+    return out
+
+
+def polya_stick_integrals(model, history, fvec, draws, rng):
+    """Vectorized ∫f dP: all rows break sticks of DP(c + n) in lockstep."""
+    hist = np.asarray(history.scalars())
+    mass = model.total_mass + hist.size
+    acc = np.zeros(draws)
+    residual = np.ones(draws)
+    alive = np.arange(draws)
+    for _ in range(model.max_sticks):
+        if not alive.size:
+            break
+        v = rng.beta(1.0, mass, size=alive.size)
+        acc[alive] += residual[alive] * v * fvec(polya_locations(model, hist, alive.size, rng))
+        residual[alive] *= 1.0 - v
+        alive = alive[residual[alive] >= model.residual_tol]
+    return acc + residual * fvec(polya_locations(model, hist, draws, rng))
+
+
+def polya_stick_draw(model, history, rng):
+    """One draw as (locations, weights): all sticks, then the locations."""
+    hist = np.asarray(history.scalars())
+    mass = model.total_mass + hist.size
+    weights, residual = [], 1.0
+    while residual >= model.residual_tol and len(weights) < model.max_sticks:
+        v = rng.beta(1.0, mass)
+        weights.append(residual * v)
+        residual *= 1.0 - v
+    weights.append(residual)
+    return polya_locations(model, hist, len(weights), rng), np.asarray(weights)
+
+
+def per_draw_integrals(model, history, fvec, draws, rng):
+    out = np.empty(draws)
+    for r in range(draws):
+        m = posterior_draw(model, history, rng)
+        out[r] = np.dot(m.weights, fvec(m.scalars()))
+    return out
+
+
+class TestDPConjugateDecomposition:
+    @pytest.mark.parametrize("f_id", sorted(TEST_FUNCTIONS))
+    @pytest.mark.parametrize("n", [0, 1, 50])
+    def test_batched_matches_polya_sticks(self, n, f_id):
+        fvec, h = TEST_FUNCTIONS[f_id], tied_history(n)
+        new = batched_posterior_integrals(DP_SHIFTED, h, fvec, 4000, derive_seed(131))
+        old = polya_stick_integrals(DP_SHIFTED, h, fvec, 4000, derive_seed(131 if n == 0 else 132))
+        if n == 0:
+            assert np.array_equal(new, old)
+        assert ks_2samp(new, old).pvalue > 1e-3
+
+    @pytest.mark.parametrize("f_id", sorted(TEST_FUNCTIONS))
+    @pytest.mark.parametrize("n", [0, 1, 50])
+    def test_posterior_draw_matches_polya_sticks(self, n, f_id):
+        fvec, h = TEST_FUNCTIONS[f_id], tied_history(n)
+        new = per_draw_integrals(DP_SHIFTED, h, fvec, 600, derive_seed(133))
+        rng = derive_seed(133 if n == 0 else 134)
+        old = np.empty(600)
+        for r in range(old.size):
+            locs, w = polya_stick_draw(DP_SHIFTED, h, rng)
+            old[r] = np.dot(w, fvec(locs))
+        if n == 0:
+            assert np.array_equal(new, old)
+        assert ks_2samp(new, old).pvalue > 1e-3
+
+    def test_prior_draws_equal_reference(self):
+        # With no history nothing but P' is drawn, from the same stream.
+        h = tied_history(0)
+        new_rng, old_rng = derive_seed(135), derive_seed(135)
+        for _ in range(50):
+            m = posterior_draw(DP_SHIFTED, h, new_rng)
+            locs, w = polya_stick_draw(DP_SHIFTED, h, old_rng)
+            assert m.points == tuple(locs.tolist())
+            assert np.array_equal(m.weights, w)
+
+    def test_history_atoms_are_distinct_values(self):
+        h = tied_history(50)
+        m = posterior_draw(DP_SHIFTED, h, derive_seed(136))
+        distinct = sorted(set(h.values))
+        assert list(m.points[: len(distinct)]) == distinct
+
+
+class TestTruncationScale:
+    def test_scaled_stop_rule(self):
+        from finipost.priors import _truncated_sticks
+
+        rng = derive_seed(137)
+        for scale in (1.0, 0.3, 1e-3):
+            for _ in range(100):
+                sticks, residual = _truncated_sticks(lambda _k: (1.0, 2.0), 4096, 1e-6, rng, scale)
+                assert scale * residual < 1e-6
+                if sticks.size > 1:
+                    assert scale * (residual + sticks[-1]) >= 1e-6
+        sticks, residual = _truncated_sticks(lambda _k: (1.0, 2.0), 4096, 1e-6, rng, 1e-7)
+        assert sticks.size == 0 and residual == 1.0
 
 
 class TestModelSpecs:
