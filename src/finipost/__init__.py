@@ -91,11 +91,7 @@ from .harness import (
     ExperimentReport,
     ReportRow,
     emit,
-    run_bound_experiment,
-    run_estimator_sweep,
     run_experiment,
-    run_mean_experiment,
-    run_median_experiment,
 )
 from .rng import RngState, derive_key, derive_seed, state_from_key
 

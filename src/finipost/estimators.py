@@ -23,7 +23,6 @@ from .measures import AtomicMeasure, RealLine, Sample, empirical, gini_md
 from .priors import (
     ExchangeableModel,
     continue_sequence,
-    model_space,
     predictive_expectation_mc,
     predictive_pair_expectation,
 )
@@ -53,7 +52,7 @@ class EstimatorInputs:
             raise FiniPostError(
                 "bad-horizon", f"horizon {self.horizon} below history length {len(self.history)}"
             )
-        if not isinstance(model_space(self.model), RealLine):
+        if not isinstance(self.model.space, RealLine):
             raise FiniPostError("space-mismatch", "estimators need scalar observations")
 
     @property

@@ -14,16 +14,21 @@ Five experiment kinds share one report schema:
 * ``median_law``     -- empirical law of the odd-sample median against the
   exact beta law and its tail inequalities.
 
+``run_experiment`` is the one runner: a serial loop over the (N,
+replicate) grid builds every report row.  Each experiment kind supplies
+only its validation and a cell function that returns the row's estimate,
+stderr, bound, slack and violation flag.
+
 Determinism contract: every cell of the (N, replicate) grid derives its
 own counter-based stream from ``(master_seed, replicate, stream_id)``, so
-reports are byte-identical across runs and thread counts.
+reports are byte-identical across runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,20 +37,16 @@ import numpy as np
 from . import bounds as bd
 from .errors import FiniPostError, config_float, config_int
 from .families import IDENTITY, AbsDeviation, Indicator, NamedFunction, Square
-from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, cdf_of, empirical, l21_functional
+from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, Space, cdf_of, empirical, l21_functional
 from .priors import (
     ExchangeableModel,
     FiniteDirichletModel,
-    FixedLawModel,
-    PolyaTreeModel,
     _iid_from_measure,
     batched_fd_empirical_counts,
     batched_posterior_integrals,
     batched_sequences,
     continue_sequence,
     model_from_spec,
-    model_space,
-    polya_tree_marginal,
     posterior_draw,
     predictive_expectation,
     sample_sequence,
@@ -65,18 +66,13 @@ __all__ = [
     "ReportRow",
     "ExperimentReport",
     "run_experiment",
-    "run_bound_experiment",
-    "run_mean_experiment",
-    "run_estimator_sweep",
-    "run_median_experiment",
     "emit",
     "report_to_csv",
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.3.0"
+ARTIFACT_VERSION = "0.4.0"
 
-_EXPERIMENTS = ("bound_finite", "bound_real", "bound_mean", "estimator_sweep", "median_law")
 _BOOTSTRAP_RESAMPLES = 200
 
 # Stream ids: replicate-level history stream, then per-(N, phase) streams.
@@ -103,11 +99,10 @@ class ExperimentConfig:
     master_seed: int = 0
     output: str | None = None
     f_spec: dict | None = None
-    threads: int = 1
     coupling: str = "posterior"
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
+        if self.experiment not in _CELLS:
             raise FiniPostError("config-error", f"unknown experiment {self.experiment!r}")
         if not self.N_grid:
             raise FiniPostError("config-error", "empty N grid")
@@ -118,8 +113,6 @@ class ExperimentConfig:
             raise FiniPostError("config-error", "m_samples must be >= 2")
         if self.replicates < 1:
             raise FiniPostError("config-error", "replicates must be >= 1")
-        if self.threads < 1:
-            raise FiniPostError("config-error", "threads must be >= 1")
         if self.coupling not in ("posterior", "independent"):
             raise FiniPostError("config-error", f"unknown coupling {self.coupling!r}")
         object.__setattr__(self, "N_grid", tuple(int(N) for N in self.N_grid))
@@ -140,7 +133,6 @@ class ExperimentConfig:
                 master_seed=config_int(obj.get("master_seed", 0), "master_seed"),
                 output=obj.get("output"),
                 f_spec=obj.get("f_spec"),
-                threads=config_int(obj.get("threads", 1), "threads"),
                 coupling=obj.get("coupling", "posterior"),
             )
         except FiniPostError:
@@ -162,7 +154,6 @@ class ExperimentConfig:
             "master_seed": self.master_seed,
             "output": self.output,
             "f_spec": self.f_spec,
-            "threads": self.threads,
             "coupling": self.coupling,
         }
 
@@ -222,45 +213,57 @@ def _bootstrap_se(matched: np.ndarray, rng: RngState, resamples: int = _BOOTSTRA
 
 
 # ---------------------------------------------------------------------------
-# Experiment dispatch
+# The cell loop
 # ---------------------------------------------------------------------------
 
+# A cell function maps (N, replicate, history, [phase 0, 1, 2 streams]) to
+# (estimate, stderr, bound, slack, violated).
+CellFunction = Callable[[int, int, Sample, list], tuple]
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run one experiment over its (N, replicate) grid, N-major, one row per cell.
+
+    Each replicate draws its history once, from its own stream, and shares
+    it across the N grid.  Each cell derives three streams (phases 0-2) and
+    hands them to the experiment's cell function; the row's ``seed`` is the
+    key of the experiment's seed stream (phase 1 for ``median_law``, phase
+    0 for the others).
+    """
     model = model_from_spec(cfg.model)
-    if cfg.experiment in ("bound_finite", "bound_real"):
-        return run_bound_experiment(cfg, model)
-    if cfg.experiment == "bound_mean":
-        return run_mean_experiment(cfg, model)
-    if cfg.experiment == "estimator_sweep":
-        return run_estimator_sweep(cfg, model)
-    return run_median_experiment(cfg, model)
+    metadata = {"config": cfg.to_dict(), "artifact_version": ARTIFACT_VERSION}
+    cell, seed_phase = _CELLS[cfg.experiment](cfg, model, metadata)
+    histories = [_replicate_history(cfg, model, rep) for rep in range(cfg.replicates)]
+    rows = []
+    for ni, N in enumerate(cfg.N_grid):
+        for rep, history in enumerate(histories):
+            keys = [derive_key(cfg.master_seed, rep, _cell_stream(ni, phase)) for phase in range(3)]
+            result = cell(N, rep, history, [state_from_key(key) for key in keys])
+            rows.append(ReportRow(cfg.experiment, N, cfg.n, rep, keys[seed_phase], *result))
+    return ExperimentReport(rows, metadata)
 
 
-def _metadata(cfg: ExperimentConfig) -> dict:
-    return {"config": cfg.to_dict(), "artifact_version": ARTIFACT_VERSION}
+def _replicate_history(cfg: ExperimentConfig, model: ExchangeableModel, rep: int) -> Sample:
+    if cfg.n == 0:
+        return Sample((), space=model.space)
+    rng = state_from_key(derive_key(cfg.master_seed, rep, _STREAM_HISTORY))
+    return sample_sequence(model, cfg.n, rng)
 
 
-def _run_cells(cfg: ExperimentConfig, worker: Callable[[int, int], list[ReportRow]]) -> list[ReportRow]:
-    """Evaluate the (N, replicate) grid, deterministically ordered by index."""
-    cells = [(ni, r) for ni in range(len(cfg.N_grid)) for r in range(cfg.replicates)]
-    if cfg.threads == 1:
-        results = [worker(ni, r) for ni, r in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda cell: worker(*cell), cells))
-    return [row for rows in results for row in rows]
+def _require_scalar(cfg: ExperimentConfig, space: Space) -> None:
+    if not isinstance(space, RealLine):
+        raise FiniPostError("config-error", f"{cfg.experiment} needs a scalar model")
 
 
 # ---------------------------------------------------------------------------
 # bound_finite / bound_real
 # ---------------------------------------------------------------------------
 
-def run_bound_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None = None) -> ExperimentReport:
+def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict) -> tuple[CellFunction, int]:
     """Plug-in meta distance between posterior draws and empirical draws,
     per (N, replicate), against the matching closed-form bound.
 
-    Per cell: one history draw (shared across the N grid within a
-    replicate), ``m_samples`` posterior draws, ``m_samples`` empirical
+    Per cell: ``m_samples`` posterior draws and ``m_samples`` empirical
     measures at horizon N.  Under the default ``coupling="posterior"``
     each empirical measure is grown from the matching posterior draw (the
     de Finetti coupling: history plus i.i.d. draws from that measure),
@@ -273,17 +276,11 @@ def run_bound_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None 
     posterior mean of the sqrt(F(1-F)) integral.  A half-sample estimate
     is recorded in the metadata so bias stabilization is visible.
     """
-    model = model_from_spec(cfg.model) if model is None else model
     _check_bound_config(cfg, model)
-    stabilization: list[dict] = []
+    stabilization = metadata["stabilization"] = []
 
-    def worker(ni: int, rep: int) -> list[ReportRow]:
-        N = cfg.N_grid[ni]
-        history = _replicate_history(cfg, model, rep)
-        post_rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 0)))
-        cont_rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 1)))
-        boot_rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 2)))
-
+    def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
+        post_rng, cont_rng, boot_rng = rngs
         posts, emps = _posterior_and_empirical_draws(cfg, model, history, N, post_rng, cont_rng)
         estimate, matched = meta_w1_matched(posts, emps, cfg.ground)
         se = _bootstrap_se(matched, boot_rng)
@@ -301,43 +298,24 @@ def run_bound_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None 
         half = cfg.m_samples // 2
         if half >= 2:
             est_half, _ = meta_w1_matched(posts[:half], emps[:half], cfg.ground)
-            stabilization.append(
-                {"N": N, "replicate": rep, "estimate_half": est_half, "estimate_full": estimate}
-            )
+            entry = {"N": N, "replicate": rep, "estimate_half": est_half, "estimate_full": estimate}
+            bisect.insort(stabilization, entry, key=lambda d: (d["N"], d["replicate"]))
+        return estimate, se, bound, slack, estimate > bound + slack
 
-        return [
-            ReportRow(
-                cfg.experiment, N, cfg.n, rep,
-                derive_key(cfg.master_seed, rep, _cell_stream(ni, 0)),
-                estimate, se, bound, slack, estimate > bound + slack,
-            )
-        ]
-
-    rows = _run_cells(cfg, worker)
-    meta = _metadata(cfg)
-    meta["stabilization"] = sorted(stabilization, key=lambda d: (d["N"], d["replicate"]))
-    return ExperimentReport(rows, meta)
+    return cell, 0
 
 
 def _check_bound_config(cfg: ExperimentConfig, model: ExchangeableModel) -> None:
-    space = model_space(model)
+    space = model.space
     if cfg.experiment == "bound_finite":
-        if cfg.ground != "TV" or not isinstance(model, FiniteDirichletModel) or not isinstance(
-            space, FiniteAlphabet
-        ):
+        # Only a finite Dirichlet model lives on a label alphabet.
+        if cfg.ground != "TV" or not isinstance(space, FiniteAlphabet):
             raise FiniPostError("config-error", "bound_finite needs a label alphabet model and TV ground")
     else:
         if cfg.ground != "BL" or not isinstance(space, RealLine):
             raise FiniPostError("config-error", "bound_real needs a scalar model and BL ground")
-        if isinstance(model, FixedLawModel):
+        if type(model).posterior is ExchangeableModel.posterior:
             raise FiniPostError("config-error", "bound_real needs a model with posterior draws")
-
-
-def _replicate_history(cfg: ExperimentConfig, model: ExchangeableModel, rep: int) -> Sample:
-    if cfg.n == 0:
-        return Sample((), space=model_space(model))
-    rng = state_from_key(derive_key(cfg.master_seed, rep, _STREAM_HISTORY))
-    return sample_sequence(model, cfg.n, rng)
 
 
 def _posterior_and_empirical_draws(
@@ -360,7 +338,7 @@ def _posterior_and_empirical_draws(
     with columns in sorted-label order; on scalar atoms their rows become
     measures for the bounded Lipschitz ground.
     """
-    m, space = cfg.m_samples, model_space(model)
+    m, space = cfg.m_samples, model.space
     if isinstance(model, FiniteDirichletModel):
         P = post_rng.dirichlet(model.posterior_alpha(history), size=m)
         coupled = P if cfg.coupling == "posterior" else None
@@ -383,25 +361,18 @@ def _posterior_and_empirical_draws(
 # bound_mean
 # ---------------------------------------------------------------------------
 
-def run_mean_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None = None) -> ExperimentReport:
+def _mean_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict) -> tuple[CellFunction, int]:
     """Scalar pushforward check: the plug-in distance between f-means of
     full sequences and f-integrals of posterior draws, against the mean
     bound (unconditional when n = 0, conditional otherwise; the
     conditional bound takes the predictive mean of |f|)."""
-    model = model_from_spec(cfg.model) if model is None else model
-    if not isinstance(model_space(model), RealLine):
-        raise FiniPostError("config-error", "bound_mean needs a scalar model")
+    _require_scalar(cfg, model.space)
     f, abs_f, f2, name = _test_function(cfg.f_spec)
     if name == "gini":
         raise FiniPostError("config-error", "bound_mean has no gini f_spec; use estimator_sweep")
 
-    def worker(ni: int, rep: int) -> list[ReportRow]:
-        N = cfg.N_grid[ni]
-        history = _replicate_history(cfg, model, rep)
-        seq_rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 1)))
-        post_rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 0)))
-        boot_rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 2)))
-
+    def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
+        post_rng, seq_rng, boot_rng = rngs
         xs = _batched_f_means(model, history, N, f.vec, cfg.m_samples, seq_rng)
         ys = batched_posterior_integrals(model, history, f.vec, cfg.m_samples, post_rng)
         matched = np.abs(np.sort(xs) - np.sort(ys))
@@ -418,15 +389,9 @@ def run_mean_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None =
             bound = bd.mean_bound_conditional(cfg.n, N, sample_mean_f, post_mean_abs_f, pred_f2)
 
         slack = 3.0 * se
-        return [
-            ReportRow(
-                cfg.experiment, N, cfg.n, rep,
-                derive_key(cfg.master_seed, rep, _cell_stream(ni, 0)),
-                estimate, se, bound, slack, estimate > bound + slack,
-            )
-        ]
+        return estimate, se, bound, slack, estimate > bound + slack
 
-    return ExperimentReport(_run_cells(cfg, worker), _metadata(cfg))
+    return cell, 0
 
 
 def _batched_f_means(
@@ -453,22 +418,18 @@ def _batched_f_means(
 # estimator_sweep
 # ---------------------------------------------------------------------------
 
-def run_estimator_sweep(cfg: ExperimentConfig, model: ExchangeableModel | None = None) -> ExperimentReport:
+def _sweep_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict) -> tuple[CellFunction, int]:
     """Gap between the finite-horizon and classical estimators across the
     horizon grid, with its algebraic triangle-inequality envelope.
 
     The estimator family follows f_spec: identity selects the mean,
     indicator(y) the CDF at y, square the variance, gini the mean
-    absolute difference.  One history per replicate, shared across N.
+    absolute difference.
     """
-    model = model_from_spec(cfg.model) if model is None else model
-    if not isinstance(model_space(model), RealLine):
-        raise FiniPostError("config-error", "estimator_sweep needs a scalar model")
+    _require_scalar(cfg, model.space)
     f, *_, name = _test_function(cfg.f_spec)
 
-    def worker(ni: int, rep: int) -> list[ReportRow]:
-        N = cfg.N_grid[ni]
-        history = _replicate_history(cfg, model, rep)
+    def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
         inputs = EstimatorInputs(model, history, N)
         n = cfg.n
         if name == "identity":
@@ -503,22 +464,16 @@ def run_estimator_sweep(cfg: ExperimentConfig, model: ExchangeableModel | None =
         gap = abs(pair.finitary - pair.classical)
         stderr = pair.components.get("stderr")
         slack = 1e-9 + 3.0 * (stderr or 0.0)
-        return [
-            ReportRow(
-                cfg.experiment, N, cfg.n, rep,
-                derive_key(cfg.master_seed, rep, _cell_stream(ni, 0)),
-                gap, stderr, envelope, slack, gap > envelope + slack,
-            )
-        ]
+        return gap, stderr, envelope, slack, gap > envelope + slack
 
-    return ExperimentReport(_run_cells(cfg, worker), _metadata(cfg))
+    return cell, 0
 
 
 # ---------------------------------------------------------------------------
 # median_law
 # ---------------------------------------------------------------------------
 
-def run_median_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None = None) -> ExperimentReport:
+def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict) -> tuple[CellFunction, int]:
     """Empirical CDF of the median of 2N+1 observations on a grid of
     predictive quantile points, against the tail inequality.
 
@@ -526,53 +481,32 @@ def run_median_experiment(cfg: ExperimentConfig, model: ExchangeableModel | None
     predictive CDF level (r+1)/(replicates+1).  Each row estimates
     P{median <= x_r} from m_samples independent sequences.
     """
-    model = model_from_spec(cfg.model) if model is None else model
-    if not isinstance(model_space(model), RealLine):
-        raise FiniPostError("config-error", "median_law needs a scalar model")
+    _require_scalar(cfg, model.space)
     if cfg.n != 0:
         raise FiniPostError("config-error", "median_law runs with n = 0 (prior law of the median)")
-    history = Sample((), space=model_space(model))
 
-    levels = [(r + 1) / (cfg.replicates + 1) for r in range(cfg.replicates)]
-
-    def worker(ni: int, rep: int) -> list[ReportRow]:
-        N = cfg.N_grid[ni]
-        size = 2 * N + 1
-        level = levels[rep]
-        x = _predictive_quantile(model, level)
+    def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
+        x = model.prior_quantile((rep + 1) / (cfg.replicates + 1))
         F_x = predictive_expectation(model, history, Indicator(x))
-        rng = state_from_key(derive_key(cfg.master_seed, rep, _cell_stream(ni, 1)))
-        block = batched_sequences(model, history, size, cfg.m_samples, rng)
+        block = batched_sequences(model, history, 2 * N + 1, cfg.m_samples, rngs[1])
         medians = np.median(block, axis=1)
         estimate = float(np.mean(medians <= x))
         se = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / cfg.m_samples)
         left_bound, right_bound = bd.median_tail_bounds(bd.MedianLawInputs(N, F_x), F_x, 1.0 - F_x)
         slack = 3.0 * se
         violated = estimate > left_bound + slack or (1.0 - estimate) > right_bound + slack
-        return [
-            ReportRow(
-                cfg.experiment, N, cfg.n, rep,
-                derive_key(cfg.master_seed, rep, _cell_stream(ni, 1)),
-                estimate, se, left_bound, slack, violated,
-            )
-        ]
+        return estimate, se, left_bound, slack, violated
 
-    return ExperimentReport(_run_cells(cfg, worker), _metadata(cfg))
+    return cell, 1
 
 
-def _predictive_quantile(model: ExchangeableModel, u: float) -> float:
-    """Smallest x with prior predictive CDF at least u."""
-    if isinstance(model, FiniteDirichletModel):
-        atoms = np.asarray(model.atoms, dtype=float)
-        order = np.argsort(atoms)
-        w = np.asarray(model.concentration, dtype=float)
-        cum = np.cumsum(w[order] / w.sum())
-        return float(atoms[order][int(np.searchsorted(cum, u - 1e-12))])
-    if isinstance(model, PolyaTreeModel):
-        leaves = [format(i, f"0{model.depth}b") for i in range(2**model.depth)]
-        cum = np.cumsum([polya_tree_marginal(model, leaf) for leaf in leaves])
-        return model.leaf_point(leaves[int(np.searchsorted(cum, u - 1e-12))])
-    return float(model.base.quantile(u))
+_CELLS = {
+    "bound_finite": _bound_cells,
+    "bound_real": _bound_cells,
+    "bound_mean": _mean_cells,
+    "estimator_sweep": _sweep_cells,
+    "median_law": _median_cells,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
 """Exchangeable-sequence models: predictive sampling, sequence continuation,
 and posterior draws of the directing random measure.
 
-Five concrete models share one operation surface:
+Each model is a dataclass on ``ExchangeableModel`` that holds its own laws
+as methods: the continuation (per sequence and batched), the posterior draw
+and its batched integrals, the predictive and pair-predictive expectations,
+and the prior predictive quantile.  The base class supplies the shared
+defaults: observations on the real line, batched calls served one row at a
+time, a Monte Carlo pair predictive, and no posterior draws.  The module
+functions (``continue_sequence``, ``posterior_draw``, ...) check the shared
+preconditions and then make one call on the model.
 
 * ``FiniteDirichletModel`` -- conjugate Dirichlet weights on k fixed atoms,
   sampled by the classic urn; posteriors are exact Dirichlet draws.
@@ -24,6 +31,7 @@ Every operation takes its random state explicitly; see ``rng``.
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -41,7 +49,6 @@ __all__ = [
     "PolyaTreeModel",
     "FixedLawModel",
     "ExchangeableModel",
-    "model_space",
     "sample_sequence",
     "continue_sequence",
     "posterior_draw",
@@ -59,11 +66,91 @@ _REJECTION_CAP = 2_000_000
 
 
 # ---------------------------------------------------------------------------
-# Model types
+# The model protocol
+# ---------------------------------------------------------------------------
+
+class ExchangeableModel(ABC):
+    """The laws of one exchangeable model.
+
+    The module functions check their preconditions (history space,
+    horizon) before calling these methods, so a method may assume a
+    history on ``space`` and a target length beyond it.
+    """
+
+    @property
+    def space(self) -> Space:
+        return RealLine()
+
+    @abstractmethod
+    def continuation(self, history: Sample, upto: int, rng: RngState) -> Sample:
+        """The history extended to length ``upto`` under the conditional law."""
+
+    def batched_continuation(self, history: Sample, out: np.ndarray, rng: RngState) -> None:
+        """Fill the columns of ``out`` after the history with independent
+        continuations, one ``continue_sequence`` per row by default."""
+        for r in range(out.shape[0]):
+            out[r] = continue_sequence(self, history, out.shape[1], rng).scalars()
+
+    def posterior(self, history: Sample, rng: RngState) -> AtomicMeasure:
+        """One draw of the directing measure given the history."""
+        raise FiniPostError(
+            "posterior-unavailable", f"{type(self).__name__} has no finite-support posterior representation"
+        )
+
+    def posterior_integrals(
+        self, history: Sample, fvec: Callable[[np.ndarray], np.ndarray], draws: int, rng: RngState
+    ) -> np.ndarray:
+        """f-integrals of ``draws`` posterior draws, one draw at a time by default."""
+        out = np.empty(draws)
+        for r in range(draws):
+            m = posterior_draw(self, history, rng)
+            out[r] = float(np.dot(m.weights, fvec(np.asarray(m.points, dtype=float))))
+        return out
+
+    @abstractmethod
+    def predictive(
+        self, history: Sample, f: Callable, mc_draws: int | None, rng: RngState | None
+    ) -> tuple[float, float]:
+        """E[f(next observation) | history] and its standard error."""
+
+    def pair_predictive(
+        self, history: Sample, g: Callable, mc_draws: int, rng: RngState | None
+    ) -> tuple[float, float]:
+        """E[g(next, next-but-one) | history] and its standard error; Monte
+        Carlo over ``mc_draws`` continuations by default."""
+        if rng is None or mc_draws < 1:
+            raise FiniPostError("config-error", "this model needs mc_draws >= 1 and an rng for pairs")
+        n = len(history)
+        block = batched_sequences(self, history, n + 2, mc_draws, rng)
+        return _mc_mean([float(g(x, y)) for x, y in block[:, n:].tolist()])
+
+    def prior_quantile(self, u: float) -> float:
+        """Smallest x with prior predictive CDF at least u."""
+        return float(self.base.quantile(u))
+
+    def _check_scalar(self, what: str) -> None:
+        if not isinstance(self.space, RealLine):
+            raise FiniPostError("space-mismatch", f"{what} need a scalar model")
+
+
+def _mc_mean(values: list[float]) -> tuple[float, float]:
+    vals = np.asarray(values)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+
+def _check_truncation(max_sticks: int, residual_tol: float) -> None:
+    if max_sticks < 8:
+        raise FiniPostError("config-error", f"max_sticks must be >= 8, got {max_sticks}")
+    if not (0.0 < residual_tol <= 1e-3):
+        raise FiniPostError("config-error", f"residual_tol must be in (0, 1e-3], got {residual_tol}")
+
+
+# ---------------------------------------------------------------------------
+# Finite Dirichlet
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FiniteDirichletModel:
+class FiniteDirichletModel(ExchangeableModel):
     """Dirichlet-distributed weights on a fixed finite support.
 
     ``atoms`` may be labels (a genuine finite alphabet) or scalars (a
@@ -104,15 +191,99 @@ class FiniteDirichletModel:
         except ValueError:
             raise FiniPostError("space-mismatch", f"value {value!r} is not a support atom") from None
 
+    def atom_counts(self, history: Sample) -> np.ndarray:
+        counts = np.zeros(self.k)
+        for v in history.values:
+            counts[self.atom_index(v)] += 1.0
+        return counts
+
     def posterior_alpha(self, history: Sample) -> np.ndarray:
         """Dirichlet parameters of the weights given the history: the
         concentration plus the atom counts, in ``atoms`` order.  The
         predictive law of the next observation is their normalisation."""
-        return np.asarray(self.concentration) + _fd_counts(self, history)
+        return np.asarray(self.concentration) + self.atom_counts(history)
 
+    def continuation(self, history, upto, rng):
+        values = list(history.values)
+        total = sum(self.concentration) + len(history)
+        weights = self.posterior_alpha(history)
+        for _ in range(upto - len(history)):
+            j = _categorical(weights / total, rng)
+            values.append(self.atoms[j])
+            weights[j] += 1.0
+            total += 1.0
+        return Sample(tuple(values), space=self.space)
+
+    def batched_continuation(self, history, out, rng):
+        # The same urn as ``continuation``, vectorized across rows.
+        draws = out.shape[0]
+        atoms = np.asarray(self.atoms, dtype=float)
+        alpha = self.posterior_alpha(history)
+        weights = np.tile(alpha, (draws, 1))
+        total = alpha.sum()
+        for i in range(len(history), out.shape[1]):
+            u = rng.random(draws) * total
+            idx = (np.cumsum(weights, axis=1) < u[:, None]).sum(axis=1)
+            idx = np.minimum(idx, self.k - 1)
+            out[:, i] = atoms[idx]
+            weights[np.arange(draws), idx] += 1.0
+            total += 1.0
+
+    def posterior(self, history, rng):
+        w = rng.dirichlet(self.posterior_alpha(history))
+        return AtomicMeasure(list(zip(self.atoms, w)), space=self.space)
+
+    def posterior_integrals(self, history, fvec, draws, rng):
+        self._check_scalar("batched posterior integrals")
+        W = rng.dirichlet(self.posterior_alpha(history), size=draws)
+        return W @ fvec(np.asarray(self.atoms, dtype=float))
+
+    def predictive(self, history, f, mc_draws, rng):
+        weights = self.posterior_alpha(history)
+        vals = _finite_values(f, self.atoms)
+        return float(np.dot(weights, vals) / weights.sum()), 0.0
+
+    def pair_predictive(self, history, g, mc_draws, rng):
+        # Exact by one-step urn expansion: the outer draw conditions the
+        # inner predictive.
+        weights = self.posterior_alpha(history)
+        A = weights.sum()
+        total = 0.0
+        for j, aj in enumerate(self.atoms):
+            pj = weights[j] / A
+            inner = weights.copy()
+            inner[j] += 1.0
+            for l, al in enumerate(self.atoms):
+                total += pj * (inner[l] / (A + 1.0)) * float(g(aj, al))
+        return total, 0.0
+
+    def prior_quantile(self, u):
+        self._check_scalar("prior quantiles")
+        atoms = np.asarray(self.atoms, dtype=float)
+        order = np.argsort(atoms)
+        w = np.asarray(self.concentration, dtype=float)
+        cum = np.cumsum(w[order] / w.sum())
+        return float(atoms[order][int(np.searchsorted(cum, u - 1e-12))])
+
+
+def _categorical(probs: np.ndarray, rng: RngState) -> int:
+    cum = np.cumsum(probs)
+    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+
+
+def _finite_values(f: Callable, atoms: tuple) -> np.ndarray:
+    vals = np.array([float(f(a)) for a in atoms])
+    if not np.all(np.isfinite(vals)):
+        raise FiniPostError("non-finite-integrand", "f is not finite on the support")
+    return vals
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet process
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DirichletProcessModel:
+class DirichletProcessModel(ExchangeableModel):
     total_mass: float
     base: AnalyticLaw
     max_sticks: int = 4096
@@ -123,13 +294,109 @@ class DirichletProcessModel:
             raise FiniPostError("config-error", "total mass must be positive")
         _check_truncation(self.max_sticks, self.residual_tol)
 
-    @property
-    def space(self) -> Space:
-        return RealLine()
+    def continuation(self, history, upto, rng):
+        c = self.total_mass
+        values = [float(v) for v in history.values]
+        for i in range(len(history), upto):
+            if rng.random() < c / (c + i):
+                values.append(float(self.base.sample(rng)))
+            else:
+                values.append(values[int(rng.integers(0, i))])
+        return Sample(tuple(values), space=self.space)
 
+    def batched_continuation(self, history, out, rng):
+        # The same urn as ``continuation``, one column at a time; kept beside
+        # it because each is the faster one on some inputs.
+        c, draws = self.total_mass, out.shape[0]
+        for i in range(len(history), out.shape[1]):
+            fresh = rng.random(draws) < c / (c + i)
+            vals = np.empty(draws)
+            if fresh.any():
+                vals[fresh] = self.base.sample(rng, int(fresh.sum()))
+            if (~fresh).any():
+                pick = rng.integers(0, i, size=int((~fresh).sum())) if i > 0 else None
+                vals[~fresh] = out[~fresh, pick]
+            out[:, i] = vals
+
+    def _history_part(self, history: Sample, rng: RngState, size: int | None = None):
+        """(x*, V·D, 1 − V) of the posterior V·Σⱼ Dⱼ δ_{x*ⱼ} + (1−V)·P′, with
+        V ~ Beta(n, c), D ~ Dirichlet(n₁…n_K) on the K distinct history values
+        and P′ ~ DP(c, base) independent (Ferguson 1973); one row per draw when
+        ``size`` is given.  The history must be nonempty."""
+        xstar, counts = np.unique(history.scalars(), return_counts=True)
+        v = rng.beta(len(history), self.total_mass, size=size)
+        d = rng.dirichlet(counts, size=size)
+        return xstar, np.expand_dims(v, -1) * d, 1.0 - v
+
+    def posterior(self, history, rng):
+        atoms, scale = [], 1.0
+        if len(history):
+            xstar, w, scale = self._history_part(history, rng)
+            atoms = list(zip(xstar.tolist(), w.tolist()))
+        atoms += _stick_atoms(self, lambda _k: (1.0, self.total_mass), rng, scale)
+        return AtomicMeasure(atoms, space=self.space)
+
+    def posterior_integrals(self, history, fvec, draws, rng):
+        # Only the prior part P' breaks sticks; row r stops once
+        # scale[r] * residual[r], its untruncated mass, is below tolerance.
+        acc = np.zeros(draws)
+        scale = np.ones(draws)
+        if len(history):
+            xstar, w, scale = self._history_part(history, rng, draws)
+            acc = w @ fvec(xstar)
+        residual = np.ones(draws)
+        alive = np.flatnonzero(scale >= self.residual_tol)
+        sticks_used = 0
+        while alive.size and sticks_used < self.max_sticks:
+            v = rng.beta(1.0, self.total_mass, size=alive.size)
+            locs = np.asarray(self.base.sample(rng, alive.size), dtype=float)
+            acc[alive] += scale[alive] * residual[alive] * v * fvec(locs)
+            residual[alive] *= 1.0 - v
+            sticks_used += 1
+            alive = alive[scale[alive] * residual[alive] >= self.residual_tol]
+        locs = np.asarray(self.base.sample(rng, draws), dtype=float)
+        acc += scale * residual * fvec(locs)
+        return acc
+
+    def predictive(self, history, f, mc_draws, rng):
+        c = self.total_mass
+        tail = math.fsum(float(f(v)) for v in history.values)
+        return (c * self.base.expect(f) + tail) / (c + len(history)), 0.0
+
+    def pair_predictive(self, history, g, mc_draws, rng):
+        # Exact by one-step urn expansion, as for the finite Dirichlet.
+        c = self.total_mass
+        n = len(history)
+        hist = [float(v) for v in history.values]
+        base = self.base
+        if isinstance(g, NamedPairFunction):
+            # Symmetric, so g(., v) and g(v, .) are the same named section.
+            first_at, second_at, diagonal = g.section, g.section, g.diagonal
+        else:
+            first_at = lambda v: lambda x: g(x, v)  # noqa: E731
+            second_at = lambda x: lambda y: g(x, y)  # noqa: E731
+            diagonal = lambda x: g(x, x)  # noqa: E731
+
+        pair_gg = base.pair_expect(g)                       # E g(X, Y), X, Y iid base
+        diag = base.expect(diagonal)                        # E g(X, X)
+        first_to_hist = [base.expect(first_at(v)) for v in hist]
+
+        # inner(x) = E[g(x, second) | first = x]
+        def inner(x: float) -> float:
+            tail = math.fsum(float(g(x, v)) for v in hist)
+            return (c * float(base.expect(second_at(x))) + tail + float(g(x, x))) / (c + n + 1.0)
+
+        base_inner = (c * pair_gg + math.fsum(first_to_hist) + diag) / (c + n + 1.0)
+        hist_inner = math.fsum(inner(v) for v in hist)
+        return (c * base_inner + hist_inner) / (c + n), 0.0
+
+
+# ---------------------------------------------------------------------------
+# Stick-breaking
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StickBreakingModel:
+class StickBreakingModel(ExchangeableModel):
     """Sticks V_k ~ Beta(a_k, b_k) independent, locations i.i.d. from base."""
 
     base: AnalyticLaw
@@ -159,208 +426,87 @@ class StickBreakingModel:
             raise FiniPostError("param-missing", f"no Beta parameters for stick {k}")
         return self.beta_params[k - 1]
 
-    @property
-    def space(self) -> Space:
-        return RealLine()
+    def continuation(self, history, upto, rng):
+        measure = posterior_draw(self, history, rng)
+        new = _iid_from_measure(measure, upto - len(history), rng)
+        return Sample(tuple(history.values) + new, space=self.space)
+
+    def posterior(self, history, rng):
+        n = len(history)
+        if n == 0:
+            return AtomicMeasure(_stick_atoms(self, self.stick_beta, rng), space=self.space)
+        if n > 4:
+            raise FiniPostError(
+                "posterior-unavailable",
+                "stick-breaking posteriors are only served for histories of length <= 4",
+            )
+        return self._rejection_posterior(history, rng)
+
+    def _rejection_posterior(self, history: Sample, rng: RngState) -> AtomicMeasure:
+        """Condition stick weights on the history by partition matching.
+
+        Weights and locations are independent a priori and locations are
+        i.i.d. from a non-atomic base, so conditioning on the observed values
+        pins the locations of the sticks that produced them and constrains
+        the weights only through the observation partition.  Rejection: draw
+        sticks, assign the n observations to sticks by the stick weights,
+        accept when the induced partition matches the observed one.  Draws
+        landing in the truncation residual are rejected outright (a bias of
+        at most n times the residual tolerance).
+        """
+        n = len(history)
+        target = _history_pattern(history.values)
+        distinct: list[float] = []
+        for v in history.values:
+            if v not in distinct:
+                distinct.append(float(v))
+
+        for _ in range(_REJECTION_CAP):
+            sticks, residual = _truncated_sticks(self.stick_beta, self.max_sticks, self.residual_tol, rng)
+            cum = np.cumsum(sticks)
+            u = rng.random(n)
+            if np.any(u >= cum[-1]):
+                continue
+            idx = np.searchsorted(cum, u, side="right")
+            if _history_pattern(idx.tolist()) != target:
+                continue
+            locs = np.asarray(self.base.sample(rng, sticks.size + 1), dtype=float)
+            for pos, cluster in enumerate(_cluster_sticks(idx, target)):
+                locs[cluster] = distinct[pos]
+            atoms = [(float(locs[i]), w) for i, w in enumerate(sticks)]
+            atoms.append((float(locs[-1]), residual))
+            return AtomicMeasure(atoms, space=self.space)
+        raise FiniPostError("posterior-unavailable", "rejection cap exceeded; partition too unlikely")
+
+    def predictive(self, history, f, mc_draws, rng):
+        n = len(history)
+        if n == 0:
+            return self.base.expect(f), 0.0
+        if mc_draws is None or rng is None:
+            raise FiniPostError(
+                "posterior-unavailable",
+                "stick-breaking predictive with history needs mc_draws and an rng",
+            )
+        block = batched_sequences(self, history, n + 1, mc_draws, rng)
+        return _mc_mean([float(f(v)) for v in block[:, n].tolist()])
 
 
-@dataclass(frozen=True)
-class PolyaTreeModel:
-    """Random measure on nested dyadic quantile sets of an invertible CDF.
-
-    ``params`` maps binary strings (node addresses, length 1..depth) to
-    positive weights; ``level_alpha`` optionally supplies one weight per
-    level as a fallback for addresses missing from ``params``.
-    """
-
-    quantile_base: AnalyticLaw
-    depth: int
-    params: Mapping[str, float] = field(default_factory=dict)
-    level_alpha: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.depth < 1 or self.depth > 16:
-            raise FiniPostError("config-error", f"depth must be in [1, 16], got {self.depth}")
-        if isinstance(self.quantile_base, PointMassLaw):
-            raise FiniPostError("config-error", "the quantile base must be invertible")
-        for eps, a in self.params.items():
-            if not eps or any(ch not in "01" for ch in eps) or len(eps) > self.depth:
-                raise FiniPostError("config-error", f"bad node address {eps!r}")
-            if a <= 0:
-                raise FiniPostError("config-error", f"alpha({eps}) must be positive")
-        if self.level_alpha is not None:
-            la = tuple(float(a) for a in self.level_alpha)
-            if len(la) != self.depth or any(a <= 0 for a in la):
-                raise FiniPostError("config-error", "level_alpha needs one positive entry per level")
-            object.__setattr__(self, "level_alpha", la)
-
-    def alpha(self, eps: str) -> float:
-        if eps in self.params:
-            return float(self.params[eps])
-        if self.level_alpha is not None and 1 <= len(eps) <= self.depth:
-            return self.level_alpha[len(eps) - 1]
-        raise FiniPostError("param-missing", f"no alpha for node {eps!r}")
-
-    @property
-    def space(self) -> Space:
-        return RealLine()
-
-    def leaf_point(self, bits: str) -> float:
-        lo = sum(int(b) / 2 ** (i + 1) for i, b in enumerate(bits))
-        return float(self.quantile_base.quantile(lo + 1.0 / 2 ** (len(bits) + 1)))
-
-    def path_bits(self, x: float) -> str:
-        """Dyadic address of the depth-level quantile set containing x."""
-        u = float(self.quantile_base.cdf(x))
-        bits = []
-        for _ in range(self.depth):
-            u *= 2.0
-            if u > 1.0:
-                bits.append("1")
-                u -= 1.0
-            else:
-                bits.append("0")
-        return "".join(bits)
+def _history_pattern(values: Sequence) -> tuple[int, ...]:
+    seen: dict = {}
+    out = []
+    for v in values:
+        if v not in seen:
+            seen[v] = len(seen)
+        out.append(seen[v])
+    return tuple(out)
 
 
-@dataclass(frozen=True)
-class FixedLawModel:
-    """Deterministic directing measure: observations are i.i.d. from base."""
-
-    base: AnalyticLaw
-
-    @property
-    def space(self) -> Space:
-        return RealLine()
-
-
-ExchangeableModel = (
-    FiniteDirichletModel
-    | DirichletProcessModel
-    | StickBreakingModel
-    | PolyaTreeModel
-    | FixedLawModel
-)
-
-
-def _check_truncation(max_sticks: int, residual_tol: float) -> None:
-    if max_sticks < 8:
-        raise FiniPostError("config-error", f"max_sticks must be >= 8, got {max_sticks}")
-    if not (0.0 < residual_tol <= 1e-3):
-        raise FiniPostError("config-error", f"residual_tol must be in (0, 1e-3], got {residual_tol}")
-
-
-def model_space(model: ExchangeableModel) -> Space:
-    return model.space
-
-
-def _check_history(model: ExchangeableModel, history: Sample) -> None:
-    if len(history) and history.space != model.space:
-        raise FiniPostError("space-mismatch", f"history on {history.space}, model on {model.space}")
-
-
-# ---------------------------------------------------------------------------
-# Sequence sampling
-# ---------------------------------------------------------------------------
-
-def sample_sequence(model: ExchangeableModel, n: int, rng: RngState) -> Sample:
-    """Draw the first n terms of the model's exchangeable sequence."""
-    if n < 0:
-        raise FiniPostError("bad-length", f"sequence length must be >= 0, got {n}")
-    return continue_sequence(model, Sample((), space=model.space), n, rng)
-
-
-def continue_sequence(model: ExchangeableModel, history: Sample, upto: int, rng: RngState) -> Sample:
-    """Extend an observed prefix to length ``upto`` under the conditional law.
-
-    The first ``len(history)`` entries of the result equal the history.
-    """
-    n = len(history)
-    if upto < n:
-        raise FiniPostError("bad-horizon", f"target length {upto} below history length {n}")
-    _check_history(model, history)
-    if upto == n:
-        return history
-
-    if isinstance(model, FiniteDirichletModel):
-        values = list(history.values)
-        total = sum(model.concentration) + n
-        weights = model.posterior_alpha(history)
-        for _ in range(upto - n):
-            j = _categorical(weights / total, rng)
-            values.append(model.atoms[j])
-            weights[j] += 1.0
-            total += 1.0
-        return Sample(tuple(values), space=model.space)
-
-    if isinstance(model, DirichletProcessModel):
-        c = model.total_mass
-        values = [float(v) for v in history.values]
-        for i in range(n, upto):
-            if rng.random() < c / (c + i):
-                values.append(float(model.base.sample(rng)))
-            else:
-                values.append(values[int(rng.integers(0, i))])
-        return Sample(tuple(values), space=model.space)
-
-    if isinstance(model, StickBreakingModel):
-        measure = posterior_draw(model, history, rng)
-        new = _iid_from_measure(measure, upto - n, rng)
-        return Sample(tuple(history.values) + new, space=model.space)
-
-    if isinstance(model, PolyaTreeModel):
-        return _pt_continue(model, history, upto, rng)
-
-    if isinstance(model, FixedLawModel):
-        new = tuple(float(v) for v in np.atleast_1d(model.base.sample(rng, upto - n)))
-        return Sample(tuple(history.values) + new, space=model.space)
-
-    raise FiniPostError("config-error", f"unknown model type {type(model).__name__}")
-
-
-def _fd_counts(model: FiniteDirichletModel, history: Sample) -> np.ndarray:
-    counts = np.zeros(model.k)
-    for v in history.values:
-        counts[model.atom_index(v)] += 1.0
-    return counts
-
-
-def _categorical(probs: np.ndarray, rng: RngState) -> int:
-    cum = np.cumsum(probs)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-
-
-def _iid_from_measure(measure: AtomicMeasure, n: int, rng: RngState) -> tuple:
-    cum = np.cumsum(measure.weights)
-    idx = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
-    idx = np.minimum(idx, len(measure.points) - 1)
-    return tuple(measure.points[i] for i in idx)
-
-
-def _pt_continue(model: PolyaTreeModel, history: Sample, upto: int, rng: RngState) -> Sample:
-    # Urn at every node: each new point descends the tree, choosing the
-    # left child with posterior-mean branch probability given all points
-    # seen so far (conjugate Beta-binomial at each node).
-    counts: dict[str, float] = {}
-
-    def bump(bits: str) -> None:
-        for i in range(1, len(bits) + 1):
-            key = bits[:i]
-            counts[key] = counts.get(key, 0.0) + 1.0
-
-    for v in history.values:
-        bump(model.path_bits(float(v)))
-
-    values = list(history.values)
-    for _ in range(upto - len(history)):
-        node = ""
-        for _level in range(model.depth):
-            a0 = model.alpha(node + "0") + counts.get(node + "0", 0.0)
-            a1 = model.alpha(node + "1") + counts.get(node + "1", 0.0)
-            node += "0" if rng.random() < a0 / (a0 + a1) else "1"
-        bump(node)
-        values.append(model.leaf_point(node))
-    return Sample(tuple(values), space=model.space)
+def _cluster_sticks(idx: np.ndarray, pattern: tuple[int, ...]) -> list[int]:
+    """Stick index backing each observation cluster, in first-appearance order."""
+    out: dict[int, int] = {}
+    for stick, lab in zip(idx.tolist(), pattern):
+        out.setdefault(lab, stick)
+    return [out[lab] for lab in range(len(out))]
 
 
 # ---------------------------------------------------------------------------
@@ -403,135 +549,146 @@ def _stick_atoms(
     return list(zip(locs.tolist(), (scale * np.append(sticks, residual)).tolist()))
 
 
-def _dp_history_part(model: DirichletProcessModel, history: Sample, rng: RngState, size: int | None = None):
-    """(x*, V·D, 1 − V) of the DP posterior V·Σⱼ Dⱼ δ_{x*ⱼ} + (1−V)·P′, with
-    V ~ Beta(n, c), D ~ Dirichlet(n₁…n_K) on the K distinct history values
-    and P′ ~ DP(c, base) independent (Ferguson 1973); one row per draw when
-    ``size`` is given.  The history must be nonempty."""
-    xstar, counts = np.unique(history.scalars(), return_counts=True)
-    v = rng.beta(len(history), model.total_mass, size=size)
-    d = rng.dirichlet(counts, size=size)
-    return xstar, np.expand_dims(v, -1) * d, 1.0 - v
+def _iid_from_measure(measure: AtomicMeasure, n: int, rng: RngState) -> tuple:
+    cum = np.cumsum(measure.weights)
+    idx = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
+    idx = np.minimum(idx, len(measure.points) - 1)
+    return tuple(measure.points[i] for i in idx)
 
 
 # ---------------------------------------------------------------------------
-# Posterior draws
+# Polya tree
 # ---------------------------------------------------------------------------
 
-def posterior_draw(model: ExchangeableModel, history: Sample, rng: RngState) -> AtomicMeasure:
-    """One draw of the directing measure given the observed prefix."""
-    _check_history(model, history)
-    n = len(history)
+@dataclass(frozen=True)
+class PolyaTreeModel(ExchangeableModel):
+    """Random measure on nested dyadic quantile sets of an invertible CDF.
 
-    if isinstance(model, FiniteDirichletModel):
-        w = rng.dirichlet(model.posterior_alpha(history))
-        return AtomicMeasure(list(zip(model.atoms, w)), space=model.space)
-
-    if isinstance(model, DirichletProcessModel):
-        atoms, scale = [], 1.0
-        if n:
-            xstar, w, scale = _dp_history_part(model, history, rng)
-            atoms = list(zip(xstar.tolist(), w.tolist()))
-        atoms += _stick_atoms(model, lambda _k: (1.0, model.total_mass), rng, scale)
-        return AtomicMeasure(atoms, space=model.space)
-
-    if isinstance(model, StickBreakingModel):
-        if n == 0:
-            return AtomicMeasure(_stick_atoms(model, model.stick_beta, rng), space=model.space)
-        if n > 4:
-            raise FiniPostError(
-                "posterior-unavailable",
-                "stick-breaking posteriors are only served for histories of length <= 4",
-            )
-        return _sb_rejection_posterior(model, history, rng)
-
-    if isinstance(model, PolyaTreeModel):
-        return _pt_posterior_measure(model, history, rng)
-
-    if isinstance(model, FixedLawModel):
-        raise FiniPostError(
-            "posterior-unavailable", "a fixed law has no finite-support posterior representation"
-        )
-
-    raise FiniPostError("config-error", f"unknown model type {type(model).__name__}")
-
-
-def _history_pattern(values: Sequence) -> tuple[int, ...]:
-    seen: dict = {}
-    out = []
-    for v in values:
-        if v not in seen:
-            seen[v] = len(seen)
-        out.append(seen[v])
-    return tuple(out)
-
-
-def _sb_rejection_posterior(model: StickBreakingModel, history: Sample, rng: RngState) -> AtomicMeasure:
-    """Condition stick weights on the history by partition matching.
-
-    Weights and locations are independent a priori and locations are
-    i.i.d. from a non-atomic base, so conditioning on the observed values
-    pins the locations of the sticks that produced them and constrains
-    the weights only through the observation partition.  Rejection: draw
-    sticks, assign the n observations to sticks by the stick weights,
-    accept when the induced partition matches the observed one.  Draws
-    landing in the truncation residual are rejected outright (a bias of
-    at most n times the residual tolerance).
+    ``params`` maps binary strings (node addresses, length 1..depth) to
+    positive weights; ``level_alpha`` optionally supplies one weight per
+    level as a fallback for addresses missing from ``params``.
     """
-    n = len(history)
-    target = _history_pattern(history.values)
-    distinct: list[float] = []
-    for v in history.values:
-        if v not in distinct:
-            distinct.append(float(v))
 
-    for _ in range(_REJECTION_CAP):
-        sticks, residual = _truncated_sticks(model.stick_beta, model.max_sticks, model.residual_tol, rng)
-        cum = np.cumsum(sticks)
-        u = rng.random(n)
-        if np.any(u >= cum[-1]):
-            continue
-        idx = np.searchsorted(cum, u, side="right")
-        if _history_pattern(idx.tolist()) != target:
-            continue
-        locs = np.asarray(model.base.sample(rng, sticks.size + 1), dtype=float)
-        for pos, cluster in enumerate(_cluster_sticks(idx, target)):
-            locs[cluster] = distinct[pos]
-        atoms = [(float(locs[i]), w) for i, w in enumerate(sticks)]
-        atoms.append((float(locs[-1]), residual))
-        return AtomicMeasure(atoms, space=model.space)
-    raise FiniPostError("posterior-unavailable", "rejection cap exceeded; partition too unlikely")
+    quantile_base: AnalyticLaw
+    depth: int
+    params: Mapping[str, float] = field(default_factory=dict)
+    level_alpha: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.depth < 1 or self.depth > 16:
+            raise FiniPostError("config-error", f"depth must be in [1, 16], got {self.depth}")
+        if isinstance(self.quantile_base, PointMassLaw):
+            raise FiniPostError("config-error", "the quantile base must be invertible")
+        for eps, a in self.params.items():
+            if not eps or any(ch not in "01" for ch in eps) or len(eps) > self.depth:
+                raise FiniPostError("config-error", f"bad node address {eps!r}")
+            if a <= 0:
+                raise FiniPostError("config-error", f"alpha({eps}) must be positive")
+        if self.level_alpha is not None:
+            la = tuple(float(a) for a in self.level_alpha)
+            if len(la) != self.depth or any(a <= 0 for a in la):
+                raise FiniPostError("config-error", "level_alpha needs one positive entry per level")
+            object.__setattr__(self, "level_alpha", la)
+
+    def alpha(self, eps: str) -> float:
+        if eps in self.params:
+            return float(self.params[eps])
+        if self.level_alpha is not None and 1 <= len(eps) <= self.depth:
+            return self.level_alpha[len(eps) - 1]
+        raise FiniPostError("param-missing", f"no alpha for node {eps!r}")
+
+    def leaf_point(self, bits: str) -> float:
+        lo = sum(int(b) / 2 ** (i + 1) for i, b in enumerate(bits))
+        return float(self.quantile_base.quantile(lo + 1.0 / 2 ** (len(bits) + 1)))
+
+    def path_bits(self, x: float) -> str:
+        """Dyadic address of the depth-level quantile set containing x."""
+        u = float(self.quantile_base.cdf(x))
+        bits = []
+        for _ in range(self.depth):
+            u *= 2.0
+            if u > 1.0:
+                bits.append("1")
+                u -= 1.0
+            else:
+                bits.append("0")
+        return "".join(bits)
+
+    def node_counts(self, history: Sample) -> dict[str, float]:
+        """Observations of the history in each node set."""
+        counts: dict[str, float] = {}
+        for v in history.values:
+            _count_path(counts, self.path_bits(float(v)))
+        return counts
+
+    def posterior_alpha(self, history: Sample) -> Callable[[str], float]:
+        counts = self.node_counts(history)
+        return lambda eps: self.alpha(eps) + counts.get(eps, 0.0)
+
+    def continuation(self, history, upto, rng):
+        # Urn at every node: each new point descends the tree, choosing the
+        # left child with posterior-mean branch probability given all points
+        # seen so far (conjugate Beta-binomial at each node).
+        counts = self.node_counts(history)
+        values = list(history.values)
+        for _ in range(upto - len(history)):
+            node = ""
+            for _level in range(self.depth):
+                a0 = self.alpha(node + "0") + counts.get(node + "0", 0.0)
+                a1 = self.alpha(node + "1") + counts.get(node + "1", 0.0)
+                node += "0" if rng.random() < a0 / (a0 + a1) else "1"
+            _count_path(counts, node)
+            values.append(self.leaf_point(node))
+        return Sample(tuple(values), space=self.space)
+
+    def posterior(self, history, rng):
+        alpha = self.posterior_alpha(history)
+        # Draw every branch probability, then take products down to the leaves.
+        probs = {"": 1.0}
+        for level in range(self.depth):
+            for node in _nodes_at(level):
+                v = rng.beta(alpha(node + "0"), alpha(node + "1"))
+                probs[node + "0"] = probs[node] * v
+                probs[node + "1"] = probs[node] * (1.0 - v)
+        atoms = [(self.leaf_point(leaf), probs[leaf]) for leaf in _nodes_at(self.depth)]
+        return AtomicMeasure(atoms, space=self.space)
+
+    def predictive(self, history, f, mc_draws, rng):
+        alpha = self.posterior_alpha(history)
+        total = 0.0
+        for leaf in _nodes_at(self.depth):
+            total += _pt_leaf_prob(alpha, leaf) * float(f(self.leaf_point(leaf)))
+        return total, 0.0
+
+    def pair_predictive(self, history, g, mc_draws, rng):
+        # Exact leaf enumeration for small trees.
+        if 4**self.depth > 20_000:
+            return super().pair_predictive(history, g, mc_draws, rng)
+        alpha = self.posterior_alpha(history)
+        leaves = _nodes_at(self.depth)
+        points = {leaf: self.leaf_point(leaf) for leaf in leaves}
+        total = 0.0
+        for leaf1 in leaves:
+            p1 = _pt_leaf_prob(alpha, leaf1)
+            if p1 == 0.0:
+                continue
+
+            def alpha2(eps: str, leaf1=leaf1) -> float:
+                return alpha(eps) + (1.0 if leaf1.startswith(eps) else 0.0)
+
+            for leaf2 in leaves:
+                total += p1 * _pt_leaf_prob(alpha2, leaf2) * float(g(points[leaf1], points[leaf2]))
+        return total, 0.0
+
+    def prior_quantile(self, u):
+        leaves = _nodes_at(self.depth)
+        cum = np.cumsum([_pt_leaf_prob(self.alpha, leaf) for leaf in leaves])
+        return self.leaf_point(leaves[int(np.searchsorted(cum, u - 1e-12))])
 
 
-def _cluster_sticks(idx: np.ndarray, pattern: tuple[int, ...]) -> list[int]:
-    """Stick index backing each observation cluster, in first-appearance order."""
-    out: dict[int, int] = {}
-    for stick, lab in zip(idx.tolist(), pattern):
-        out.setdefault(lab, stick)
-    return [out[lab] for lab in range(len(out))]
-
-
-def _pt_posterior_alpha(model: PolyaTreeModel, history: Sample) -> Callable[[str], float]:
-    counts: dict[str, float] = {}
-    for v in history.values:
-        bits = model.path_bits(float(v))
-        for i in range(1, len(bits) + 1):
-            key = bits[:i]
-            counts[key] = counts.get(key, 0.0) + 1.0
-    return lambda eps: model.alpha(eps) + counts.get(eps, 0.0)
-
-
-def _pt_posterior_measure(model: PolyaTreeModel, history: Sample, rng: RngState) -> AtomicMeasure:
-    alpha = _pt_posterior_alpha(model, history)
-    # Draw every branch probability, then take products down to the leaves.
-    probs = {"": 1.0}
-    for level in range(model.depth):
-        for node in _nodes_at(level):
-            v = rng.beta(alpha(node + "0"), alpha(node + "1"))
-            probs[node + "0"] = probs[node] * v
-            probs[node + "1"] = probs[node] * (1.0 - v)
-    atoms = [(model.leaf_point(leaf), probs[leaf]) for leaf in _nodes_at(model.depth)]
-    return AtomicMeasure(atoms, space=model.space)
+def _count_path(counts: dict[str, float], bits: str) -> None:
+    for i in range(1, len(bits) + 1):
+        counts[bits[:i]] = counts.get(bits[:i], 0.0) + 1.0
 
 
 def _nodes_at(level: int) -> list[str]:
@@ -540,9 +697,89 @@ def _nodes_at(level: int) -> list[str]:
     return [format(i, f"0{level}b") for i in range(2**level)]
 
 
+def _pt_leaf_prob(alpha: Callable[[str], float], leaf: str) -> float:
+    prob = 1.0
+    for i in range(1, len(leaf) + 1):
+        parent = leaf[: i - 1]
+        prob *= alpha(leaf[:i]) / (alpha(parent + "0") + alpha(parent + "1"))
+    return prob
+
+
+def polya_tree_marginal(model: PolyaTreeModel, eps: str) -> float:
+    """Prior probability that one observation falls in the node set B_eps:
+    the product over prefixes of the mean branch probability chosen at
+    each level."""
+    if not eps or any(ch not in "01" for ch in eps):
+        raise FiniPostError("config-error", f"node address must be a nonempty 0/1 string, got {eps!r}")
+    if len(eps) > model.depth:
+        raise FiniPostError("param-missing", f"address {eps!r} deeper than the tree")
+    return _pt_leaf_prob(model.alpha, eps)
+
+
 # ---------------------------------------------------------------------------
-# Predictive expectations
+# Fixed law
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FixedLawModel(ExchangeableModel):
+    """Deterministic directing measure: observations are i.i.d. from base."""
+
+    base: AnalyticLaw
+
+    def continuation(self, history, upto, rng):
+        new = tuple(float(v) for v in np.atleast_1d(self.base.sample(rng, upto - len(history))))
+        return Sample(tuple(history.values) + new, space=self.space)
+
+    def batched_continuation(self, history, out, rng):
+        n = len(history)
+        if out.shape[1] > n:
+            out[:, n:] = self.base.sample(rng, (out.shape[0], out.shape[1] - n))
+
+    def predictive(self, history, f, mc_draws, rng):
+        return self.base.expect(f), 0.0
+
+    def pair_predictive(self, history, g, mc_draws, rng):
+        return self.base.pair_expect(g), 0.0
+
+
+# ---------------------------------------------------------------------------
+# The law functions: shared checks, then one call on the model
+# ---------------------------------------------------------------------------
+
+def _check_history(model: ExchangeableModel, history: Sample) -> None:
+    if len(history) and history.space != model.space:
+        raise FiniPostError("space-mismatch", f"history on {history.space}, model on {model.space}")
+
+
+def _check_horizon(history: Sample, upto: int) -> None:
+    if upto < len(history):
+        raise FiniPostError("bad-horizon", f"target length {upto} below history length {len(history)}")
+
+
+def sample_sequence(model: ExchangeableModel, n: int, rng: RngState) -> Sample:
+    """Draw the first n terms of the model's exchangeable sequence."""
+    if n < 0:
+        raise FiniPostError("bad-length", f"sequence length must be >= 0, got {n}")
+    return continue_sequence(model, Sample((), space=model.space), n, rng)
+
+
+def continue_sequence(model: ExchangeableModel, history: Sample, upto: int, rng: RngState) -> Sample:
+    """Extend an observed prefix to length ``upto`` under the conditional law.
+
+    The first ``len(history)`` entries of the result equal the history.
+    """
+    _check_horizon(history, upto)
+    _check_history(model, history)
+    if upto == len(history):
+        return history
+    return model.continuation(history, upto, rng)
+
+
+def posterior_draw(model: ExchangeableModel, history: Sample, rng: RngState) -> AtomicMeasure:
+    """One draw of the directing measure given the observed prefix."""
+    _check_history(model, history)
+    return model.posterior(history, rng)
+
 
 def predictive_expectation(
     model: ExchangeableModel,
@@ -574,58 +811,7 @@ def predictive_expectation_mc(
     """As :func:`predictive_expectation`, returning (value, standard error);
     the standard error is zero on exact paths."""
     _check_history(model, history)
-    n = len(history)
-
-    if isinstance(model, FiniteDirichletModel):
-        weights = model.posterior_alpha(history)
-        vals = _finite_values(f, model.atoms)
-        return float(np.dot(weights, vals) / weights.sum()), 0.0
-
-    if isinstance(model, DirichletProcessModel):
-        c = model.total_mass
-        tail = math.fsum(float(f(v)) for v in history.values)
-        return (c * model.base.expect(f) + tail) / (c + n), 0.0
-
-    if isinstance(model, PolyaTreeModel):
-        alpha = _pt_posterior_alpha(model, history)
-        total = 0.0
-        for leaf in _nodes_at(model.depth):
-            total += _pt_leaf_prob(alpha, leaf) * float(f(model.leaf_point(leaf)))
-        return total, 0.0
-
-    if isinstance(model, FixedLawModel):
-        return model.base.expect(f), 0.0
-
-    if isinstance(model, StickBreakingModel):
-        if n == 0:
-            return model.base.expect(f), 0.0
-        if mc_draws is None or rng is None:
-            raise FiniPostError(
-                "posterior-unavailable",
-                "stick-breaking predictive with history needs mc_draws and an rng",
-            )
-        vals = np.empty(mc_draws)
-        for r in range(mc_draws):
-            seq = continue_sequence(model, history, n + 1, rng)
-            vals[r] = float(f(seq.values[-1]))
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
-
-    raise FiniPostError("config-error", f"unknown model type {type(model).__name__}")
-
-
-def _finite_values(f: Callable, atoms: tuple) -> np.ndarray:
-    vals = np.array([float(f(a)) for a in atoms])
-    if not np.all(np.isfinite(vals)):
-        raise FiniPostError("non-finite-integrand", "f is not finite on the support")
-    return vals
-
-
-def _pt_leaf_prob(alpha: Callable[[str], float], leaf: str) -> float:
-    prob = 1.0
-    for i in range(1, len(leaf) + 1):
-        parent = leaf[: i - 1]
-        prob *= alpha(leaf[:i]) / (alpha(parent + "0") + alpha(parent + "1"))
-    return prob
+    return model.predictive(history, f, mc_draws, rng)
 
 
 def predictive_pair_expectation(
@@ -646,101 +832,8 @@ def predictive_pair_expectation(
     forms; any other callable goes to ``quad``/``dblquad``.
     """
     _check_history(model, history)
-    n = len(history)
+    return model.pair_predictive(history, g, mc_draws, rng)
 
-    if isinstance(model, FiniteDirichletModel):
-        weights = model.posterior_alpha(history)
-        A = weights.sum()
-        total = 0.0
-        for j, aj in enumerate(model.atoms):
-            pj = weights[j] / A
-            inner = weights.copy()
-            inner[j] += 1.0
-            for l, al in enumerate(model.atoms):
-                total += pj * (inner[l] / (A + 1.0)) * float(g(aj, al))
-        return total, 0.0
-
-    if isinstance(model, DirichletProcessModel):
-        return _dp_pair_expectation(model, history, g), 0.0
-
-    if isinstance(model, PolyaTreeModel) and 4 ** model.depth <= 20_000:
-        return _pt_pair_expectation(model, history, g), 0.0
-
-    if isinstance(model, FixedLawModel):
-        return model.base.pair_expect(g), 0.0
-
-    if rng is None or mc_draws < 1:
-        raise FiniPostError("config-error", "this model needs mc_draws >= 1 and an rng for pairs")
-    vals = np.empty(mc_draws)
-    for r in range(mc_draws):
-        seq = continue_sequence(model, history, n + 2, rng)
-        vals[r] = float(g(seq.values[-2], seq.values[-1]))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
-
-
-def _dp_pair_expectation(model: DirichletProcessModel, history: Sample, g: Callable) -> float:
-    c = model.total_mass
-    n = len(history)
-    hist = [float(v) for v in history.values]
-    base = model.base
-    if isinstance(g, NamedPairFunction):
-        # Symmetric, so g(., v) and g(v, .) are the same named section.
-        first_at, second_at, diagonal = g.section, g.section, g.diagonal
-    else:
-        first_at = lambda v: lambda x: g(x, v)  # noqa: E731
-        second_at = lambda x: lambda y: g(x, y)  # noqa: E731
-        diagonal = lambda x: g(x, x)  # noqa: E731
-
-    pair_gg = base.pair_expect(g)                       # E g(X, Y), X, Y iid base
-    diag = base.expect(diagonal)                        # E g(X, X)
-    first_to_hist = [base.expect(first_at(v)) for v in hist]
-
-    # inner(x) = E[g(x, second) | first = x]
-    def inner(x: float) -> float:
-        tail = math.fsum(float(g(x, v)) for v in hist)
-        return (c * float(base.expect(second_at(x))) + tail + float(g(x, x))) / (c + n + 1.0)
-
-    base_inner = (c * pair_gg + math.fsum(first_to_hist) + diag) / (c + n + 1.0)
-    hist_inner = math.fsum(inner(v) for v in hist)
-    return (c * base_inner + hist_inner) / (c + n)
-
-
-def _pt_pair_expectation(model: PolyaTreeModel, history: Sample, g: Callable) -> float:
-    alpha = _pt_posterior_alpha(model, history)
-    leaves = _nodes_at(model.depth)
-    points = {leaf: model.leaf_point(leaf) for leaf in leaves}
-    total = 0.0
-    for leaf1 in leaves:
-        p1 = _pt_leaf_prob(alpha, leaf1)
-        if p1 == 0.0:
-            continue
-
-        def alpha2(eps: str, leaf1=leaf1) -> float:
-            return alpha(eps) + (1.0 if leaf1.startswith(eps) else 0.0)
-
-        for leaf2 in leaves:
-            total += p1 * _pt_leaf_prob(alpha2, leaf2) * float(g(points[leaf1], points[leaf2]))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Polya tree marginals
-# ---------------------------------------------------------------------------
-
-def polya_tree_marginal(model: PolyaTreeModel, eps: str) -> float:
-    """Prior probability that one observation falls in the node set B_eps:
-    the product over prefixes of the mean branch probability chosen at
-    each level."""
-    if not eps or any(ch not in "01" for ch in eps):
-        raise FiniPostError("config-error", f"node address must be a nonempty 0/1 string, got {eps!r}")
-    if len(eps) > model.depth:
-        raise FiniPostError("param-missing", f"address {eps!r} deeper than the tree")
-    return _pt_leaf_prob(model.alpha, eps)
-
-
-# ---------------------------------------------------------------------------
-# Batched sampling for the experiment harness
-# ---------------------------------------------------------------------------
 
 def batched_sequences(
     model: ExchangeableModel, history: Sample, upto: int, draws: int, rng: RngState
@@ -749,51 +842,16 @@ def batched_sequences(
 
     Returns a (draws, upto) float matrix whose first columns repeat the
     history.  Scalar models only.  Semantically one ``continue_sequence``
-    per row; the Dirichlet models are vectorized across rows.
+    per row; the Dirichlet models and the fixed law are vectorized across
+    rows.
     """
-    if upto < len(history):
-        raise FiniPostError("bad-horizon", f"target length {upto} below history length {len(history)}")
+    _check_horizon(history, upto)
     _check_history(model, history)
-    if not isinstance(model_space(model), RealLine):
-        raise FiniPostError("space-mismatch", "batched sequences need a scalar model")
-    n = len(history)
+    model._check_scalar("batched sequences")
     out = np.empty((draws, upto))
-    if n:
-        out[:, :n] = np.asarray(history.scalars())[None, :]
-
-    if isinstance(model, FixedLawModel):
-        if upto > n:
-            out[:, n:] = model.base.sample(rng, (draws, upto - n))
-        return out
-
-    if isinstance(model, DirichletProcessModel):
-        c = model.total_mass
-        for i in range(n, upto):
-            fresh = rng.random(draws) < c / (c + i)
-            vals = np.empty(draws)
-            if fresh.any():
-                vals[fresh] = model.base.sample(rng, int(fresh.sum()))
-            if (~fresh).any():
-                pick = rng.integers(0, i, size=int((~fresh).sum())) if i > 0 else None
-                vals[~fresh] = out[~fresh, pick]
-            out[:, i] = vals
-        return out
-
-    if isinstance(model, FiniteDirichletModel):
-        atoms = np.asarray(model.atoms, dtype=float)
-        weights = np.tile(model.posterior_alpha(history), (draws, 1))
-        total = weights[0].sum()
-        for i in range(n, upto):
-            u = rng.random(draws) * total
-            idx = (np.cumsum(weights, axis=1) < u[:, None]).sum(axis=1)
-            idx = np.minimum(idx, model.k - 1)
-            out[:, i] = atoms[idx]
-            weights[np.arange(draws), idx] += 1.0
-            total += 1.0
-        return out
-
-    for r in range(draws):
-        out[r] = continue_sequence(model, history, upto, rng).scalars()
+    if len(history):
+        out[:, : len(history)] = np.asarray(history.scalars())[None, :]
+    model.batched_continuation(history, out, rng)
     return out
 
 
@@ -814,10 +872,9 @@ def batched_fd_empirical_counts(
     Dirichlet draw, which makes the rows exact, independent samples of
     the Dirichlet-multinomial urn continuation.
     """
-    if upto < len(history):
-        raise FiniPostError("bad-horizon", f"target length {upto} below history length {len(history)}")
+    _check_horizon(history, upto)
     _check_history(model, history)
-    base = _fd_counts(model, history)
+    base = model.atom_counts(history)
     fresh = upto - len(history)
     if fresh == 0:
         return np.tile(base, (draws, 1))
@@ -841,42 +898,7 @@ def batched_posterior_integrals(
     vectorized; other models fall back to one posterior draw per entry.
     """
     _check_history(model, history)
-    n = len(history)
-
-    if isinstance(model, FiniteDirichletModel):
-        if not isinstance(model.space, RealLine):
-            raise FiniPostError("space-mismatch", "batched posterior integrals need a scalar model")
-        W = rng.dirichlet(model.posterior_alpha(history), size=draws)
-        vals = fvec(np.asarray(model.atoms, dtype=float))
-        return W @ vals
-
-    if isinstance(model, DirichletProcessModel):
-        # Only the prior part P' breaks sticks; row r stops once
-        # scale[r] * residual[r], its untruncated mass, is below tolerance.
-        acc = np.zeros(draws)
-        scale = np.ones(draws)
-        if n:
-            xstar, w, scale = _dp_history_part(model, history, rng, draws)
-            acc = w @ fvec(xstar)
-        residual = np.ones(draws)
-        alive = np.flatnonzero(scale >= model.residual_tol)
-        sticks_used = 0
-        while alive.size and sticks_used < model.max_sticks:
-            v = rng.beta(1.0, model.total_mass, size=alive.size)
-            locs = np.asarray(model.base.sample(rng, alive.size), dtype=float)
-            acc[alive] += scale[alive] * residual[alive] * v * fvec(locs)
-            residual[alive] *= 1.0 - v
-            sticks_used += 1
-            alive = alive[scale[alive] * residual[alive] >= model.residual_tol]
-        locs = np.asarray(model.base.sample(rng, draws), dtype=float)
-        acc += scale * residual * fvec(locs)
-        return acc
-
-    out = np.empty(draws)
-    for r in range(draws):
-        m = posterior_draw(model, history, rng)
-        out[r] = float(np.dot(m.weights, fvec(np.asarray(m.points, dtype=float))))
-    return out
+    return model.posterior_integrals(history, fvec, draws, rng)
 
 
 # ---------------------------------------------------------------------------

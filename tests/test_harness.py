@@ -47,6 +47,42 @@ K3_UNSORTED_CONFIG = {
 
 GAUSS = {"family": "gaussian", "mu": 0.0, "sigma": 1.0}
 
+# Real-line goldens: the DP history urn, conjugate posterior and batched
+# sequences (bound_mean, n = 5); the Polya-tree urn, posterior and BL ground
+# (bound_real, n = 5); and the independent coupling's DP continuations.
+DP_MEAN_N5_CONFIG = {
+    "experiment": "bound_mean",
+    "model": {"kind": "dirichlet_process", "mass": 1.0, "base": {"family": "uniform", "a": -1.0, "b": 1.0}},
+    "n": 5,
+    "N_grid": [20, 60],
+    "m_samples": 400,
+    "replicates": 2,
+    "ground": "BL",
+    "f_spec": {"kind": "square"},
+    "master_seed": 13,
+}
+PT_REAL_N5_CONFIG = {
+    "experiment": "bound_real",
+    "model": {"kind": "polya_tree", "base": GAUSS, "depth": 4, "level_alpha": [1.0, 4.0, 9.0, 16.0]},
+    "n": 5,
+    "N_grid": [20, 40],
+    "m_samples": 16,
+    "replicates": 2,
+    "ground": "BL",
+    "master_seed": 17,
+}
+DP_REAL_INDEPENDENT_CONFIG = {
+    "experiment": "bound_real",
+    "model": {"kind": "dirichlet_process", "mass": 1.0, "base": GAUSS, "max_sticks": 64, "residual_tol": 1e-4},
+    "n": 3,
+    "N_grid": [20, 40],
+    "m_samples": 16,
+    "replicates": 2,
+    "ground": "BL",
+    "coupling": "independent",
+    "master_seed": 19,
+}
+
 # A small valid bound_real config: bad model fields in it fail on their own.
 BL_CONFIG = {
     "experiment": "bound_real",
@@ -102,8 +138,17 @@ class TestDeterminism:
 
     @pytest.mark.parametrize(
         "config, name",
-        [(K2_CONFIG, "k2_oracle_seed42.csv"), (K3_UNSORTED_CONFIG, "k3_unsorted_seed7.csv")],
-        ids=["k2_oracle_seed42", "k3_unsorted_seed7"],
+        [
+            (K2_CONFIG, "k2_oracle_seed42.csv"),
+            (K3_UNSORTED_CONFIG, "k3_unsorted_seed7.csv"),
+            (DP_MEAN_N5_CONFIG, "dp_mean_n5_seed13.csv"),
+            (PT_REAL_N5_CONFIG, "pt_real_n5_seed17.csv"),
+            (DP_REAL_INDEPENDENT_CONFIG, "dp_real_independent_seed19.csv"),
+        ],
+        ids=[
+            "k2_oracle_seed42", "k3_unsorted_seed7", "dp_mean_n5_seed13", "pt_real_n5_seed17",
+            "dp_real_independent_seed19",
+        ],
     )
     def test_golden_file(self, config, name):
         report = run_experiment(ExperimentConfig.from_dict(config))
@@ -527,6 +572,16 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         report = run_experiment(ExperimentConfig.from_dict({**K2_CONFIG, "m_samples": 20000}))
         assert len(report.rows) == 1
+
+    def test_selftest_reports_grid_size_check_only_when_made(self):
+        # The quick grid is below 200 cells, so its size check is skipped,
+        # never passed; the full grid makes the check.
+        quick = self.run_cli("selftest", "--quick").stdout
+        assert "PASS grid covers" not in quick
+        assert "SKIP grid covers at least 200 cells" in quick
+        full = self.run_cli("selftest").stdout
+        assert "PASS grid covers at least 200 cells" in full
+        assert "SKIP" not in full
 
     def test_run_io_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

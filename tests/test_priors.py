@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from finipost.errors import FiniPostError
-from finipost.families import IDENTITY, GaussianLaw, Indicator, PointMassLaw, UniformLaw
+from finipost.families import IDENTITY, GaussianLaw, Indicator, PointMassLaw, Product, Square, UniformLaw
 from finipost.measures import RealLine, Sample
 from finipost.priors import (
     DirichletProcessModel,
@@ -21,7 +21,6 @@ from finipost.priors import (
     batched_sequences,
     continue_sequence,
     model_from_spec,
-    model_space,
     polya_tree_marginal,
     posterior_draw,
     predictive_expectation,
@@ -48,7 +47,7 @@ def freq_se(p, r):
 class TestSampling:
     def test_zero_length(self):
         s = sample_sequence(DP, 0, derive_seed(0))
-        assert len(s) == 0 and s.space == model_space(DP)
+        assert len(s) == 0 and s.space == DP.space
 
     def test_negative_length(self):
         with pytest.raises(FiniPostError) as err:
@@ -562,6 +561,108 @@ class TestTruncationScale:
                     assert scale * (residual + sticks[-1]) >= 1e-6
         sticks, residual = _truncated_sticks(lambda _k: (1.0, 2.0), 4096, 1e-6, rng, 1e-7)
         assert sticks.size == 0 and residual == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Stream contracts and protocol conformance across the five model kinds
+# ---------------------------------------------------------------------------
+
+MODEL_SPECS = {
+    "finite_dirichlet_labels": {"kind": "finite_dirichlet", "alpha": [1.0, 2.0, 0.5]},
+    "finite_dirichlet_scalars": {"kind": "finite_dirichlet", "alpha": [1.0, 2.0, 0.5], "atoms": [0.0, 1.5, -2.0]},
+    "dirichlet_process": {"kind": "dirichlet_process", "mass": 1.5, "base": {"family": "gaussian", "mu": 0, "sigma": 1}},
+    "stick_breaking": {
+        "kind": "stick_breaking", "base": {"family": "uniform", "a": 0, "b": 1}, "beta_rule": {"a": 1.0, "b": 1.0},
+    },
+    "polya_tree": {
+        "kind": "polya_tree", "base": {"family": "gaussian", "mu": 0, "sigma": 1}, "depth": 3,
+        "level_alpha": [1.0, 4.0, 9.0],
+    },
+    "fixed": {"kind": "fixed", "base": {"family": "uniform", "a": 0, "b": 1}},
+}
+SCALAR_KINDS = [name for name in MODEL_SPECS if name != "finite_dirichlet_labels"]
+
+
+class TestStreamContracts:
+    @pytest.mark.parametrize("kind", SCALAR_KINDS)
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_one_row_batch_equals_continuation(self, kind, n):
+        # The DP and finite-Dirichlet urns are written twice (per step and
+        # across rows); a one-row batch must draw the same stream.
+        model = model_from_spec(MODEL_SPECS[kind])
+        for seed in range(20):
+            h = sample_sequence(model, n, derive_seed(900, seed))
+            row = batched_sequences(model, h, n + 6, 1, derive_seed(901, seed))[0]
+            seq = continue_sequence(model, h, n + 6, derive_seed(901, seed))
+            assert np.array_equal(row, seq.scalars())
+
+    @pytest.mark.parametrize("kind", ["stick_breaking", "polya_tree"])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_batched_integrals_equal_per_draw(self, kind, n):
+        model = model_from_spec(MODEL_SPECS[kind])
+        h = sample_sequence(model, n, derive_seed(902))
+        batch = batched_posterior_integrals(model, h, IDENTITY.vec, 30, derive_seed(903))
+        rng = derive_seed(903)
+        draws = [posterior_draw(model, h, rng) for _ in range(30)]
+        assert np.array_equal(batch, [np.dot(m.weights, IDENTITY.vec(m.scalars())) for m in draws])
+
+
+def _all_finite(result) -> bool:
+    if isinstance(result, Sample):
+        return all(isinstance(v, str) for v in result.values) or bool(np.all(np.isfinite(result.scalars())))
+    if hasattr(result, "weights"):
+        return bool(np.all(np.isfinite(result.weights))) and abs(math.fsum(result.weights) - 1.0) < 1e-9
+    return bool(np.all(np.isfinite(np.asarray(result, dtype=float))))
+
+
+# (model case, law function) -> the FiniPostError code the call must raise;
+# every other call returns finite values.
+EXPECTED_CODES = {
+    ("fixed", "posterior_draw"): "posterior-unavailable",
+    ("fixed", "batched_posterior_integrals"): "posterior-unavailable",
+    ("finite_dirichlet_labels", "batched_sequences"): "space-mismatch",
+    ("finite_dirichlet_labels", "batched_posterior_integrals"): "space-mismatch",
+    ("finite_dirichlet_labels", "prior_quantile"): "space-mismatch",
+    **{
+        ("stick_breaking_n5", law): "posterior-unavailable"
+        for law in (
+            "continue_sequence", "posterior_draw", "batched_sequences", "batched_posterior_integrals",
+            "predictive_expectation", "predictive_expectation_mc", "predictive_pair_expectation",
+        )
+    },
+}
+LAWS = {
+    "sample_sequence": lambda model, h, f, g, rng: sample_sequence(model, 3, rng),
+    "continue_sequence": lambda model, h, f, g, rng: continue_sequence(model, h, len(h) + 3, rng),
+    "posterior_draw": lambda model, h, f, g, rng: posterior_draw(model, h, rng),
+    "batched_sequences": lambda model, h, f, g, rng: batched_sequences(model, h, len(h) + 3, 4, rng),
+    "batched_posterior_integrals": lambda model, h, f, g, rng: batched_posterior_integrals(
+        model, h, np.vectorize(f), 4, rng
+    ),
+    "predictive_expectation": lambda model, h, f, g, rng: predictive_expectation(model, h, f, 64, rng),
+    "predictive_expectation_mc": lambda model, h, f, g, rng: predictive_expectation_mc(model, h, f, 64, rng),
+    "predictive_pair_expectation": lambda model, h, f, g, rng: predictive_pair_expectation(model, h, g, 64, rng),
+    "prior_quantile": lambda model, h, f, g, rng: model.prior_quantile(0.3),
+}
+
+
+class TestProtocolConformance:
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("case", [*MODEL_SPECS, "stick_breaking_n5"])
+    def test_law_returns_finite_or_documented_error(self, case, law):
+        model = model_from_spec(MODEL_SPECS[case.removesuffix("_n5")])
+        h = sample_sequence(model, 5 if case.endswith("_n5") else 2, derive_seed(904))
+        if case == "finite_dirichlet_labels":
+            f, g = (lambda a: float(a == "a1")), (lambda a, b: float(a == b))
+        else:
+            f, g = Square(), Product()
+        expected = EXPECTED_CODES.get((case, law))
+        if expected is None:
+            assert _all_finite(LAWS[law](model, h, f, g, derive_seed(905)))
+        else:
+            with pytest.raises(FiniPostError) as err:
+                LAWS[law](model, h, f, g, derive_seed(905))
+            assert err.value.code == expected
 
 
 class TestModelSpecs:
