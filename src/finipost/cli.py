@@ -16,27 +16,25 @@ import math
 import sys
 
 from . import bounds as bd
-from .errors import FiniPostError
+from .errors import FiniPostError, config_float, config_int
 from .harness import ExperimentConfig, emit, report_to_csv, run_experiment
 
+# Each evaluator reads its parameters through two accessors: ``i(name)``
+# for an integer and ``r(name[, default])`` for a real.
 _BOUND_EVALUATORS = {
-    "mean_unconditional": lambda p: bd.mean_bound_unconditional(int(p["N"]), float(p["Ef2"])),
-    "mean_conditional": lambda p: bd.mean_bound_conditional(
-        int(p["n"]), int(p["N"]), float(p["sample_mean_f"]), float(p["post_mean_f"]), float(p["pred_f2"])
+    "mean_unconditional": lambda i, r: bd.mean_bound_unconditional(i("N"), r("Ef2")),
+    "mean_conditional": lambda i, r: bd.mean_bound_conditional(
+        i("n"), i("N"), r("sample_mean_f"), r("post_mean_f"), r("pred_f2")
     ),
-    "finite": lambda p: bd.finite_bound(int(p["k"]), int(p["n"]), int(p["N"])),
-    "real": lambda p: bd.real_bound(int(p["n"]), int(p["N"]), float(p["post_l21"])),
-    "bounded_support": lambda p: bd.bounded_support_bound(float(p["M"]), int(p["n"]), int(p["N"])),
-    "l21_moment": lambda p: bd.l21_moment_bound(float(p["delta"]), float(p["m2delta"])),
-    "tail_probability": lambda p: bd.tail_probability_bound(
-        float(p["epsilon"]), float(p["e_l21"]), int(p["n"]), int(p["N"])
-    ),
-    "euclidean": lambda p: bd.euclidean_bound(
-        int(p["d"]), int(p["k"]), int(p["n"]), int(p["N"]), float(p["gamma_moment_post"])
-    ),
-    "median_cdf": lambda p: bd.median_cdf(bd.MedianLawInputs(int(p["N"]), float(p["F"]))),
-    "median_tails": lambda p: bd.median_tail_bounds(
-        bd.MedianLawInputs(int(p["N"]), float(p.get("F", 0.5))), float(p["p_left"]), float(p["p_right"])
+    "finite": lambda i, r: bd.finite_bound(i("k"), i("n"), i("N")),
+    "real": lambda i, r: bd.real_bound(i("n"), i("N"), r("post_l21")),
+    "bounded_support": lambda i, r: bd.bounded_support_bound(r("M"), i("n"), i("N")),
+    "l21_moment": lambda i, r: bd.l21_moment_bound(r("delta"), r("m2delta")),
+    "tail_probability": lambda i, r: bd.tail_probability_bound(r("epsilon"), r("e_l21"), i("n"), i("N")),
+    "euclidean": lambda i, r: bd.euclidean_bound(i("d"), i("k"), i("n"), i("N"), r("gamma_moment_post")),
+    "median_cdf": lambda i, r: bd.median_cdf(bd.MedianLawInputs(i("N"), r("F"))),
+    "median_tails": lambda i, r: bd.median_tail_bounds(
+        bd.MedianLawInputs(i("N"), r("F", 0.5)), r("p_left"), r("p_right")
     ),
 }
 
@@ -60,7 +58,24 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.name not in _BOUND_EVALUATORS:
         raise FiniPostError("config-error", f"unknown bound {args.name!r}; choose from {sorted(_BOUND_EVALUATORS)}")
     params = json.loads(args.params)
-    value = _BOUND_EVALUATORS[args.name](params)
+    if not isinstance(params, dict):
+        raise FiniPostError("config-error", f"--params must be a JSON object, not {type(params).__name__}")
+
+    names = set()
+
+    def read(parse, name, default=None):
+        names.add(name)
+        if name not in params and default is None:
+            raise FiniPostError("config-error", f"bound {args.name!r} needs parameter {name!r}")
+        return parse(params[name], name) if name in params else default
+
+    value = _BOUND_EVALUATORS[args.name](
+        lambda name: read(config_int, name), lambda name, default=None: read(config_float, name, default)
+    )
+    # A misspelt parameter must not run as a default (median_tails' F).
+    unknown = sorted(set(params) - names)
+    if unknown:
+        raise FiniPostError("config-error", f"unknown parameters {unknown} for bound {args.name!r}")
     if isinstance(value, tuple):
         sys.stdout.write(" ".join(f"{v:.17g}" for v in value) + "\n")
     else:

@@ -26,10 +26,9 @@ reports are byte-identical across runs.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -121,6 +120,10 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise FiniPostError("config-error", f"a config is a JSON object, not {type(obj).__name__}")
+        # ``threads`` is accepted and ignored: the runner is serial.
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)} - {"threads"})
+        if unknown:
+            raise FiniPostError("config-error", f"unknown config fields {unknown}")
         try:
             return cls(
                 experiment=obj["experiment"],
@@ -299,7 +302,7 @@ def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
         if half >= 2:
             est_half, _ = meta_w1_matched(posts[:half], emps[:half], cfg.ground)
             entry = {"N": N, "replicate": rep, "estimate_half": est_half, "estimate_full": estimate}
-            bisect.insort(stabilization, entry, key=lambda d: (d["N"], d["replicate"]))
+            stabilization.append(entry)
         return estimate, se, bound, slack, estimate > bound + slack
 
     return cell, 0

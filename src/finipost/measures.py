@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.integrate import quad
 
 from .errors import FiniPostError
 from .families import AnalyticLaw, PointMassLaw, UniformLaw
@@ -107,18 +108,6 @@ def _check_point(p: Point, space: Space) -> Point:
     if not all(math.isfinite(c) for c in vec):
         raise FiniPostError("space-mismatch", f"non-finite vector point {p!r}")
     return vec
-
-
-def _norm(p: Point) -> float:
-    if isinstance(p, tuple):
-        return math.sqrt(sum(c * c for c in p))
-    return abs(float(p))
-
-
-def _dist(p: Point, q: Point) -> float:
-    if isinstance(p, tuple):
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
-    return abs(float(p) - float(q))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +263,7 @@ def moment(measure: AtomicMeasure, order: float) -> float:
     """Weighted sum of ||x||^order over the atoms (scalar or vector space)."""
     if isinstance(measure.space, FiniteAlphabet):
         raise FiniPostError("space-mismatch", "moments need scalar or vector points")
-    norms = np.array([_norm(p) for p in measure.points])
+    norms = np.array([math.hypot(*p) if isinstance(p, tuple) else abs(p) for p in measure.points])
     return float(np.dot(measure.weights, norms ** order))
 
 
@@ -352,32 +341,13 @@ def cdf_of(measure: AtomicMeasure) -> Cdf:
 # The sqrt(F(1-F)) integral
 # ---------------------------------------------------------------------------
 
-def _adaptive_simpson(f, a, b, tol, depth=52):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-    right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (
-        _simpson_rec(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-        + _simpson_rec(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-    )
-
-
 def l21_functional(cdf: Cdf, tol: float = 1e-9) -> float:
     """Integral of sqrt(F(1-F)) over the line.
 
-    Exact for step CDFs (F is constant between thresholds); adaptive
-    bisection for analytic families, clipped where F or 1-F drops below
-    1e-15.  Finiteness of the integral implies a finite second moment.
+    Exact for step CDFs (F is constant between thresholds); ``quad`` to
+    absolute tolerance ``tol`` for analytic families, clipped where F or
+    1-F drops below 1e-15.  Finiteness of the integral implies a finite
+    second moment.
     """
     if cdf.is_step:
         t = cdf.thresholds
@@ -403,7 +373,7 @@ def l21_functional(cdf: Cdf, tol: float = 1e-9) -> float:
         F = float(fam.cdf(x))
         return math.sqrt(max(F * (1.0 - F), 0.0))
 
-    return _adaptive_simpson(integrand, lo, hi, tol)
+    return quad(integrand, lo, hi, epsabs=tol, limit=200)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -566,13 +566,17 @@ class PolyaTreeModel(ExchangeableModel):
 
     ``params`` maps binary strings (node addresses, length 1..depth) to
     positive weights; ``level_alpha`` optionally supplies one weight per
-    level as a fallback for addresses missing from ``params``.
+    level as a fallback for addresses missing from ``params``.  The laws
+    run on one weight array per level, the node ``eps`` of level
+    ``len(eps)`` at index ``int(eps, 2)``; a level with a node that
+    neither gives raises ``param-missing`` when a law reads it.
     """
 
     quantile_base: AnalyticLaw
     depth: int
     params: Mapping[str, float] = field(default_factory=dict)
     level_alpha: tuple[float, ...] | None = None
+    _levels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth < 1 or self.depth > 16:
@@ -589,6 +593,11 @@ class PolyaTreeModel(ExchangeableModel):
             if len(la) != self.depth or any(a <= 0 for a in la):
                 raise FiniPostError("config-error", "level_alpha needs one positive entry per level")
             object.__setattr__(self, "level_alpha", la)
+        fill = self.level_alpha or (math.nan,) * self.depth
+        levels = [np.full(2**level, fill[level - 1]) for level in range(1, self.depth + 1)]
+        for eps, a in self.params.items():
+            levels[len(eps) - 1][int(eps, 2)] = a
+        object.__setattr__(self, "_levels", tuple(levels))
 
     def alpha(self, eps: str) -> float:
         if eps in self.params:
@@ -601,108 +610,96 @@ class PolyaTreeModel(ExchangeableModel):
         lo = sum(int(b) / 2 ** (i + 1) for i, b in enumerate(bits))
         return float(self.quantile_base.quantile(lo + 1.0 / 2 ** (len(bits) + 1)))
 
-    def path_bits(self, x: float) -> str:
-        """Dyadic address of the depth-level quantile set containing x."""
-        u = float(self.quantile_base.cdf(x))
-        bits = []
-        for _ in range(self.depth):
-            u *= 2.0
-            if u > 1.0:
-                bits.append("1")
-                u -= 1.0
-            else:
-                bits.append("0")
-        return "".join(bits)
+    def _prior(self, depth: int | None = None) -> tuple[np.ndarray, ...]:
+        """The node weights of levels 1..depth (all levels by default)."""
+        levels = self._levels[:depth]
+        for level, a in enumerate(levels, 1):
+            missing = np.flatnonzero(np.isnan(a))
+            if missing.size:
+                raise FiniPostError("param-missing", f"no alpha for node {format(int(missing[0]), f'0{level}b')!r}")
+        return levels
 
-    def node_counts(self, history: Sample) -> dict[str, float]:
-        """Observations of the history in each node set."""
-        counts: dict[str, float] = {}
-        for v in history.values:
-            _count_path(counts, self.path_bits(float(v)))
-        return counts
+    def _counts(self, history: Sample) -> list[np.ndarray]:
+        """The history's count in each node set, level by level.
 
-    def posterior_alpha(self, history: Sample) -> Callable[[str], float]:
-        counts = self.node_counts(history)
-        return lambda eps: self.alpha(eps) + counts.get(eps, 0.0)
+        The depth-d node holding x is ceil(F(x) 2^d) - 1, the dyadic
+        interval (k/2^d, (k+1)/2^d] holding F(x) (the first one for F = 0);
+        its ancestors are its leading bits."""
+        d = self.depth
+        u = np.asarray(self.quantile_base.cdf(history.scalars()), dtype=float)
+        leaf = np.maximum(np.ceil(u * 2**d) - 1, 0).astype(np.int64)
+        return [np.bincount(leaf >> (d - level), minlength=2**level).astype(float) for level in range(1, d + 1)]
+
+    def _posterior(self, history: Sample) -> list[np.ndarray]:
+        return [a + c for a, c in zip(self._prior(), self._counts(history))]
+
+    def _points(self) -> np.ndarray:
+        return np.asarray(self.quantile_base.quantile((np.arange(2**self.depth) + 0.5) / 2**self.depth), dtype=float)
 
     def continuation(self, history, upto, rng):
         # Urn at every node: each new point descends the tree, choosing the
         # left child with posterior-mean branch probability given all points
         # seen so far (conjugate Beta-binomial at each node).
-        counts = self.node_counts(history)
+        prior = [a.tolist() for a in self._prior()]
+        counts = [c.tolist() for c in self._counts(history)]
+        points = self._points().tolist()
         values = list(history.values)
         for _ in range(upto - len(history)):
-            node = ""
-            for _level in range(self.depth):
-                a0 = self.alpha(node + "0") + counts.get(node + "0", 0.0)
-                a1 = self.alpha(node + "1") + counts.get(node + "1", 0.0)
-                node += "0" if rng.random() < a0 / (a0 + a1) else "1"
-            _count_path(counts, node)
-            values.append(self.leaf_point(node))
+            node = 0
+            for a, c in zip(prior, counts):
+                left, right = 2 * node, 2 * node + 1
+                a0 = a[left] + c[left]
+                a1 = a[right] + c[right]
+                node = left if rng.random() < a0 / (a0 + a1) else right
+                c[node] += 1.0
+            values.append(points[node])
         return Sample(tuple(values), space=self.space)
 
     def posterior(self, history, rng):
-        alpha = self.posterior_alpha(history)
-        # Draw every branch probability, then take products down to the leaves.
-        probs = {"": 1.0}
-        for level in range(self.depth):
-            for node in _nodes_at(level):
-                v = rng.beta(alpha(node + "0"), alpha(node + "1"))
-                probs[node + "0"] = probs[node] * v
-                probs[node + "1"] = probs[node] * (1.0 - v)
-        atoms = [(self.leaf_point(leaf), probs[leaf]) for leaf in _nodes_at(self.depth)]
-        return AtomicMeasure(atoms, space=self.space)
+        # Draw every branch probability, one Beta call per level, and take
+        # products down to the leaves.
+        probs = np.ones(1)
+        for a in self._posterior(history):
+            v = rng.beta(a[0::2], a[1::2])
+            probs = np.column_stack([probs * v, probs * (1.0 - v)]).ravel()
+        return AtomicMeasure(zip(self._points().tolist(), probs.tolist()), space=self.space)
 
     def predictive(self, history, f, mc_draws, rng):
-        alpha = self.posterior_alpha(history)
         total = 0.0
-        for leaf in _nodes_at(self.depth):
-            total += _pt_leaf_prob(alpha, leaf) * float(f(self.leaf_point(leaf)))
+        for p, x in zip(_leaf_probs(self._posterior(history)).tolist(), self._points().tolist()):
+            total += p * float(f(x))
         return total, 0.0
 
     def pair_predictive(self, history, g, mc_draws, rng):
-        # Exact leaf enumeration for small trees.
+        # Exact leaf enumeration for small trees: the first leaf adds one
+        # count along its path before the second is drawn.
         if 4**self.depth > 20_000:
             return super().pair_predictive(history, g, mc_draws, rng)
-        alpha = self.posterior_alpha(history)
-        leaves = _nodes_at(self.depth)
-        points = {leaf: self.leaf_point(leaf) for leaf in leaves}
+        post = self._posterior(history)
+        points = self._points().tolist()
         total = 0.0
-        for leaf1 in leaves:
-            p1 = _pt_leaf_prob(alpha, leaf1)
+        for leaf1, p1 in enumerate(_leaf_probs(post).tolist()):
             if p1 == 0.0:
                 continue
-
-            def alpha2(eps: str, leaf1=leaf1) -> float:
-                return alpha(eps) + (1.0 if leaf1.startswith(eps) else 0.0)
-
-            for leaf2 in leaves:
-                total += p1 * _pt_leaf_prob(alpha2, leaf2) * float(g(points[leaf1], points[leaf2]))
+            after = [a.copy() for a in post]
+            for level, a in enumerate(after, 1):
+                a[leaf1 >> (self.depth - level)] += 1.0
+            for p2, y in zip(_leaf_probs(after).tolist(), points):
+                total += p1 * p2 * float(g(points[leaf1], y))
         return total, 0.0
 
     def prior_quantile(self, u):
-        leaves = _nodes_at(self.depth)
-        cum = np.cumsum([_pt_leaf_prob(self.alpha, leaf) for leaf in leaves])
-        return self.leaf_point(leaves[int(np.searchsorted(cum, u - 1e-12))])
+        cum = np.cumsum(_leaf_probs(self._prior()))
+        return float(self._points()[int(np.searchsorted(cum, u - 1e-12))])
 
 
-def _count_path(counts: dict[str, float], bits: str) -> None:
-    for i in range(1, len(bits) + 1):
-        counts[bits[:i]] = counts.get(bits[:i], 0.0) + 1.0
-
-
-def _nodes_at(level: int) -> list[str]:
-    if level == 0:
-        return [""]
-    return [format(i, f"0{level}b") for i in range(2**level)]
-
-
-def _pt_leaf_prob(alpha: Callable[[str], float], leaf: str) -> float:
-    prob = 1.0
-    for i in range(1, len(leaf) + 1):
-        parent = leaf[: i - 1]
-        prob *= alpha(leaf[:i]) / (alpha(parent + "0") + alpha(parent + "1"))
-    return prob
+def _leaf_probs(levels: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean probability of every node set of the deepest level: each node
+    times its weight over the weight of its sibling pair, level by level."""
+    probs = np.ones(1)
+    for a in levels:
+        probs = np.repeat(probs, 2) * (a / np.repeat(a[0::2] + a[1::2], 2))
+    return probs
 
 
 def polya_tree_marginal(model: PolyaTreeModel, eps: str) -> float:
@@ -713,7 +710,7 @@ def polya_tree_marginal(model: PolyaTreeModel, eps: str) -> float:
         raise FiniPostError("config-error", f"node address must be a nonempty 0/1 string, got {eps!r}")
     if len(eps) > model.depth:
         raise FiniPostError("param-missing", f"address {eps!r} deeper than the tree")
-    return _pt_leaf_prob(model.alpha, eps)
+    return float(_leaf_probs(model._prior(len(eps)))[int(eps, 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import pdist
 
 from .errors import FiniPostError
-from .measures import AtomicMeasure, FiniteAlphabet, RealLine, _dist, weight_matrix
+from .measures import AtomicMeasure, FiniteAlphabet, RealLine, weight_matrix
 
 __all__ = [
     "CostMatrix",
@@ -110,30 +111,22 @@ class LipschitzDual:
             raise FiniPostError("config-error", "support and values length mismatch")
         if np.any(np.abs(vals) > 1.0 + _OPT_TOL):
             raise FiniPostError("config-error", "dual values exceed the unit box")
-        pts = list(support)
-        scalar = all(not isinstance(p, (tuple, np.ndarray, str)) for p in pts)
-        if scalar and len(pts) > 1:
-            x = np.asarray(pts, dtype=float)
-            order = np.argsort(x, kind="stable")
-            if np.any(np.abs(np.diff(vals[order])) > np.diff(x[order]) + _OPT_TOL):
+        if len(support) > 1:
+            x = np.asarray(support, dtype=float)
+            if x.ndim == 1:
+                order = np.argsort(x, kind="stable")
+                bad = np.abs(np.diff(vals[order])) > np.diff(x[order]) + _OPT_TOL
+            else:
+                bad = pdist(vals[:, None]) > pdist(x) + _OPT_TOL
+            if np.any(bad):
                 raise FiniPostError("config-error", "dual values violate the Lipschitz constraint")
-        else:
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    if abs(vals[i] - vals[j]) > _dist(pts[i], pts[j]) + _OPT_TOL:
-                        raise FiniPostError("config-error", "dual values violate the Lipschitz constraint")
-        self.support = tuple(pts)
+        self.support = tuple(support)
         self.values = vals
 
     def pairing(self, p: AtomicMeasure, q: AtomicMeasure) -> float:
         """Integral of the test function against p - q."""
-        lookup = {pt: v for pt, v in zip(self.support, self.values)}
-        tot = 0.0
-        for pt, w in zip(p.points, p.weights):
-            tot += w * lookup[pt]
-        for pt, w in zip(q.points, q.weights):
-            tot -= w * lookup[pt]
-        return tot
+        lookup = dict(zip(self.support, self.values.tolist()))
+        return float(p.weights @ [lookup[pt] for pt in p.points] - q.weights @ [lookup[pt] for pt in q.points])
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +213,15 @@ def bounded_lipschitz(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, Lipsch
         f = _bl_chain(x[order], delta)
         return float(np.dot(delta, f)), LipschitzDual(support, f)
 
-    rows, cols, data, rhs = [], [], [], []
-    r = 0
-    for i in range(s):
-        for j in range(i + 1, s):
-            d = _dist(support[i], support[j])
-            rows += [r, r, r + 1, r + 1]
-            cols += [i, j, j, i]
-            data += [1.0, -1.0, 1.0, -1.0]
-            rhs += [d, d]
-            r += 2
-    A = sparse.csr_matrix((data, (rows, cols)), shape=(r, s))
+    # Rows f_i - f_j <= d_ij, then f_j - f_i <= d_ij, for every pair i < j.
+    i, j = np.triu_indices(s, 1)
+    unit = sparse.eye(s, format="csr")
+    diff = unit[i] - unit[j]
+    d = pdist(np.asarray(support, dtype=float))
     res = linprog(
         c=-delta,
-        A_ub=A,
-        b_ub=np.asarray(rhs, dtype=float),
+        A_ub=sparse.vstack([diff, -diff]),
+        b_ub=np.concatenate([d, d]),
         bounds=[(-1.0, 1.0)] * s,
         method="highs",
     )
@@ -395,15 +382,9 @@ def solve_discrete_ot(cost: CostMatrix | np.ndarray, a: Sequence[float], b: Sequ
 
 
 def _transport_constraints(m: int, mp: int) -> sparse.csr_matrix:
-    rows, cols = [], []
-    for i in range(m):
-        rows += [i] * mp
-        cols += list(range(i * mp, (i + 1) * mp))
-    for j in range(mp):
-        rows += [m + j] * m
-        cols += [i * mp + j for i in range(m)]
-    data = np.ones(len(rows))
-    return sparse.csr_matrix((data, (rows, cols)), shape=(m + mp, m * mp))
+    """Row sums then column sums of the row-major flattened m x mp plan."""
+    rows = sparse.kron(sparse.eye(m), np.ones((1, mp)))
+    return sparse.vstack([rows, sparse.hstack([sparse.eye(mp)] * m)], format="csr")
 
 
 def verify_plan(

@@ -223,6 +223,14 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({**K2_CONFIG, "experiment": "mystery"})
         assert err.value.code == "config-error"
 
+    def test_unknown_top_level_key(self):
+        # A misspelt field is an error, not a silent default; ``threads``
+        # is the one retired field still accepted.
+        with pytest.raises(FiniPostError) as err:
+            ExperimentConfig.from_dict({**K2_CONFIG, "replicats": 3})
+        assert err.value.code == "config-error" and "replicats" in str(err.value)
+        assert ExperimentConfig.from_dict({**K2_CONFIG, "threads": 2}) == ExperimentConfig.from_dict(K2_CONFIG)
+
     def test_integral_floats_are_integers(self):
         cfg = ExperimentConfig.from_dict({**K2_CONFIG, "replicates": 2.0, "N_grid": [2.0, 4], "master_seed": 42.0})
         assert (cfg.replicates, cfg.N_grid, cfg.master_seed) == (2, (2, 4), 42)
@@ -503,6 +511,35 @@ class TestCli:
 
     def test_bound_unknown_name(self):
         self.run_cli("bound", "nope", "--params", "{}", expect=1)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("finite", '{"k": 3}'),
+            ("finite", "[3, 10, 100]"),
+            ("finite", '{"k": 3, "n": true, "N": 100}'),
+            ("finite", '{"k": 3, "n": 2.7, "N": 100}'),
+            ("finite", '{"k": 3, "n": "10", "N": 100}'),
+            ("real", '{"n": 2, "N": 10, "post_l21": "nan"}'),
+            ("real", '{"n": 2, "N": 10, "post_l21": NaN}'),
+            ("real", '{"n": 2, "N": 10, "post_l21": Infinity}'),
+            ("median_cdf", '{"N": 9}'),
+            ("median_tails", '{"N": 9, "f": 0.3, "p_left": 0.1, "p_right": 0.2}'),
+        ],
+        ids=[
+            "missing", "list", "int-bool", "int-fraction", "int-str", "real-str", "real-nan", "real-inf",
+            "median_cdf-no-F", "median_tails-misspelt-F",
+        ],
+    )
+    def test_bound_bad_params(self, name, params):
+        proc = self.run_cli("bound", name, "--params", params, expect=1)
+        assert "error [config-error]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bound_median_tails_defaults_F(self):
+        tails = self.run_cli("bound", "median_tails", "--params", '{"N": 9, "p_left": 0.1, "p_right": 0.2}').stdout
+        explicit = '{"N": 9, "F": 0.5, "p_left": 0.1, "p_right": 0.2}'
+        assert tails == self.run_cli("bound", "median_tails", "--params", explicit).stdout
 
     def test_run_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -323,6 +323,85 @@ class TestPolyaTree:
         with pytest.raises(FiniPostError):
             PolyaTreeModel(PointMassLaw(0.0), 2, level_alpha=(1.0, 1.0))
 
+    def test_missing_param_raises_at_use(self):
+        # A partial tree builds; every law that reads the unfilled level fails.
+        pt = PolyaTreeModel(UniformLaw(0, 1), 2, {"0": 1.0, "1": 1.0, "00": 2.0})
+        h = Sample((0.1,))
+        for law in (
+            lambda: continue_sequence(pt, h, 3, derive_seed(116)),
+            lambda: posterior_draw(pt, h, derive_seed(116)),
+            lambda: predictive_expectation(pt, h, lambda x: x),
+            lambda: pt.prior_quantile(0.5),
+        ):
+            with pytest.raises(FiniPostError) as err:
+                law()
+            assert err.value.code == "param-missing"
+
+    # A partial tree over a level fallback: "0" and "10" override levels 1
+    # and 2, "111" level 3.  The history holds the base median, where
+    # F(x) = 1/2 sits on a dyadic boundary, and a repeated point.
+    PARTIAL = PolyaTreeModel(GaussianLaw(0.5, 2.0), 3, {"0": 3.0, "10": 0.4, "111": 5.0}, (1.0, 2.5, 0.7))
+    PARTIAL_HISTORY = Sample((-1.0, 0.2, 0.5, 3.1, 0.2))
+
+    def test_leaf_laws_equal_string_addressed_reference(self):
+        pt, h = self.PARTIAL, self.PARTIAL_HISTORY
+        alpha = string_posterior_alpha(pt, h)
+        for leaf in leaves_at(pt.depth):
+            x = pt.leaf_point(leaf)
+            assert predictive_expectation(pt, h, lambda y, x=x: 1.0 if y == x else 0.0) == string_leaf_prob(alpha, leaf)
+
+    def test_prior_quantile_equals_string_addressed_reference(self):
+        pt = self.PARTIAL
+        cum = np.cumsum([string_leaf_prob(pt.alpha, leaf) for leaf in leaves_at(pt.depth)])
+        for u in (0.0, 0.01, 0.2, 0.5, 0.61, 0.9, 1.0):
+            expected = pt.leaf_point(leaves_at(pt.depth)[int(np.searchsorted(cum, u - 1e-12))])
+            assert pt.prior_quantile(u) == expected
+
+    def test_pair_expectation_equals_string_addressed_reference(self):
+        pt, h = self.PARTIAL, self.PARTIAL_HISTORY
+        alpha = string_posterior_alpha(pt, h)
+        leaves = leaves_at(pt.depth)
+        expected = 0.0
+        for leaf1 in leaves:
+            p1 = string_leaf_prob(alpha, leaf1)
+
+            def alpha2(eps, leaf1=leaf1):
+                return alpha(eps) + (1.0 if leaf1.startswith(eps) else 0.0)
+
+            for leaf2 in leaves:
+                g = abs(pt.leaf_point(leaf1) - pt.leaf_point(leaf2))
+                expected += p1 * string_leaf_prob(alpha2, leaf2) * g
+        assert predictive_pair_expectation(pt, h, lambda x, y: abs(x - y)) == (expected, 0.0)
+
+
+def leaves_at(level):
+    return [format(i, f"0{level}b") for i in range(2**level)]
+
+
+def string_posterior_alpha(pt, history):
+    """Node weight plus history count by string address: each point's
+    address comes from doubling F(x) once per level."""
+    counts = {}
+    for v in history.values:
+        u, bits = float(pt.quantile_base.cdf(v)), ""
+        for _ in range(pt.depth):
+            u *= 2.0
+            if u > 1.0:
+                bits, u = bits + "1", u - 1.0
+            else:
+                bits += "0"
+            counts[bits] = counts.get(bits, 0.0) + 1.0
+    return lambda eps: pt.alpha(eps) + counts.get(eps, 0.0)
+
+
+def string_leaf_prob(alpha, leaf):
+    """Product over the prefixes of the node weight over its sibling pair's."""
+    prob = 1.0
+    for i in range(1, len(leaf) + 1):
+        parent = leaf[: i - 1]
+        prob *= alpha(leaf[:i]) / (alpha(parent + "0") + alpha(parent + "1"))
+    return prob
+
 
 class TestPredictives:
     def test_fd_exact(self):

@@ -149,6 +149,44 @@ class TestBoundedLipschitz:
         value2, _ = bounded_lipschitz(p, q2)
         assert value2 == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("span", [0.3, 1.0, 4.0])
+    def test_euclidean_multi_atom_against_pairwise_lp(self, span):
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            p, q = (
+                AtomicMeasure(list(zip(map(tuple, rng.uniform(-span, span, (k, 2))), rng.dirichlet(np.ones(k)))))
+                for k in rng.integers(3, 8, size=2)
+            )
+            value, dual = bounded_lipschitz(p, q)
+            assert len(dual.support) >= 5
+            assert value == pytest.approx(plane_bl_lp(p, q), abs=1e-9)
+            assert dual.pairing(p, q) == pytest.approx(value, abs=1e-12)
+
+
+def plane_bl_lp(p, q):
+    """Reference bounded Lipschitz value in R^d: the LP over the union
+    support with the two constraints of each pair i < j written one pair
+    at a time, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    support = list(dict.fromkeys(list(p.points) + list(q.points)))
+    delta = np.zeros(len(support))
+    for m, sign in ((p, 1.0), (q, -1.0)):
+        for pt, w in zip(m.points, m.weights):
+            delta[support.index(pt)] += sign * w
+    rows, rhs = [], []
+    for i in range(len(support)):
+        for j in range(i + 1, len(support)):
+            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(support[i], support[j])))
+            for sign in (1.0, -1.0):
+                row = np.zeros(len(support))
+                row[i], row[j] = sign, -sign
+                rows.append(row)
+                rhs.append(d)
+    res = linprog(-delta, A_ub=np.array(rows), b_ub=rhs, bounds=[(-1.0, 1.0)] * len(support), method="highs")
+    assert res.success
+    return -res.fun
+
 
 def line_bl_lp(p, q):
     """Reference bounded Lipschitz value on the line: the chain LP
