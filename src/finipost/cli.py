@@ -39,9 +39,20 @@ _BOUND_EVALUATORS = {
 }
 
 
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FiniPostError("config-error", f"{what} is not valid JSON: {exc}") from exc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise FiniPostError("io-error", f"cannot read config {args.config}: {exc}") from exc
+    obj = _parse_json(text, f"config {args.config}")
     if isinstance(obj, dict) and args.seed is not None:  # from_dict rejects any other top level
         obj["master_seed"] = args.seed
     cfg = ExperimentConfig.from_dict(obj)
@@ -57,7 +68,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     if args.name not in _BOUND_EVALUATORS:
         raise FiniPostError("config-error", f"unknown bound {args.name!r}; choose from {sorted(_BOUND_EVALUATORS)}")
-    params = json.loads(args.params)
+    params = _parse_json(args.params, "--params")
     if not isinstance(params, dict):
         raise FiniPostError("config-error", f"--params must be a JSON object, not {type(params).__name__}")
 
@@ -284,9 +295,6 @@ def main(argv: list[str] | None = None) -> int:
     except FiniPostError as exc:
         sys.stderr.write(f"error [{exc.code}]: {exc}\n")
         return 2 if exc.code == "io-error" else 1
-    except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

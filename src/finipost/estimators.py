@@ -11,7 +11,6 @@ doubles as the independent oracle for the closed forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,7 +21,8 @@ from .families import IDENTITY, AbsDeviation, AbsDifference, Indicator, Product,
 from .measures import AtomicMeasure, RealLine, Sample, empirical, gini_md
 from .priors import (
     ExchangeableModel,
-    continue_sequence,
+    _mc_mean,
+    batched_sequence_blocks,
     predictive_expectation_mc,
     predictive_pair_expectation,
 )
@@ -66,8 +66,12 @@ class EstimatorInputs:
 
 @dataclass(frozen=True)
 class EstimatePair:
+    """The finite-horizon and classical estimates, and ``envelope``, the
+    triangle-inequality bound on their gap from the same coefficients."""
+
     finitary: float
     classical: float
+    envelope: float
     components: dict = field(default_factory=dict)
 
 
@@ -87,10 +91,11 @@ def mean_estimators(
     _, mu_bar, _ = _history_stats(inputs)
     mu_hat, se = predictive_expectation_mc(inputs.model, inputs.history, IDENTITY, mc_draws, rng)
     finitary = (n / N) * mu_bar + ((N - n) / N) * mu_hat
+    envelope = (n / N) * (abs(mu_bar) + abs(mu_hat))
     comps = {"mu_bar_n": mu_bar, "mu_hat_n": mu_hat}
     if se:
         comps["stderr"] = ((N - n) / N) * se
-    return EstimatePair(finitary, mu_hat, comps)
+    return EstimatePair(finitary, mu_hat, envelope, comps)
 
 
 def variance_estimators(
@@ -128,6 +133,13 @@ def variance_estimators(
         - coef_cross * mu_bar * mu_hat
     )
     classical = s2_hat - c12_hat
+    envelope = (
+        (n / N) * abs(s2_bar)
+        + abs(coef_s2 - 1.0) * abs(s2_hat)
+        + (n / N) ** 2 * abs(c12_bar)
+        + abs(1.0 - coef_c12) * abs(c12_hat)
+        + coef_cross * abs(mu_bar * mu_hat)
+    )
     comps = {
         "mu_bar_n": mu_bar,
         "mu_hat_n": mu_hat,
@@ -138,7 +150,7 @@ def variance_estimators(
     }
     if se1 or se2 or se3:
         comps["stderr"] = abs(coef_s2) * se1 + coef_cross * abs(mu_bar) * se2 + coef_c12 * se3
-    return EstimatePair(finitary, classical, comps)
+    return EstimatePair(finitary, classical, envelope, comps)
 
 
 def cdf_estimators(
@@ -151,10 +163,11 @@ def cdf_estimators(
     ecdf = float(np.mean(x <= y)) if n else 0.0
     pred, se = predictive_expectation_mc(inputs.model, inputs.history, Indicator(float(y)), mc_draws, rng)
     finitary = (n / N) * ecdf + ((N - n) / N) * pred
+    envelope = (n / N) * (ecdf + pred)
     comps = {"ecdf_at_y": ecdf, "pred_cdf_at_y": pred}
     if se:
         comps["stderr"] = ((N - n) / N) * se
-    return EstimatePair(finitary, pred, comps)
+    return EstimatePair(finitary, pred, envelope, comps)
 
 
 def gini_estimators(
@@ -183,11 +196,12 @@ def gini_estimators(
     coef_pair = ((N - n) ** 2 - (N - n)) / N**2
     coef_cross = 2.0 * (N - n) / N**2
     finitary = (n / N) ** 2 * gini_bar + coef_pair * pair_hat + coef_cross * cross
+    envelope = (n / N) ** 2 * abs(gini_bar) + abs(1.0 - coef_pair) * abs(pair_hat) + coef_cross * abs(cross)
     comps = {"gini_bar_n": gini_bar, "pair_abs_hat": pair_hat, "cross_sum": cross}
     stderr = coef_pair * se_pair + coef_cross * se_cross
     if stderr:
         comps["stderr"] = stderr
-    return EstimatePair(finitary, pair_hat, comps)
+    return EstimatePair(finitary, pair_hat, envelope, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +220,7 @@ def finitary_functional(
     is cross-checked: each replica continues the observed prefix to the
     horizon and evaluates t at the resulting empirical measure.
     """
-    if replicas < 2:
-        raise FiniPostError("config-error", "need at least 2 replicas")
-    vals = _functional_draws(inputs, t, replicas, rng)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
+    return _mc_mean(_functional_draws(inputs, t, replicas, rng))
 
 
 def posterior_risk(
@@ -220,11 +231,7 @@ def posterior_risk(
     rng: RngState,
 ) -> tuple[float, float]:
     """Monte Carlo squared-error risk E[(t(empirical_N) - action)^2 | history]."""
-    if replicas < 2:
-        raise FiniPostError("config-error", "need at least 2 replicas")
-    vals = _functional_draws(inputs, t, replicas, rng)
-    sq = (vals - action) ** 2
-    return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(replicas))
+    return posterior_risk_profile(inputs, t, [action], replicas, rng)[0]
 
 
 def posterior_risk_profile(
@@ -237,21 +244,18 @@ def posterior_risk_profile(
     """Risks of several actions evaluated on one shared set of replicas,
     so action comparisons are paired and their differences are exact
     sample identities."""
-    if replicas < 2:
-        raise FiniPostError("config-error", "need at least 2 replicas")
     vals = _functional_draws(inputs, t, replicas, rng)
-    out = []
-    for a in actions:
-        sq = (vals - a) ** 2
-        out.append((float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(replicas))))
-    return out
+    return [_mc_mean((vals - a) ** 2) for a in actions]
 
 
 def _functional_draws(
     inputs: EstimatorInputs, t: Callable[[AtomicMeasure], float], replicas: int, rng: RngState
 ) -> np.ndarray:
-    vals = np.empty(replicas)
-    for r in range(replicas):
-        seq = continue_sequence(inputs.model, inputs.history, inputs.N, rng)
-        vals[r] = float(t(empirical(seq)))
-    return vals
+    """t at ``replicas`` horizon-N empirical measures, one per continuation
+    row, the rows drawn in blocks."""
+    if replicas < 2:
+        raise FiniPostError("config-error", "need at least 2 replicas")
+    space = inputs.model.space
+    blocks = batched_sequence_blocks(inputs.model, inputs.history, inputs.N, replicas, rng)
+    rows = (row for block in blocks for row in block.tolist())
+    return np.array([float(t(empirical(Sample(tuple(row), space=space)))) for row in rows])

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -43,6 +44,7 @@ from .priors import (
     _iid_from_measure,
     batched_fd_empirical_counts,
     batched_posterior_integrals,
+    batched_sequence_blocks,
     batched_sequences,
     continue_sequence,
     model_from_spec,
@@ -58,7 +60,7 @@ from .estimators import (
     variance_estimators,
 )
 from .rng import RngState, derive_key, state_from_key
-from .transport import meta_w1_matched
+from .transport import _GROUNDS, meta_w1_matched
 
 __all__ = [
     "ExperimentConfig",
@@ -114,6 +116,10 @@ class ExperimentConfig:
             raise FiniPostError("config-error", "replicates must be >= 1")
         if self.coupling not in ("posterior", "independent"):
             raise FiniPostError("config-error", f"unknown coupling {self.coupling!r}")
+        if self.ground not in _GROUNDS:
+            raise FiniPostError("config-error", f"ground must be one of {list(_GROUNDS)}, not {self.ground!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise FiniPostError("config-error", f"output must be a path string or null, not {self.output!r}")
         object.__setattr__(self, "N_grid", tuple(int(N) for N in self.N_grid))
 
     @classmethod
@@ -241,8 +247,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for ni, N in enumerate(cfg.N_grid):
         for rep, history in enumerate(histories):
             keys = [derive_key(cfg.master_seed, rep, _cell_stream(ni, phase)) for phase in range(3)]
-            result = cell(N, rep, history, [state_from_key(key) for key in keys])
-            rows.append(ReportRow(cfg.experiment, N, cfg.n, rep, keys[seed_phase], *result))
+            *result, violated = cell(N, rep, history, [state_from_key(key) for key in keys])
+            rows.append(ReportRow(cfg.experiment, N, cfg.n, rep, keys[seed_phase], *result, bool(violated)))
     return ExperimentReport(rows, metadata)
 
 
@@ -405,16 +411,9 @@ def _batched_f_means(
     draws: int,
     rng: RngState,
 ) -> np.ndarray:
-    """Row-chunked f-means of full continuations (bounds peak memory)."""
-    out = np.empty(draws)
-    chunk = max(1, 4_000_000 // max(N, 1))
-    done = 0
-    while done < draws:
-        take = min(chunk, draws - done)
-        block = batched_sequences(model, history, N, take, rng)
-        out[done : done + take] = fvec(block).mean(axis=1)
-        done += take
-    return out
+    """f-means of ``draws`` full continuations, drawn in row blocks."""
+    blocks = batched_sequence_blocks(model, history, N, draws, rng)
+    return np.concatenate([fvec(block).mean(axis=1) for block in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +422,7 @@ def _batched_f_means(
 
 def _sweep_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict) -> tuple[CellFunction, int]:
     """Gap between the finite-horizon and classical estimators across the
-    horizon grid, with its algebraic triangle-inequality envelope.
+    horizon grid, against the estimator's own triangle-inequality envelope.
 
     The estimator family follows f_spec: identity selects the mean,
     indicator(y) the CDF at y, square the variance, gini the mean
@@ -431,43 +430,17 @@ def _sweep_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
     """
     _require_scalar(cfg, model.space)
     f, *_, name = _test_function(cfg.f_spec)
+    if name.startswith("indicator"):
+        estimators = partial(cdf_estimators, y=f.y)
+    else:
+        estimators = {"identity": mean_estimators, "square": variance_estimators, "gini": gini_estimators}[name]
 
     def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
-        inputs = EstimatorInputs(model, history, N)
-        n = cfg.n
-        if name == "identity":
-            pair = mean_estimators(inputs)
-            envelope = (n / N) * (abs(pair.components["mu_bar_n"]) + abs(pair.components["mu_hat_n"]))
-        elif name.startswith("indicator"):
-            pair = cdf_estimators(inputs, f.y)
-            envelope = (n / N) * (pair.components["ecdf_at_y"] + pair.components["pred_cdf_at_y"])
-        elif name == "square":
-            pair = variance_estimators(inputs)
-            c = pair.components
-            coef_s2 = (N - n + n / N - 1.0) / N
-            coef_c12 = (N - n) * (N - n - 1.0) / N**2
-            envelope = (
-                (n / N) * abs(c["s2_bar_n"])
-                + abs(coef_s2 - 1.0) * abs(c["s2_hat_n"])
-                + (n / N) ** 2 * abs(c["c12_bar_n"])
-                + abs(1.0 - coef_c12) * abs(c["c12_hat_n"])
-                + 2.0 * (N - n) * n / N**2 * abs(c["mu_bar_n"] * c["mu_hat_n"])
-            )
-        elif name == "gini":
-            pair = gini_estimators(inputs)
-            c = pair.components
-            coef_pair = ((N - n) ** 2 - (N - n)) / N**2
-            envelope = (
-                (n / N) ** 2 * abs(c["gini_bar_n"])
-                + abs(1.0 - coef_pair) * abs(c["pair_abs_hat"])
-                + 2.0 * (N - n) / N**2 * abs(c["cross_sum"])
-            )
-        else:
-            raise FiniPostError("config-error", f"estimator_sweep cannot use f_spec {name!r}")
+        pair = estimators(EstimatorInputs(model, history, N))
         gap = abs(pair.finitary - pair.classical)
         stderr = pair.components.get("stderr")
         slack = 1e-9 + 3.0 * (stderr or 0.0)
-        return gap, stderr, envelope, slack, gap > envelope + slack
+        return gap, stderr, pair.envelope, slack, gap > pair.envelope + slack
 
     return cell, 0
 

@@ -2,16 +2,19 @@
 and posterior draws of the directing random measure.
 
 Each model is a dataclass on ``ExchangeableModel`` that holds its own laws
-as methods: the continuation (per sequence and batched), the posterior draw
-and its batched integrals, the predictive and pair-predictive expectations,
-and the prior predictive quantile.  The base class supplies the shared
-defaults: observations on the real line, batched calls served one row at a
-time, a Monte Carlo pair predictive, and no posterior draws.  The module
+as methods: the continuation, the posterior draw and its batched
+integrals, the predictive and pair-predictive expectations, and the prior
+predictive quantile.  Each model writes its urn once, across the rows of a
+matrix (the Dirichlet models, the fixed law) or one sequence at a time;
+the base class derives the other form, a sequence as a one-row batch or a
+batch as one sequence per row.  It also supplies observations on the real
+line, a Monte Carlo pair predictive, and no posterior draws.  The module
 functions (``continue_sequence``, ``posterior_draw``, ...) check the shared
 preconditions and then make one call on the model.
 
 * ``FiniteDirichletModel`` -- conjugate Dirichlet weights on k fixed atoms,
-  sampled by the classic urn; posteriors are exact Dirichlet draws.
+  sampled by the classic urn on atom indices, so label alphabets and
+  scalar atoms share it; posteriors are exact Dirichlet draws.
 * ``DirichletProcessModel`` -- Blackwell-MacQueen urn over an analytic base;
   posteriors are drawn by the conjugate decomposition: exact Beta/Dirichlet
   weights on the distinct history values plus a truncated stick-breaking
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -58,6 +61,7 @@ __all__ = [
     "polya_tree_marginal",
     "model_from_spec",
     "batched_sequences",
+    "batched_sequence_blocks",
     "batched_fd_empirical_counts",
     "batched_posterior_integrals",
 ]
@@ -74,16 +78,19 @@ class ExchangeableModel(ABC):
 
     The module functions check their preconditions (history space,
     horizon) before calling these methods, so a method may assume a
-    history on ``space`` and a target length beyond it.
+    history on ``space`` and a target length beyond it.  A model defines
+    one of ``continuation`` and ``batched_continuation``; each default
+    derives its form from the other.
     """
 
     @property
     def space(self) -> Space:
         return RealLine()
 
-    @abstractmethod
     def continuation(self, history: Sample, upto: int, rng: RngState) -> Sample:
-        """The history extended to length ``upto`` under the conditional law."""
+        """The history extended to length ``upto`` under the conditional law;
+        one row of ``batched_continuation`` by default."""
+        return Sample(tuple(_sequence_rows(self, history, upto, 1, rng)[0].tolist()), space=self.space)
 
     def batched_continuation(self, history: Sample, out: np.ndarray, rng: RngState) -> None:
         """Fill the columns of ``out`` after the history with independent
@@ -133,7 +140,7 @@ class ExchangeableModel(ABC):
             raise FiniPostError("space-mismatch", f"{what} need a scalar model")
 
 
-def _mc_mean(values: list[float]) -> tuple[float, float]:
+def _mc_mean(values: np.ndarray | list[float]) -> tuple[float, float]:
     vals = np.asarray(values)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
 
@@ -203,31 +210,31 @@ class FiniteDirichletModel(ExchangeableModel):
         predictive law of the next observation is their normalisation."""
         return np.asarray(self.concentration) + self.atom_counts(history)
 
-    def continuation(self, history, upto, rng):
-        values = list(history.values)
-        total = sum(self.concentration) + len(history)
-        weights = self.posterior_alpha(history)
-        for _ in range(upto - len(history)):
-            j = _categorical(weights / total, rng)
-            values.append(self.atoms[j])
-            weights[j] += 1.0
-            total += 1.0
-        return Sample(tuple(values), space=self.space)
-
-    def batched_continuation(self, history, out, rng):
-        # The same urn as ``continuation``, vectorized across rows.
-        draws = out.shape[0]
-        atoms = np.asarray(self.atoms, dtype=float)
+    def _urn(self, history: Sample, draws: int, steps: int, rng: RngState) -> Iterator[np.ndarray]:
+        """Atom indices of ``draws`` independent urn continuations, one
+        vector per step: each step picks an atom with probability
+        proportional to its posterior weight, then adds one to that weight."""
         alpha = self.posterior_alpha(history)
         weights = np.tile(alpha, (draws, 1))
         total = alpha.sum()
-        for i in range(len(history), out.shape[1]):
+        rows = np.arange(draws)
+        for _ in range(steps):
             u = rng.random(draws) * total
-            idx = (np.cumsum(weights, axis=1) < u[:, None]).sum(axis=1)
-            idx = np.minimum(idx, self.k - 1)
-            out[:, i] = atoms[idx]
-            weights[np.arange(draws), idx] += 1.0
+            j = np.minimum((np.cumsum(weights, axis=1) < u[:, None]).sum(axis=1), self.k - 1)
+            weights[rows, j] += 1.0
             total += 1.0
+            yield j
+
+    def continuation(self, history, upto, rng):
+        # One urn row, mapped to the atoms themselves, so labels work too.
+        new = tuple(self.atoms[j[0]] for j in self._urn(history, 1, upto - len(history), rng))
+        return Sample(tuple(history.values) + new, space=self.space)
+
+    def batched_continuation(self, history, out, rng):
+        atoms = np.asarray(self.atoms, dtype=float)
+        n = len(history)
+        for i, j in enumerate(self._urn(history, out.shape[0], out.shape[1] - n, rng), n):
+            out[:, i] = atoms[j]
 
     def posterior(self, history, rng):
         w = rng.dirichlet(self.posterior_alpha(history))
@@ -266,11 +273,6 @@ class FiniteDirichletModel(ExchangeableModel):
         return float(atoms[order][int(np.searchsorted(cum, u - 1e-12))])
 
 
-def _categorical(probs: np.ndarray, rng: RngState) -> int:
-    cum = np.cumsum(probs)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-
-
 def _finite_values(f: Callable, atoms: tuple) -> np.ndarray:
     vals = np.array([float(f(a)) for a in atoms])
     if not np.all(np.isfinite(vals)):
@@ -294,28 +296,20 @@ class DirichletProcessModel(ExchangeableModel):
             raise FiniPostError("config-error", "total mass must be positive")
         _check_truncation(self.max_sticks, self.residual_tol)
 
-    def continuation(self, history, upto, rng):
-        c = self.total_mass
-        values = [float(v) for v in history.values]
-        for i in range(len(history), upto):
-            if rng.random() < c / (c + i):
-                values.append(float(self.base.sample(rng)))
-            else:
-                values.append(values[int(rng.integers(0, i))])
-        return Sample(tuple(values), space=self.space)
-
     def batched_continuation(self, history, out, rng):
-        # The same urn as ``continuation``, one column at a time; kept beside
-        # it because each is the faster one on some inputs.
+        # The Blackwell-MacQueen urn, one column at a time: step i draws
+        # from the base with probability c / (c + i), else repeats one of
+        # the i values before it.
         c, draws = self.total_mass, out.shape[0]
         for i in range(len(history), out.shape[1]):
             fresh = rng.random(draws) < c / (c + i)
+            k = int(np.count_nonzero(fresh))
             vals = np.empty(draws)
-            if fresh.any():
-                vals[fresh] = self.base.sample(rng, int(fresh.sum()))
-            if (~fresh).any():
-                pick = rng.integers(0, i, size=int((~fresh).sum())) if i > 0 else None
-                vals[~fresh] = out[~fresh, pick]
+            if k:
+                vals[fresh] = self.base.sample(rng, k)
+            if k < draws:  # never at i = 0, where c / (c + i) = 1
+                old = ~fresh
+                vals[old] = out[old, rng.integers(0, i, size=draws - k)]
             out[:, i] = vals
 
     def _history_part(self, history: Sample, rng: RngState, size: int | None = None):
@@ -723,10 +717,6 @@ class FixedLawModel(ExchangeableModel):
 
     base: AnalyticLaw
 
-    def continuation(self, history, upto, rng):
-        new = tuple(float(v) for v in np.atleast_1d(self.base.sample(rng, upto - len(history))))
-        return Sample(tuple(history.values) + new, space=self.space)
-
     def batched_continuation(self, history, out, rng):
         n = len(history)
         if out.shape[1] > n:
@@ -838,16 +828,32 @@ def batched_sequences(
     """``draws`` independent continuations to length ``upto``, as a matrix.
 
     Returns a (draws, upto) float matrix whose first columns repeat the
-    history.  Scalar models only.  Semantically one ``continue_sequence``
-    per row; the Dirichlet models and the fixed law are vectorized across
-    rows.
+    history.  Scalar models only.  The Dirichlet models and the fixed law
+    run their urn across rows, and ``continue_sequence`` is one row of it;
+    the Polya tree and stick-breaking models fill one row per
+    ``continue_sequence``.
     """
     _check_horizon(history, upto)
     _check_history(model, history)
     model._check_scalar("batched sequences")
+    return _sequence_rows(model, history, upto, draws, rng)
+
+
+def batched_sequence_blocks(
+    model: ExchangeableModel, history: Sample, upto: int, draws: int, rng: RngState
+) -> Iterator[np.ndarray]:
+    """``batched_sequences`` in row blocks of at most 4e6 entries (bounding
+    peak memory); the blocks hold ``draws`` rows in all."""
+    chunk = max(1, 4_000_000 // max(upto, 1))
+    for done in range(0, draws, chunk):
+        yield batched_sequences(model, history, upto, min(chunk, draws - done), rng)
+
+
+def _sequence_rows(
+    model: ExchangeableModel, history: Sample, upto: int, draws: int, rng: RngState
+) -> np.ndarray:
     out = np.empty((draws, upto))
-    if len(history):
-        out[:, : len(history)] = np.asarray(history.scalars())[None, :]
+    out[:, : len(history)] = history.scalars()
     model.batched_continuation(history, out, rng)
     return out
 

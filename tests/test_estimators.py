@@ -20,7 +20,7 @@ from finipost.estimators import (
 )
 from finipost.families import GaussianLaw, PointMassLaw
 from finipost.measures import Sample, empirical, gini_md, integrate
-from finipost.priors import DirichletProcessModel, FiniteDirichletModel
+from finipost.priors import DirichletProcessModel, FiniteDirichletModel, batched_sequences
 from finipost.rng import derive_seed
 
 FD01 = FiniteDirichletModel((1.0, 1.0), atoms=(0.0, 1.0))
@@ -141,6 +141,18 @@ class TestHorizonEnvelope:
                 ratio = abs(pair.finitary - pair.classical) * N / n
                 assert ratio <= 10.0
 
+    @pytest.mark.parametrize("model", [DP, FD01], ids=["dp", "fd"])
+    def test_each_estimator_gap_within_its_envelope(self, model):
+        h = Sample((0.0, 1.0, 1.0, 0.0, 1.0))
+        n = len(h)
+        for N in (5, 10, 40, 640):
+            inputs = EstimatorInputs(model, h, N)
+            pairs = [mean_estimators(inputs), cdf_estimators(inputs, 0.5), variance_estimators(inputs)]
+            pairs.append(gini_estimators(inputs))
+            for pair in pairs:
+                assert abs(pair.finitary - pair.classical) <= pair.envelope + 1e-12
+                assert 0.0 <= pair.envelope <= 100.0 * n / N
+
 
 class TestMonteCarloOracle:
     """The generic continuation route must agree with each closed form at a
@@ -214,8 +226,32 @@ class TestFunctionalAndRisk:
         assert val == 1.0 and se == 0.0
 
     def test_replica_guard(self):
-        with pytest.raises(FiniPostError):
-            finitary_functional(EstimatorInputs(DP, Sample((0.5,)), 5), gini_md, 1, derive_seed(1))
+        inputs = EstimatorInputs(DP, Sample((0.5,)), 5)
+        for call in (
+            lambda: finitary_functional(inputs, gini_md, 1, derive_seed(1)),
+            lambda: posterior_risk(inputs, gini_md, 0.0, 1, derive_seed(1)),
+            lambda: posterior_risk_profile(inputs, gini_md, [0.0, 1.0], 1, derive_seed(1)),
+        ):
+            with pytest.raises(FiniPostError) as err:
+                call()
+            assert err.value.code == "config-error"
+
+    @pytest.mark.parametrize("model", [DP, FD01], ids=["dp", "fd"])
+    def test_replicas_are_batched_rows(self, model):
+        # Each replica is one row of ``batched_sequences`` on the same stream.
+        inputs = EstimatorInputs(model, Sample((0.0, 1.0)), 9)
+        t = lambda m: integrate(m, lambda v: v * v)  # noqa: E731
+        rows = batched_sequences(model, inputs.history, 9, 50, derive_seed(6))
+        vals = (rows**2).mean(axis=1)
+        val, se = finitary_functional(inputs, t, 50, derive_seed(6))
+        assert val == pytest.approx(vals.mean(), abs=1e-12)
+        assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(50), abs=1e-12)
+
+    def test_risk_is_the_one_action_profile(self):
+        inputs = EstimatorInputs(DP, Sample((0.4, 1.0)), 12)
+        t = lambda m: integrate(m, lambda v: v)  # noqa: E731
+        single = posterior_risk(inputs, t, 0.3, 500, derive_seed(7))
+        assert single == posterior_risk_profile(inputs, t, [0.3], 500, derive_seed(7))[0]
 
     def test_risk_of_forced_outcome_is_zero(self):
         dp0 = DirichletProcessModel(1e-12, PointMassLaw(2.0))

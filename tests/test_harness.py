@@ -193,6 +193,20 @@ class TestEmission:
         line = report_to_csv(report).splitlines()[1].split(",")
         assert float(line[5]) == report.rows[0].estimate
 
+    @pytest.mark.parametrize("kind", ["square", "gini"])
+    def test_json_of_finite_dirichlet_sweep(self, kind):
+        # These sweeps compare numpy floats; the violation flag must still
+        # be a JSON boolean.
+        cfg = {
+            **small_mean_config(experiment="estimator_sweep", f_spec={"kind": kind}),
+            "model": {"kind": "finite_dirichlet", "alpha": [1.0, 2.0], "atoms": [0.0, 1.5]},
+            "n": 4,
+            "N_grid": [4, 16],
+        }
+        report = run_experiment(ExperimentConfig.from_dict(cfg))
+        rows = json.loads(report_to_json(report))["rows"]
+        assert [row["violated"] for row in rows] == [False] * 4
+
     def test_exact_rows_write_na_stderr(self):
         cfg = ExperimentConfig.from_dict(
             {
@@ -251,6 +265,16 @@ class TestConfigValidation:
             }
         )
         assert cfg.N_grid == (2, 4)
+
+    @pytest.mark.parametrize("experiment", ["bound_finite", "bound_real", "bound_mean", "estimator_sweep", "median_law"])
+    def test_ground_and_output_checked_for_every_experiment(self, experiment):
+        for over in ({"ground": "bogus"}, {"ground": ["x"]}, {"ground": None}, {"output": 2}, {"output": True}):
+            with pytest.raises(FiniPostError) as err:
+                ExperimentConfig.from_dict(small_mean_config(experiment=experiment, **over))
+            assert err.value.code == "config-error"
+        for ground in ("TV", "BL", "W1REAL"):
+            assert ExperimentConfig.from_dict(small_mean_config(experiment=experiment, ground=ground)).ground == ground
+        assert ExperimentConfig.from_dict(small_mean_config(output="r.csv")).output == "r.csv"
 
     def test_ground_model_compat(self):
         bad = {**K2_CONFIG, "ground": "BL"}
@@ -516,6 +540,7 @@ class TestCli:
         "name, params",
         [
             ("finite", '{"k": 3}'),
+            ("finite", '{k: 3}'),
             ("finite", "[3, 10, 100]"),
             ("finite", '{"k": 3, "n": true, "N": 100}'),
             ("finite", '{"k": 3, "n": 2.7, "N": 100}'),
@@ -527,7 +552,7 @@ class TestCli:
             ("median_tails", '{"N": 9, "f": 0.3, "p_left": 0.1, "p_right": 0.2}'),
         ],
         ids=[
-            "missing", "list", "int-bool", "int-fraction", "int-str", "real-str", "real-nan", "real-inf",
+            "missing", "bad-json", "list", "int-bool", "int-fraction", "int-str", "real-str", "real-nan", "real-inf",
             "median_cdf-no-F", "median_tails-misspelt-F",
         ],
     )
@@ -582,6 +607,10 @@ class TestCli:
             small_mean_config(model={"kind": "stick_breaking", "base": GAUSS, "beta_params": [[1, "2"]] * 8}),
             {**BL_CONFIG, "model": {"kind": "polya_tree", "base": GAUSS, "depth": 2, "level_alpha": [1.0, float("nan")]}},
             {**BL_CONFIG, "model": {"kind": "polya_tree", "base": GAUSS, "depth": 1, "params": {"0": True, "1": 1.0}}},
+            small_mean_config(output=2),
+            small_mean_config(output=True),
+            small_mean_config(ground="bogus"),
+            small_mean_config(ground=["x"]),
         ],
         ids=[
             "experiment-mystery", "n-str", "m_samples-str", "N_grid-int", "top-level-list", "alpha-str",
@@ -589,7 +618,8 @@ class TestCli:
             "max_sticks-fraction", "depth-fraction", "atoms-str", "mean-gini",
             "mass-nan", "mass-inf", "mass-str", "mass-bool", "residual_tol-str", "mu-nan", "sigma-inf",
             "uniform-a-str", "point_mass-c-bool", "indicator-y-nan", "alpha-nan", "beta_rule-inf",
-            "beta_params-str", "level_alpha-nan", "params-bool",
+            "beta_params-str", "level_alpha-nan", "params-bool", "output-int", "output-bool", "ground-bogus",
+            "ground-list",
         ],
     )
     def test_run_bad_config_exit_code(self, tmp_path, config):
@@ -619,6 +649,18 @@ class TestCli:
         full = self.run_cli("selftest").stdout
         assert "PASS grid covers at least 200 cells" in full
         assert "SKIP" not in full
+
+    def test_run_malformed_json_config(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"experiment": "bound_finite", n: 3}')
+        proc = self.run_cli("run", "--config", str(cfg_path), expect=1)
+        assert "error [config-error]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_run_missing_config_file(self, tmp_path):
+        proc = self.run_cli("run", "--config", str(tmp_path / "absent.json"), expect=2)
+        assert "error [io-error]" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_run_io_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

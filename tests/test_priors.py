@@ -662,12 +662,59 @@ MODEL_SPECS = {
 SCALAR_KINDS = [name for name in MODEL_SPECS if name != "finite_dirichlet_labels"]
 
 
+def _per_step_fd_urn(model, history, upto, rng):
+    """The finite-Dirichlet urn one draw at a time: an independent
+    reference for the index urn behind ``continue_sequence``."""
+    values = list(history.values)
+    total = sum(model.concentration) + len(history)
+    weights = model.posterior_alpha(history)
+    for _ in range(upto - len(history)):
+        cum = np.cumsum(weights / total)
+        j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        values.append(model.atoms[j])
+        weights[j] += 1.0
+        total += 1.0
+    return values
+
+
+def _per_step_dp_urn(model, history, upto, rng):
+    """The Blackwell-MacQueen urn one draw at a time: an independent
+    reference for the one-row batch behind ``continue_sequence``."""
+    c = model.total_mass
+    values = [float(v) for v in history.values]
+    for i in range(len(history), upto):
+        if rng.random() < c / (c + i):
+            values.append(float(model.base.sample(rng)))
+        else:
+            values.append(values[int(rng.integers(0, i))])
+    return values
+
+
+PER_STEP_URNS = {
+    "finite_dirichlet_labels": _per_step_fd_urn,
+    "finite_dirichlet_scalars": _per_step_fd_urn,
+    "dirichlet_process": _per_step_dp_urn,
+}
+
+
 class TestStreamContracts:
+    @pytest.mark.parametrize("kind", sorted(PER_STEP_URNS))
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_continuation_equals_per_step_urn(self, kind, n):
+        model = model_from_spec(MODEL_SPECS[kind])
+        reference = PER_STEP_URNS[kind]
+        for seed in range(24):
+            h = sample_sequence(model, n, derive_seed(906, seed))
+            seq = continue_sequence(model, h, n + 12, derive_seed(907, seed))
+            assert list(seq.values) == reference(model, h, n + 12, derive_seed(907, seed))
+            assert seq.space == model.space
+
     @pytest.mark.parametrize("kind", SCALAR_KINDS)
     @pytest.mark.parametrize("n", [0, 3])
     def test_one_row_batch_equals_continuation(self, kind, n):
-        # The DP and finite-Dirichlet urns are written twice (per step and
-        # across rows); a one-row batch must draw the same stream.
+        # Each model writes its urn once: for the Dirichlet models and the
+        # fixed law a sequence is a one-row batch, for the others a batch is
+        # one sequence per row.  Either way the two must draw one stream.
         model = model_from_spec(MODEL_SPECS[kind])
         for seed in range(20):
             h = sample_sequence(model, n, derive_seed(900, seed))
@@ -726,6 +773,23 @@ LAWS = {
 
 
 class TestProtocolConformance:
+    def test_each_model_writes_its_urn_once(self):
+        # The finite Dirichlet defines both forms, as two views of one
+        # private index urn (atoms for sequences, floats for batches).
+        from finipost.priors import ExchangeableModel
+
+        own = {
+            cls.__name__: {"continuation", "batched_continuation"} & set(vars(cls))
+            for cls in ExchangeableModel.__subclasses__()
+        }
+        assert own == {
+            "FiniteDirichletModel": {"continuation", "batched_continuation"},
+            "DirichletProcessModel": {"batched_continuation"},
+            "StickBreakingModel": {"continuation"},
+            "PolyaTreeModel": {"continuation"},
+            "FixedLawModel": {"batched_continuation"},
+        }
+
     @pytest.mark.parametrize("law", sorted(LAWS))
     @pytest.mark.parametrize("case", [*MODEL_SPECS, "stick_breaking_n5"])
     def test_law_returns_finite_or_documented_error(self, case, law):
