@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy.special import betainc
-
 from .errors import FiniPostError
 
 __all__ = [
@@ -186,6 +184,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
+    from scipy.special import betainc
+
     return float(betainc(a, b, x))
 
 

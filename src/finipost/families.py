@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr, ndtri
 
 from .errors import FiniPostError, config_float
 from .rng import RngState
@@ -80,6 +78,8 @@ class UniformLaw:
     def expect(self, f: Callable[[float], float]) -> float:
         if isinstance(f, NamedFunction):
             return f.expectation(self)
+        from scipy import integrate
+
         val, _ = integrate.quad(lambda x: f(x) * 1.0 / (self.b - self.a), self.a, self.b, limit=200)
         return val
 
@@ -119,9 +119,13 @@ class GaussianLaw:
         return f"gaussian({self.mu},{self.sigma})"
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         return ndtr((np.asarray(x, dtype=float) - self.mu) / self.sigma)
 
     def quantile(self, u):
+        from scipy.special import ndtri
+
         return self.mu + self.sigma * ndtri(np.asarray(u, dtype=float))
 
     def pdf(self, x):
@@ -140,6 +144,8 @@ class GaussianLaw:
     def expect(self, f: Callable[[float], float]) -> float:
         if isinstance(f, NamedFunction):
             return f.expectation(self)
+        from scipy import integrate
+
         val, _ = integrate.quad(lambda x: f(x) * self.pdf(x), -np.inf, np.inf, limit=200)
         return val
 
@@ -152,6 +158,8 @@ class GaussianLaw:
         return 2.0 * self.sigma / math.sqrt(math.pi)
 
     def abs_deviation(self, c: float) -> float:
+        from scipy.special import ndtr
+
         z = (c - self.mu) / self.sigma
         return self.sigma * (2.0 * float(self.pdf(c)) * self.sigma + z * (2.0 * float(ndtr(z)) - 1.0))
 
@@ -207,6 +215,8 @@ def _dblquad_split_diagonal(h: Callable[[float, float], float], lo: float, hi: f
     absolute tolerance of 1e-12: at the default 1.5e-8 the two pieces of a
     smooth integrand (a constant) lose 1e-10 that one whole-plane call
     does not."""
+    from scipy import integrate
+
     below, _ = integrate.dblquad(h, lo, hi, lo, lambda x: x, epsabs=1e-12)
     above, _ = integrate.dblquad(h, lo, hi, lambda x: x, hi, epsabs=1e-12)
     return below + above

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import FiniPostError
 from .families import AnalyticLaw, PointMassLaw, UniformLaw
@@ -372,6 +371,8 @@ def l21_functional(cdf: Cdf, tol: float = 1e-9) -> float:
     def integrand(x: float) -> float:
         F = float(fam.cdf(x))
         return math.sqrt(max(F * (1.0 - F), 0.0))
+
+    from scipy.integrate import quad
 
     return quad(integrand, lo, hi, epsabs=tol, limit=200)[0]
 

@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.spatial.distance import pdist
 
 from .errors import FiniPostError
 from .measures import AtomicMeasure, FiniteAlphabet, RealLine, weight_matrix
@@ -117,6 +114,8 @@ class LipschitzDual:
                 order = np.argsort(x, kind="stable")
                 bad = np.abs(np.diff(vals[order])) > np.diff(x[order]) + _OPT_TOL
             else:
+                from scipy.spatial.distance import pdist
+
                 bad = pdist(vals[:, None]) > pdist(x) + _OPT_TOL
             if np.any(bad):
                 raise FiniPostError("config-error", "dual values violate the Lipschitz constraint")
@@ -212,6 +211,10 @@ def bounded_lipschitz(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, Lipsch
         delta = delta[order]
         f = _bl_chain(x[order], delta)
         return float(np.dot(delta, f)), LipschitzDual(support, f)
+
+    from scipy import sparse
+    from scipy.optimize import linprog
+    from scipy.spatial.distance import pdist
 
     # Rows f_i - f_j <= d_ij, then f_j - f_i <= d_ij, for every pair i < j.
     i, j = np.triu_indices(s, 1)
@@ -365,6 +368,8 @@ def solve_discrete_ot(cost: CostMatrix | np.ndarray, a: Sequence[float], b: Sequ
     if abs(a.sum() - 1.0) > _FEAS_TOL or abs(b.sum() - 1.0) > _FEAS_TOL:
         raise FiniPostError("bad-marginals", "marginals must each sum to 1")
 
+    from scipy.optimize import linprog
+
     res = linprog(
         c=c.reshape(-1),
         A_eq=_transport_constraints(m, mp),
@@ -381,8 +386,11 @@ def solve_discrete_ot(cost: CostMatrix | np.ndarray, a: Sequence[float], b: Sequ
     return TransportPlan(coupling, total, a, b, (u, v))
 
 
-def _transport_constraints(m: int, mp: int) -> sparse.csr_matrix:
-    """Row sums then column sums of the row-major flattened m x mp plan."""
+def _transport_constraints(m: int, mp: int):
+    """Row sums then column sums of the row-major flattened m x mp plan, as
+    one sparse CSR matrix."""
+    from scipy import sparse
+
     rows = sparse.kron(sparse.eye(m), np.ones((1, mp)))
     return sparse.vstack([rows, sparse.hstack([sparse.eye(mp)] * m)], format="csr")
 
@@ -456,6 +464,8 @@ def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
             # first-letter masses, and the sorted matching is optimal.
             matched = np.abs(np.sort(ps[:, 0]) - np.sort(qs[:, 0])) if k == 2 else np.zeros(m)
             return float(matched.mean()), matched
+    from scipy.optimize import linear_sum_assignment
+
     cost = meta_cost_matrix(ps, qs, ground)
     matched = cost[linear_sum_assignment(cost)]
     return float(matched.mean()), matched

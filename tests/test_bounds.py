@@ -1,7 +1,9 @@
 """Closed-form bounds: frozen arithmetic examples, rate shapes, and the
-median law against an independent special-function oracle."""
+median law against an independent special-function oracle and an exact
+binomial-sum oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,6 +167,13 @@ class TestEuclideanBound:
         assert euclidean_bound(2, 4, 0, 10**8, 0.0) < euclidean_bound(2, 4, 0, 100, 0.0) / 10
 
 
+def _binomial_tail(a: int, b: int, x: Fraction) -> Fraction:
+    """P(Binomial(a + b - 1, x) >= a), exactly: I_x(a, b) for integer a, b."""
+    n = a + b - 1
+    p, q = x.numerator, x.denominator
+    return Fraction(sum(math.comb(n, j) * p**j * (q - p) ** (n - j) for j in range(a, n + 1)), q**n)
+
+
 class TestMedianLaw:
     def test_symmetry_point(self):
         for N in (1, 5, 20, 33):
@@ -184,7 +193,23 @@ class TestMedianLaw:
                 ref = float(betainc(N + 1, N + 1, F))
                 assert mine == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
-    def test_continued_fraction_matches_scipy_generic(self):
+    def test_incomplete_beta_matches_exact_binomial_tail_for_median_laws(self):
+        # Above N = 20 the median law is I_F(N+1, N+1); the dyadic F are
+        # exact floats, so the oracle sees the same argument.
+        for N in range(21, 151):
+            for F in (Fraction(k, 64) for k in range(1, 64, 4)):
+                ref = float(_binomial_tail(N + 1, N + 1, F))
+                assert median_cdf(MedianLawInputs(N, float(F))) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_incomplete_beta_matches_exact_binomial_tail_random_integers(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            a, b = (int(v) for v in rng.integers(1, 61, size=2))
+            x = float(rng.uniform(0.001, 0.999))
+            ref = float(_binomial_tail(a, b, Fraction(x)))
+            assert regularized_incomplete_beta(a, b, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_incomplete_beta_passes_generic_parameters_to_betainc(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             a = float(rng.uniform(0.5, 60))

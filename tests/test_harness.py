@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
+import textwrap
 
 import numpy as np
 import pytest
@@ -516,18 +516,57 @@ class TestMedianExperiment:
 
 
 class TestCli:
-    def run_cli(self, *args, expect=0):
+    def run_python(self, *args, expect=0):
         # The child finds the same finipost as this process, installed or not.
         src = os.path.dirname(os.path.dirname(finipost.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-m", "finipost.cli", *args],
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == expect, proc.stderr
         return proc
+
+    def run_cli(self, *args, expect=0):
+        return self.run_python("-m", "finipost.cli", *args, expect=expect)
+
+    def test_import_parse_and_bound_finite_load_no_scipy(self):
+        # scipy loads on the first call that needs a solver, a quadrature or
+        # a special function; importing the package, parsing configs and
+        # evaluating a closed-form rate bound need none of them.
+        script = textwrap.dedent(
+            """
+            import json, sys
+            import finipost, finipost.cli
+            from finipost.harness import ExperimentConfig
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            for cfg in json.loads(sys.argv[1]):
+                ExperimentConfig.from_dict(cfg)
+            parsed = scipy_modules()
+            finipost.cli.main(["bound", "finite", "--params", '{"k": 3, "n": 10, "N": 100}'])
+            print(json.dumps([parsed, scipy_modules()]))
+            """
+        )
+        configs = [K2_CONFIG, K3_UNSORTED_CONFIG, DP_MEAN_N5_CONFIG, PT_REAL_N5_CONFIG, DP_REAL_INDEPENDENT_CONFIG]
+        bound, loaded = self.run_python("-c", script, json.dumps(configs)).stdout.splitlines()
+        assert float(bound) == pytest.approx(0.17905694150420948)
+        assert json.loads(loaded) == [[], []]
+
+    def test_run_matches_goldens_in_a_fresh_process(self, tmp_path):
+        # Each child takes its deferred scipy imports for the first time:
+        # the assignment (k = 3 TV), and the Gaussian quantiles of the
+        # Polya tree behind the BL ground.
+        for config, name in ((K3_UNSORTED_CONFIG, "k3_unsorted_seed7.csv"), (PT_REAL_N5_CONFIG, "pt_real_n5_seed17.csv")):
+            cfg_path, out_path = tmp_path / f"{name}.json", tmp_path / name
+            cfg_path.write_text(json.dumps(config))
+            self.run_cli("run", "--config", str(cfg_path), "--out", str(out_path))
+            with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+                assert out_path.read_bytes() == fh.read()
 
     def test_bound_command(self):
         proc = self.run_cli("bound", "finite", "--params", '{"k": 3, "n": 10, "N": 100}')

@@ -1,7 +1,5 @@
 """Seed derivation: determinism, the golden mixing vector, and injectivity."""
 
-import numpy as np
-
 from finipost.rng import derive_key, derive_seed, splitmix64, state_from_key
 
 GOLDEN_KEY = 0x238275BC38FCBE91

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from finipost.errors import FiniPostError
 from finipost.measures import AtomicMeasure, FiniteAlphabet, Sample, empirical
 from finipost.transport import (
-    CostMatrix,
     LipschitzDual,
     TransportPlan,
     bounded_lipschitz,
