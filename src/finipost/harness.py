@@ -42,11 +42,11 @@ from .priors import (
     ExchangeableModel,
     FiniteDirichletModel,
     _iid_from_measure,
+    batched_f_means,
     batched_fd_empirical_counts,
     batched_posterior_integrals,
     batched_sequence_blocks,
     batched_sequences,
-    continue_sequence,
     model_from_spec,
     posterior_draw,
     predictive_expectation,
@@ -72,7 +72,7 @@ __all__ = [
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.4.0"
+ARTIFACT_VERSION = "0.5.0"
 
 _BOOTSTRAP_RESAMPLES = 200
 
@@ -358,7 +358,8 @@ def _posterior_and_empirical_draws(
         return [[AtomicMeasure(list(zip(model.atoms, row)), space=space) for row in W] for W in (P, Q)]
     posts = [posterior_draw(model, history, post_rng) for _ in range(m)]
     if cfg.coupling == "independent":
-        return posts, [empirical(continue_sequence(model, history, N, cont_rng)) for _ in range(m)]
+        blocks = batched_sequence_blocks(model, history, N, m, cont_rng)
+        return posts, [empirical(Sample(tuple(row), space=space)) for block in blocks for row in block.tolist()]
     fresh = N - len(history)
     return posts, [
         empirical(Sample(tuple(history.values) + _iid_from_measure(p, fresh, cont_rng), space=space))
@@ -382,7 +383,7 @@ def _mean_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict)
 
     def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
         post_rng, seq_rng, boot_rng = rngs
-        xs = _batched_f_means(model, history, N, f.vec, cfg.m_samples, seq_rng)
+        xs = batched_f_means(model, history, N, f.vec, cfg.m_samples, seq_rng)
         ys = batched_posterior_integrals(model, history, f.vec, cfg.m_samples, post_rng)
         matched = np.abs(np.sort(xs) - np.sort(ys))
         estimate = float(matched.mean())
@@ -401,19 +402,6 @@ def _mean_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict)
         return estimate, se, bound, slack, estimate > bound + slack
 
     return cell, 0
-
-
-def _batched_f_means(
-    model: ExchangeableModel,
-    history: Sample,
-    N: int,
-    fvec: Callable[[np.ndarray], np.ndarray],
-    draws: int,
-    rng: RngState,
-) -> np.ndarray:
-    """f-means of ``draws`` full continuations, drawn in row blocks."""
-    blocks = batched_sequence_blocks(model, history, N, draws, rng)
-    return np.concatenate([fvec(block).mean(axis=1) for block in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +453,7 @@ def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dic
         x = model.prior_quantile((rep + 1) / (cfg.replicates + 1))
         F_x = predictive_expectation(model, history, Indicator(x))
         block = batched_sequences(model, history, 2 * N + 1, cfg.m_samples, rngs[1])
-        medians = np.median(block, axis=1)
-        estimate = float(np.mean(medians <= x))
+        estimate = float(np.mean(_median_at_most(block, x)))
         se = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / cfg.m_samples)
         left_bound, right_bound = bd.median_tail_bounds(bd.MedianLawInputs(N, F_x), F_x, 1.0 - F_x)
         slack = 3.0 * se
@@ -474,6 +461,12 @@ def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dic
         return estimate, se, left_bound, slack, violated
 
     return cell, 1
+
+
+def _median_at_most(block: np.ndarray, x: float) -> np.ndarray:
+    """Whether the median of each odd-length row is at most x: the median
+    of 2N+1 values is <= x iff at least N+1 of them are, ties included."""
+    return np.count_nonzero(block <= x, axis=1) > block.shape[1] // 2
 
 
 _CELLS = {

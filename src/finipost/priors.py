@@ -2,23 +2,27 @@
 and posterior draws of the directing random measure.
 
 Each model is a dataclass on ``ExchangeableModel`` that holds its own laws
-as methods: the continuation, the posterior draw and its batched
-integrals, the predictive and pair-predictive expectations, and the prior
-predictive quantile.  Each model writes its urn once, across the rows of a
-matrix (the Dirichlet models, the fixed law) or one sequence at a time;
-the base class derives the other form, a sequence as a one-row batch or a
-batch as one sequence per row.  It also supplies observations on the real
-line, a Monte Carlo pair predictive, and no posterior draws.  The module
-functions (``continue_sequence``, ``posterior_draw``, ...) check the shared
-preconditions and then make one call on the model.
+as methods: the continuation and its f-means, the posterior draw and its
+batched integrals, the predictive and pair-predictive expectations, and
+the prior predictive quantile.  Each model writes its urn once, across the
+rows of a matrix (the Dirichlet models, the fixed law) or one sequence at
+a time; the base class derives the other form, a sequence as a one-row
+batch or a batch as one sequence per row.  It also supplies observations
+on the real line, f-means of sequence rows, a Monte Carlo pair predictive,
+and no posterior draws.  The module functions (``continue_sequence``,
+``posterior_draw``, ...) check the shared preconditions and then make one
+call on the model.
 
 * ``FiniteDirichletModel`` -- conjugate Dirichlet weights on k fixed atoms,
   sampled by the classic urn on atom indices, so label alphabets and
   scalar atoms share it; posteriors are exact Dirichlet draws.
-* ``DirichletProcessModel`` -- Blackwell-MacQueen urn over an analytic base;
-  posteriors are drawn by the conjugate decomposition: exact Beta/Dirichlet
-  weights on the distinct history values plus a truncated stick-breaking
-  draw of the prior, whose residual mass goes to one extra atom.
+* ``DirichletProcessModel`` -- Blackwell-MacQueen urn over an analytic base,
+  drawn exactly as counts: Dirichlet-multinomial on the history values and
+  an Ewens partition of the new ones, shuffled into sequences or weighed
+  into f-means; posteriors are drawn by the conjugate decomposition: exact
+  Beta/Dirichlet weights on the distinct history values plus a truncated
+  stick-breaking draw of the prior, whose residual mass goes to one extra
+  atom.
 * ``StickBreakingModel`` -- general independent Beta(a_k, b_k) sticks; the
   posterior has no tractable form and is served by partition-matching
   rejection for histories of at most four points.
@@ -62,6 +66,7 @@ __all__ = [
     "model_from_spec",
     "batched_sequences",
     "batched_sequence_blocks",
+    "batched_f_means",
     "batched_fd_empirical_counts",
     "batched_posterior_integrals",
 ]
@@ -93,10 +98,19 @@ class ExchangeableModel(ABC):
         return Sample(tuple(_sequence_rows(self, history, upto, 1, rng)[0].tolist()), space=self.space)
 
     def batched_continuation(self, history: Sample, out: np.ndarray, rng: RngState) -> None:
-        """Fill the columns of ``out`` after the history with independent
-        continuations, one ``continue_sequence`` per row by default."""
+        """Fill the columns of ``out`` after the history (at least one) with
+        independent continuations, one ``continue_sequence`` per row by
+        default."""
         for r in range(out.shape[0]):
             out[r] = continue_sequence(self, history, out.shape[1], rng).scalars()
+
+    def f_means(
+        self, history: Sample, upto: int, fvec: Callable[[np.ndarray], np.ndarray], draws: int, rng: RngState
+    ) -> np.ndarray:
+        """f-means of ``draws`` independent continuations to length ``upto``;
+        of ``batched_sequence_blocks`` rows by default."""
+        blocks = batched_sequence_blocks(self, history, upto, draws, rng)
+        return np.concatenate([fvec(block).mean(axis=1) for block in blocks])
 
     def posterior(self, history: Sample, rng: RngState) -> AtomicMeasure:
         """One draw of the directing measure given the history."""
@@ -296,21 +310,70 @@ class DirichletProcessModel(ExchangeableModel):
             raise FiniPostError("config-error", "total mass must be positive")
         _check_truncation(self.max_sticks, self.residual_tol)
 
+    def _count_continuation(self, history: Sample, fresh: int, rows: int, rng: RngState) -> tuple:
+        """The next ``fresh`` values of ``rows`` independent continuations,
+        as counts: (x*, old, block_rows, block_cols, sizes, values).
+
+        ``old[r, j]`` new values of row r repeat the distinct history value
+        x*ⱼ, and block b puts ``sizes[b]`` copies of a fresh base value
+        ``values[b]`` in row ``block_rows[b]``, opened at new position
+        ``block_cols[b]``.  Exact in law: the counts on (x*₁…x*_K, new) are
+        Dirichlet-multinomial(fresh; n₁…n_K, c), the multicolour Pólya urn
+        (Blackwell & MacQueen 1973), and the a_new new values form an
+        Ewens(c) partition whose blocks open where independent
+        Bernoulli(c / (c + i)) indicators, i = 0…a_new − 1, are 1 (the
+        Feller coupling; Arratia, Barbour & Tavaré 2003, ch. 4).
+        """
+        c = self.total_mass
+        if len(history):
+            xstar, counts = np.unique(history.scalars(), return_counts=True)
+            drawn = rng.multinomial(fresh, rng.dirichlet(np.append(counts, c), size=rows))
+            old, a_new = drawn[:, :-1], drawn[:, -1]
+        else:
+            xstar, old, a_new = np.empty(0), np.zeros((rows, 0), dtype=np.int64), np.full(rows, fresh)
+        # A row's blocks run from each opening to the next one or to the
+        # sentinel that closes the row after its a_new new values: to the
+        # next mark in flat order, which is always in the same row.
+        i = np.arange(fresh)
+        marks = np.zeros((rows, fresh + 1), dtype=bool)
+        np.less(rng.random((rows, fresh)), c / (c + i), out=marks[:, :fresh])
+        marks[:, :fresh] &= i < a_new[:, None]
+        marks[np.arange(rows), a_new] = True
+        flat = np.flatnonzero(marks)
+        block_rows, block_cols = np.divmod(flat, fresh + 1)
+        opens = block_cols < a_new[block_rows]
+        sizes = np.diff(flat)[opens[:-1]]
+        block_rows, block_cols = block_rows[opens], block_cols[opens]
+        values = np.asarray(self.base.sample(rng, sizes.size), dtype=float)
+        return xstar, old, block_rows, block_cols, sizes, values
+
     def batched_continuation(self, history, out, rng):
-        # The Blackwell-MacQueen urn, one column at a time: step i draws
-        # from the base with probability c / (c + i), else repeats one of
-        # the i values before it.
-        c, draws = self.total_mass, out.shape[0]
-        for i in range(len(history), out.shape[1]):
-            fresh = rng.random(draws) < c / (c + i)
-            k = int(np.count_nonzero(fresh))
-            vals = np.empty(draws)
-            if k:
-                vals[fresh] = self.base.sample(rng, k)
-            if k < draws:  # never at i = 0, where c / (c + i) = 1
-                old = ~fresh
-                vals[old] = out[old, rng.integers(0, i, size=draws - k)]
-            out[:, i] = vals
+        # Each row's multiset (history values, then fresh blocks) expanded and
+        # shuffled uniformly: given its counts the continuation is
+        # exchangeable, so every order of the multiset is equally likely.
+        n, rows = len(history), out.shape[0]
+        fresh = out.shape[1] - n
+        xstar, old, block_rows, block_cols, sizes, values = self._count_continuation(history, fresh, rows, rng)
+        k = xstar.size
+        vals = np.zeros((rows, k + fresh))
+        reps = np.zeros((rows, k + fresh), dtype=np.int64)
+        vals[:, :k], reps[:, :k] = xstar, old
+        vals[block_rows, k + block_cols], reps[block_rows, k + block_cols] = values, sizes
+        new = out[:, n:]
+        new[...] = np.repeat(vals.ravel(), reps.ravel()).reshape(rows, fresh)
+        rng.permuted(new, axis=1, out=new)
+
+    def f_means(self, history, upto, fvec, draws, rng):
+        # The same counts, weighted: no sequence is built or shuffled.
+        n = len(history)
+        head = float(fvec(history.scalars()).sum()) if n else 0.0
+        means = []
+        for rows in _row_chunks(draws, upto):
+            xstar, old, block_rows, _, sizes, values = self._count_continuation(history, upto - n, rows, rng)
+            f = fvec(np.concatenate([xstar, values]))
+            total = old @ f[: xstar.size] + np.bincount(block_rows, weights=sizes * f[xstar.size :], minlength=rows)
+            means.append((head + total) / upto)
+        return np.concatenate(means)
 
     def _history_part(self, history: Sample, rng: RngState, size: int | None = None):
         """(x*, V·D, 1 − V) of the posterior V·Σⱼ Dⱼ δ_{x*ⱼ} + (1−V)·P′, with
@@ -719,8 +782,7 @@ class FixedLawModel(ExchangeableModel):
 
     def batched_continuation(self, history, out, rng):
         n = len(history)
-        if out.shape[1] > n:
-            out[:, n:] = self.base.sample(rng, (out.shape[0], out.shape[1] - n))
+        out[:, n:] = self.base.sample(rng, (out.shape[0], out.shape[1] - n))
 
     def predictive(self, history, f, mc_draws, rng):
         return self.base.expect(f), 0.0
@@ -828,10 +890,11 @@ def batched_sequences(
     """``draws`` independent continuations to length ``upto``, as a matrix.
 
     Returns a (draws, upto) float matrix whose first columns repeat the
-    history.  Scalar models only.  The Dirichlet models and the fixed law
-    run their urn across rows, and ``continue_sequence`` is one row of it;
-    the Polya tree and stick-breaking models fill one row per
-    ``continue_sequence``.
+    history.  Scalar models only.  The finite Dirichlet runs its urn
+    across rows, the Dirichlet process draws each row's counts and
+    shuffles them, the fixed law samples the block at once, and
+    ``continue_sequence`` is one row of it; the Polya tree and
+    stick-breaking models fill one row per ``continue_sequence``.
     """
     _check_horizon(history, upto)
     _check_history(model, history)
@@ -844,9 +907,36 @@ def batched_sequence_blocks(
 ) -> Iterator[np.ndarray]:
     """``batched_sequences`` in row blocks of at most 4e6 entries (bounding
     peak memory); the blocks hold ``draws`` rows in all."""
+    for rows in _row_chunks(draws, upto):
+        yield batched_sequences(model, history, upto, rows, rng)
+
+
+def _row_chunks(draws: int, upto: int) -> Iterator[int]:
+    """Row counts of ``draws`` rows of width ``upto`` in blocks of at most
+    4e6 entries."""
     chunk = max(1, 4_000_000 // max(upto, 1))
     for done in range(0, draws, chunk):
-        yield batched_sequences(model, history, upto, min(chunk, draws - done), rng)
+        yield min(chunk, draws - done)
+
+
+def batched_f_means(
+    model: ExchangeableModel,
+    history: Sample,
+    upto: int,
+    fvec: Callable[[np.ndarray], np.ndarray],
+    draws: int,
+    rng: RngState,
+) -> np.ndarray:
+    """f-means of ``draws`` independent continuations to length ``upto``.
+
+    ``fvec`` must accept a float vector.  Scalar models only.  Rows are
+    drawn in the blocks of ``batched_sequence_blocks``; the Dirichlet
+    process weighs its continuation counts and builds no sequence.
+    """
+    _check_horizon(history, upto)
+    _check_history(model, history)
+    model._check_scalar("batched f-means")
+    return model.f_means(history, upto, fvec, draws, rng)
 
 
 def _sequence_rows(
@@ -854,7 +944,8 @@ def _sequence_rows(
 ) -> np.ndarray:
     out = np.empty((draws, upto))
     out[:, : len(history)] = history.scalars()
-    model.batched_continuation(history, out, rng)
+    if upto > len(history):
+        model.batched_continuation(history, out, rng)
     return out
 
 

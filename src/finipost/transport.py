@@ -194,6 +194,14 @@ def bounded_lipschitz(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, Lipsch
     is solved exactly by a dynamic program (:func:`_bl_chain`).  In R^d
     all pairs are constrained and the linear program goes to HiGHS.
     """
+    value, support, f = _bl_solve(p, q)
+    return value, LipschitzDual(support, f)
+
+
+def _bl_solve(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, list, np.ndarray]:
+    """(value, support, f) of the bounded Lipschitz problem, f an optimal
+    test function on the support.  The value alone needs no certificate,
+    so the cost matrix skips building and validating a ``LipschitzDual``."""
     if p.space != q.space:
         raise FiniPostError("space-mismatch", f"{p.space} vs {q.space}")
     if isinstance(p.space, FiniteAlphabet):
@@ -202,7 +210,7 @@ def bounded_lipschitz(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, Lipsch
     support, delta = _signed_weights(p, q)
     s = len(support)
     if s == 1:
-        return 0.0, LipschitzDual(support, [0.0])
+        return 0.0, support, np.zeros(1)
 
     if isinstance(p.space, RealLine):
         x = np.asarray(support, dtype=float)
@@ -210,7 +218,7 @@ def bounded_lipschitz(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, Lipsch
         support = [support[i] for i in order]
         delta = delta[order]
         f = _bl_chain(x[order], delta)
-        return float(np.dot(delta, f)), LipschitzDual(support, f)
+        return float(np.dot(delta, f)), support, f
 
     from scipy import sparse
     from scipy.optimize import linprog
@@ -231,8 +239,7 @@ def bounded_lipschitz(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, Lipsch
     if not res.success:
         raise FiniPostError("lp-failure", f"bounded Lipschitz LP failed: {res.message}")
     f = np.clip(res.x, -1.0, 1.0)
-    value = float(np.dot(delta, f))
-    return value, LipschitzDual(support, f)
+    return float(np.dot(delta, f)), support, f
 
 
 class _Side:
@@ -491,7 +498,7 @@ def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
             out[lo:hi] = 0.5 * np.abs(ps[lo:hi, None, :] - qs[None, :, :]).sum(axis=2)
         return out
     if ground == "BL":
-        return np.array([[bounded_lipschitz(p, q)[0] for q in qs] for p in ps])
+        return np.array([[_bl_solve(p, q)[0] for q in qs] for p in ps])
     return np.array([[w1_real(p, q) for q in qs] for p in ps])
 
 

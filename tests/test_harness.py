@@ -13,6 +13,7 @@ import pytest
 
 import finipost
 from finipost.errors import FiniPostError
+from finipost.measures import Sample
 from finipost.harness import (
     ExperimentConfig,
     emit,
@@ -370,6 +371,30 @@ class TestBoundExperimentShape:
             assert not row.violated
 
 
+    @pytest.mark.parametrize("kind", ["polya_tree", "stick_breaking"])
+    def test_independent_coupling_batch_equals_per_sequence_draws(self, kind):
+        # These models fill a batch one continue_sequence per row, so the
+        # one batched call reads the stream of m single continuations.
+        from finipost.harness import _posterior_and_empirical_draws
+        from finipost.measures import empirical
+        from finipost.priors import continue_sequence, model_from_spec, posterior_draw, sample_sequence
+        from finipost.rng import derive_seed
+
+        spec = {
+            "polya_tree": {"kind": "polya_tree", "base": GAUSS, "depth": 3, "level_alpha": [1.0, 4.0, 9.0]},
+            "stick_breaking": {"kind": "stick_breaking", "base": GAUSS, "beta_rule": {"a": 1.0, "b": 1.0},
+                               "max_sticks": 64, "residual_tol": 1e-4},
+        }[kind]
+        cfg = ExperimentConfig.from_dict({**BL_CONFIG, "model": spec, "n": 2, "N_grid": [9], "m_samples": 6,
+                                          "coupling": "independent"})
+        model = model_from_spec(spec)
+        h = sample_sequence(model, 2, derive_seed(71))
+        posts, emps = _posterior_and_empirical_draws(cfg, model, h, 9, derive_seed(72), derive_seed(73))
+        post_rng, cont_rng = derive_seed(72), derive_seed(73)
+        assert posts == [posterior_draw(model, h, post_rng) for _ in range(6)]
+        assert emps == [empirical(continue_sequence(model, h, 9, cont_rng)) for _ in range(6)]
+
+
 class TestEstimatorSweep:
     def test_mean_gap_scales_exactly(self):
         cfg = ExperimentConfig.from_dict(
@@ -492,6 +517,20 @@ class TestMedianExperiment:
         report = run_experiment(cfg)
         assert len(report.rows) == 10
         assert not report.any_violation
+
+    def test_order_statistic_count_equals_median_rule_with_ties(self):
+        # DP rows grown from a tied history share its atoms, so many rows
+        # hold several values equal to x = 0.0 or x = 0.5.
+        from finipost.harness import _median_at_most
+        from finipost.priors import batched_sequences, model_from_spec
+        from finipost.rng import derive_seed
+
+        model = model_from_spec({"kind": "dirichlet_process", "mass": 0.7, "base": GAUSS})
+        for N, history in ((1, ()), (2, (0.0, 0.5, 0.0)), (5, (0.0, 0.5, 0.0)), (12, (0.5, 0.0, 0.5))):
+            block = batched_sequences(model, Sample(history), 2 * N + 1, 3000, derive_seed(70, N))
+            for x in (0.0, 0.5, block[0, -1], float(np.median(block[1]))):
+                assert np.array_equal(_median_at_most(block, x), np.median(block, axis=1) <= x)
+            assert not history or np.any(np.count_nonzero(block == 0.0, axis=1) > 1)
 
     def test_fixed_uniform_matches_exact_law(self):
         from finipost.bounds import MedianLawInputs, median_cdf

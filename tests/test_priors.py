@@ -16,6 +16,7 @@ from finipost.priors import (
     FixedLawModel,
     PolyaTreeModel,
     StickBreakingModel,
+    batched_f_means,
     batched_fd_empirical_counts,
     batched_posterior_integrals,
     batched_sequences,
@@ -627,6 +628,75 @@ class TestDPConjugateDecomposition:
         assert list(m.points[: len(distinct)]) == distinct
 
 
+def unsigned_stirling_first(N):
+    """|s(N, k)| for k = 0..N, by |s(i+1, k)| = i |s(i, k)| + |s(i, k-1)|."""
+    row = [1]
+    for i in range(N):
+        row = [i * a + b for a, b in zip(row + [0], [0] + row)]
+    return row
+
+
+class TestDPCountContinuation:
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    @pytest.mark.parametrize("N", [5, 20])
+    def test_distinct_count_law_at_n0(self, N, c):
+        # P(K_N = k) = c^k |s(N, k)| / (c)_N (Ewens sampling formula).
+        from scipy.stats import chisquare
+
+        model = DirichletProcessModel(c, GaussianLaw(0, 1))
+        R = 20000
+        K = distinct_per_row(batched_sequences(model, Sample(()), N, R, derive_seed(140, N, int(4 * c))))
+        rising = math.prod(c + i for i in range(N))
+        law = np.array([c**k * s / rising for k, s in enumerate(unsigned_stirling_first(N))])
+        assert abs(law.sum() - 1.0) < 1e-12
+        # Pool the sparse tails so every expected count is at least 5.
+        lo, *_, hi = np.flatnonzero(R * law >= 5)
+
+        def pooled(v):
+            return np.concatenate([[v[: lo + 1].sum()], v[lo + 1 : hi], [v[hi:].sum()]])
+
+        observed = np.bincount(K, minlength=N + 1)
+        assert chisquare(pooled(observed), pooled(R * law)).pvalue > 1e-3
+
+    def test_mean_count_on_history_values(self):
+        # E[count of x*_j among the N - n new values] = (N - n) n_j / (n + c).
+        model = DirichletProcessModel(2.0, GaussianLaw(0, 1))
+        h = Sample((0.25, 1.5, 0.25))
+        block = batched_sequences(model, h, 13, 40000, derive_seed(141))[:, 3:]
+        for value, n_j in ((0.25, 2), (1.5, 1)):
+            counts = np.count_nonzero(block == value, axis=1)
+            se = counts.std(ddof=1) / math.sqrt(counts.size)
+            assert abs(counts.mean() - 10 * n_j / 5.0) <= 4 * se
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_first_new_and_last_positions_share_a_law(self, n):
+        h = sample_sequence(DP, n, derive_seed(142))
+        block = batched_sequences(DP, h, n + 9, 20000, derive_seed(143))
+        assert ks_2samp(block[:, n], block[:, -1]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("f", [IDENTITY, Square(), Indicator(0.3)], ids=["identity", "square", "indicator"])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_f_means_equal_sequence_means_within_a_block(self, n, f):
+        # One block draws the same counts in both views; the sequence view
+        # only shuffles them afterwards.
+        h = tied_history(n)
+        means = batched_f_means(DP_SHIFTED, h, n + 40, f.vec, 500, derive_seed(144, n))
+        block = batched_sequences(DP_SHIFTED, h, n + 40, 500, derive_seed(144, n))
+        assert np.max(np.abs(means - f.vec(block).mean(axis=1))) <= 1e-12
+
+    def test_f_means_of_other_models_are_sequence_means(self):
+        model = model_from_spec(MODEL_SPECS["polya_tree"])
+        h = sample_sequence(model, 2, derive_seed(145))
+        means = batched_f_means(model, h, 9, Square().vec, 50, derive_seed(146))
+        block = batched_sequences(model, h, 9, 50, derive_seed(146))
+        assert np.array_equal(means, Square().vec(block).mean(axis=1))
+
+    def test_no_new_values_at_the_horizon(self):
+        h = Sample((0.5, -1.0))
+        assert np.array_equal(batched_sequences(DP, h, 2, 3, derive_seed(147)), np.tile([0.5, -1.0], (3, 1)))
+        assert np.allclose(batched_f_means(DP, h, 2, IDENTITY.vec, 3, derive_seed(147)), -0.25)
+
+
 class TestTruncationScale:
     def test_scaled_stop_rule(self):
         from finipost.priors import _truncated_sticks
@@ -679,7 +749,7 @@ def _per_step_fd_urn(model, history, upto, rng):
 
 def _per_step_dp_urn(model, history, upto, rng):
     """The Blackwell-MacQueen urn one draw at a time: an independent
-    reference for the one-row batch behind ``continue_sequence``."""
+    reference, in law, for the DP's count continuation."""
     c = model.total_mass
     values = [float(v) for v in history.values]
     for i in range(len(history), upto):
@@ -693,8 +763,13 @@ def _per_step_dp_urn(model, history, upto, rng):
 PER_STEP_URNS = {
     "finite_dirichlet_labels": _per_step_fd_urn,
     "finite_dirichlet_scalars": _per_step_fd_urn,
-    "dirichlet_process": _per_step_dp_urn,
 }
+
+
+def distinct_per_row(block):
+    """The number of distinct values in each row of a matrix."""
+    ordered = np.sort(block, axis=1)
+    return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
 class TestStreamContracts:
@@ -708,6 +783,25 @@ class TestStreamContracts:
             seq = continue_sequence(model, h, n + 12, derive_seed(907, seed))
             assert list(seq.values) == reference(model, h, n + 12, derive_seed(907, seed))
             assert seq.space == model.space
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_dp_continuation_matches_per_step_urn_in_law(self, n):
+        # The DP draws its continuation as counts, a different stream from
+        # the per-step urn with the same law: both views are compared in law.
+        model = model_from_spec(MODEL_SPECS["dirichlet_process"])
+        h = sample_sequence(model, n, derive_seed(906))
+        R, upto = 20000, n + 12
+        rng = derive_seed(907)
+        reference = np.array([_per_step_dp_urn(model, h, upto, rng) for _ in range(R)])
+        block = batched_sequences(model, h, upto, R, derive_seed(908))
+        k_ref, k_new = distinct_per_row(reference), distinct_per_row(block)
+        for k in range(n + 1, n + 8):
+            p1, p2 = freq(k_ref == k), freq(k_new == k)
+            assert abs(p1 - p2) <= 4 * math.sqrt(freq_se(p1, R) ** 2 + freq_se(p2, R) ** 2)
+        # Rounded: with a history the f-mean has atoms, which the two
+        # routes sum in different orders.
+        means = batched_f_means(model, h, upto, Square().vec, R, derive_seed(909))
+        assert ks_2samp(np.round(means, 12), np.round((reference**2).mean(axis=1), 12)).pvalue > 1e-3
 
     @pytest.mark.parametrize("kind", SCALAR_KINDS)
     @pytest.mark.parametrize("n", [0, 3])
@@ -747,12 +841,14 @@ EXPECTED_CODES = {
     ("fixed", "posterior_draw"): "posterior-unavailable",
     ("fixed", "batched_posterior_integrals"): "posterior-unavailable",
     ("finite_dirichlet_labels", "batched_sequences"): "space-mismatch",
+    ("finite_dirichlet_labels", "batched_f_means"): "space-mismatch",
     ("finite_dirichlet_labels", "batched_posterior_integrals"): "space-mismatch",
     ("finite_dirichlet_labels", "prior_quantile"): "space-mismatch",
     **{
         ("stick_breaking_n5", law): "posterior-unavailable"
         for law in (
-            "continue_sequence", "posterior_draw", "batched_sequences", "batched_posterior_integrals",
+            "continue_sequence", "posterior_draw", "batched_sequences", "batched_f_means",
+            "batched_posterior_integrals",
             "predictive_expectation", "predictive_expectation_mc", "predictive_pair_expectation",
         )
     },
@@ -762,6 +858,9 @@ LAWS = {
     "continue_sequence": lambda model, h, f, g, rng: continue_sequence(model, h, len(h) + 3, rng),
     "posterior_draw": lambda model, h, f, g, rng: posterior_draw(model, h, rng),
     "batched_sequences": lambda model, h, f, g, rng: batched_sequences(model, h, len(h) + 3, 4, rng),
+    "batched_f_means": lambda model, h, f, g, rng: batched_f_means(
+        model, h, len(h) + 3, np.vectorize(f), 4, rng
+    ),
     "batched_posterior_integrals": lambda model, h, f, g, rng: batched_posterior_integrals(
         model, h, np.vectorize(f), 4, rng
     ),
@@ -789,6 +888,12 @@ class TestProtocolConformance:
             "PolyaTreeModel": {"continuation"},
             "FixedLawModel": {"batched_continuation"},
         }
+
+    def test_only_the_dirichlet_process_weighs_counts_into_f_means(self):
+        from finipost.priors import ExchangeableModel
+
+        own = [cls.__name__ for cls in ExchangeableModel.__subclasses__() if "f_means" in vars(cls)]
+        assert own == ["DirichletProcessModel"]
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     @pytest.mark.parametrize("case", [*MODEL_SPECS, "stick_breaking_n5"])

@@ -16,6 +16,7 @@ from finipost.transport import (
     LipschitzDual,
     TransportPlan,
     bounded_lipschitz,
+    meta_cost_matrix,
     meta_w1,
     meta_w1_matched,
     solve_discrete_ot,
@@ -503,6 +504,31 @@ class TestMetaW1:
             for perm in itertools.permutations(range(4))
         )
         assert got == pytest.approx(best, abs=1e-9)
+
+    def test_bl_cost_entries_equal_certified_values(self):
+        # The cost matrix takes the value without building the certificate;
+        # every entry must still equal the certified value bit for bit.
+        from finipost.priors import continue_sequence, model_from_spec, posterior_draw, sample_sequence
+        from finipost.rng import derive_seed
+
+        gauss = {"family": "gaussian", "mu": 0.0, "sigma": 1.0}
+        models = [
+            model_from_spec({"kind": "dirichlet_process", "mass": 1.0, "base": gauss, "max_sticks": 64,
+                             "residual_tol": 1e-4}),
+            model_from_spec({"kind": "polya_tree", "base": gauss, "depth": 3, "level_alpha": [1.0, 4.0, 9.0]}),
+        ]
+        rng = derive_seed(60)
+        ps, qs = [], []
+        for model in models:
+            h = sample_sequence(model, 3, rng)
+            for _ in range(15):
+                ps.append(posterior_draw(model, h, rng))
+                qs.append(empirical(continue_sequence(model, h, 12, rng)))
+        ps.append(dirac(0.5))  # against itself: a one-point union support
+        qs.append(dirac(0.5))
+        cost = meta_cost_matrix(ps, qs, "BL")
+        assert cost[-1, -1] == 0.0
+        assert all(cost[i, j] == bounded_lipschitz(p, q)[0] for i, p in enumerate(ps) for j, q in enumerate(qs))
 
     @pytest.mark.parametrize("labels", [("c", "a", "b"), ("b", "a")])
     def test_weight_matrices_equal_measure_lists(self, labels):
