@@ -37,18 +37,14 @@ import numpy as np
 from . import bounds as bd
 from .errors import FiniPostError, config_float, config_int
 from .families import IDENTITY, AbsDeviation, Indicator, NamedFunction, Square
-from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, Space, cdf_of, empirical, l21_functional
+from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, Space, cdf_of, l21_functional
 from .priors import (
     ExchangeableModel,
-    FiniteDirichletModel,
-    _iid_from_measure,
     batched_f_means,
-    batched_fd_empirical_counts,
     batched_posterior_integrals,
-    batched_sequence_blocks,
+    batched_posterior_rows,
     batched_sequences,
     model_from_spec,
-    posterior_draw,
     predictive_expectation,
     sample_sequence,
 )
@@ -72,7 +68,7 @@ __all__ = [
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.5.0"
+ARTIFACT_VERSION = "0.6.0"
 
 _BOOTSTRAP_RESAMPLES = 200
 
@@ -114,6 +110,8 @@ class ExperimentConfig:
             raise FiniPostError("config-error", "m_samples must be >= 2")
         if self.replicates < 1:
             raise FiniPostError("config-error", "replicates must be >= 1")
+        if not 0 <= self.master_seed < 2**64:  # stream keys mix the seed modulo 2**64
+            raise FiniPostError("config-error", f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.coupling not in ("posterior", "independent"):
             raise FiniPostError("config-error", f"unknown coupling {self.coupling!r}")
         if self.ground not in _GROUNDS:
@@ -273,17 +271,18 @@ def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
     per (N, replicate), against the matching closed-form bound.
 
     Per cell: ``m_samples`` posterior draws and ``m_samples`` empirical
-    measures at horizon N.  Under the default ``coupling="posterior"``
-    each empirical measure is grown from the matching posterior draw (the
-    de Finetti coupling: history plus i.i.d. draws from that measure),
-    which leaves both marginal laws exact while keeping the plug-in bias
-    at desk scale; ``coupling="independent"`` grows them from the
-    marginal predictive chain instead, which over-states the distance
-    badly in the bounded-Lipschitz geometry (see README).  Slack is three
-    bootstrap standard errors of the plug-in (matched-cost resampling);
-    the real-line bound folds in three standard errors of the estimated
-    posterior mean of the sqrt(F(1-F)) integral.  A half-sample estimate
-    is recorded in the metadata so bias stabilization is visible.
+    measures at horizon N, each empirical measure the history plus N - n
+    i.i.d. draws from a directing measure drawn from the posterior (de
+    Finetti), which leaves both marginal laws exact.  Under the default
+    ``coupling="posterior"`` the directing measure is the matching
+    posterior draw, which keeps the plug-in bias at desk scale;
+    ``coupling="independent"`` draws fresh directing measures instead,
+    which over-states the distance badly in the bounded-Lipschitz
+    geometry (see README).  Slack is three bootstrap standard errors of
+    the plug-in (matched-cost resampling); the real-line bound folds in
+    three standard errors of the estimated posterior mean of the
+    sqrt(F(1-F)) integral.  A half-sample estimate is recorded in the
+    metadata so bias stabilization is visible.
     """
     _check_bound_config(cfg, model)
     stabilization = metadata["stabilization"] = []
@@ -296,7 +295,7 @@ def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
         slack = 3.0 * se
 
         if cfg.experiment == "bound_finite":
-            bound = bd.finite_bound(model.k, cfg.n, N)
+            bound = bd.finite_bound(model.space.k, cfg.n, N)
         else:
             l21s = np.array([l21_functional(cdf_of(p)) for p in posts])
             l21_mean = float(l21s.mean())
@@ -323,7 +322,7 @@ def _check_bound_config(cfg: ExperimentConfig, model: ExchangeableModel) -> None
     else:
         if cfg.ground != "BL" or not isinstance(space, RealLine):
             raise FiniPostError("config-error", "bound_real needs a scalar model and BL ground")
-        if type(model).posterior is ExchangeableModel.posterior:
+        if type(model).posterior_rows is ExchangeableModel.posterior_rows:
             raise FiniPostError("config-error", "bound_real needs a model with posterior draws")
 
 
@@ -337,34 +336,29 @@ def _posterior_and_empirical_draws(
 ) -> tuple:
     """``m_samples`` posterior draws and as many horizon-N empirical measures.
 
-    Under the posterior coupling each empirical measure mixes the history
-    with N - n i.i.d. draws from its paired posterior draw; marginally it
-    follows the conditional law of the horizon-N empirical measure (up to
-    the documented truncation tolerance).  A finite-Dirichlet model stays
-    on (m, k) weight matrices: one Dirichlet call gives the posterior rows
-    (the same stream as m ``posterior_draw`` calls), one multinomial call
-    their count continuations.  On a label alphabet the matrices come back
-    with columns in sorted-label order; on scalar atoms their rows become
-    measures for the bounded Lipschitz ground.
+    One ``batched_posterior_rows`` call on ``post_rng`` gives the posterior
+    rows ``P``.  The directing rows are ``P`` (posterior coupling) or fresh
+    rows from ``cont_rng`` (independent), and one multinomial call on
+    ``cont_rng`` counts the N - n new observations, i.i.d. from each row.
+    On a label alphabet, where every row carries the alphabet in one order,
+    both come back as (m, k) weight matrices in sorted-label order; on the
+    real line the rows become measures for the bounded Lipschitz ground.
     """
-    m, space = cfg.m_samples, model.space
-    if isinstance(model, FiniteDirichletModel):
-        P = post_rng.dirichlet(model.posterior_alpha(history), size=m)
-        coupled = P if cfg.coupling == "posterior" else None
-        Q = batched_fd_empirical_counts(model, history, N, m, cont_rng, coupled) / N
-        if isinstance(space, FiniteAlphabet):
-            order = [model.atom_index(label) for label in space.labels]
-            return P[:, order], Q[:, order]
-        return [[AtomicMeasure(list(zip(model.atoms, row)), space=space) for row in W] for W in (P, Q)]
-    posts = [posterior_draw(model, history, post_rng) for _ in range(m)]
-    if cfg.coupling == "independent":
-        blocks = batched_sequence_blocks(model, history, N, m, cont_rng)
-        return posts, [empirical(Sample(tuple(row), space=space)) for block in blocks for row in block.tolist()]
-    fresh = N - len(history)
-    return posts, [
-        empirical(Sample(tuple(history.values) + _iid_from_measure(p, fresh, cont_rng), space=space))
-        for p in posts
+    m, space, n = cfg.m_samples, model.space, len(history)
+    X, P = batched_posterior_rows(model, history, m, post_rng)
+    Xd, D = (X, P) if cfg.coupling == "posterior" else batched_posterior_rows(model, history, m, cont_rng)
+    counts = cont_rng.multinomial(N - n, D / D.sum(axis=1, keepdims=True))
+    if isinstance(space, FiniteAlphabet):
+        order = np.argsort(Xd[0])
+        held = np.array([history.values.count(label) for label in space.labels])
+        return P[:, order], (held + counts[:, order]) / N
+    head, ones = list(history.values), np.ones(n)
+    posts = [AtomicMeasure(zip(x.tolist(), w.tolist()), space=space) for x, w in zip(X, P)]
+    emps = [
+        AtomicMeasure(zip(head + x.tolist(), (np.concatenate([ones, c]) / N).tolist()), space=space)
+        for x, c in zip(Xd, counts)
     ]
+    return posts, emps
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ The atomic measure is the single-measure carrier: empirical measures of
 observed sequences, posterior draws from every prior in ``priors``, and
 mixtures of both are all finite collections of weighted points.  Points
 live in one of three spaces: a finite label alphabet, the real line, or
-a d-dimensional Euclidean space.  A batch of measures on one common
-finite support is carried instead as an (m, k) weight matrix, one row
-per measure, checked once by ``weight_matrix``; ``bound_finite`` cells
-run on such matrices.  Continuous laws appear only through the analytic
-CDF families of ``families``.
+a d-dimensional Euclidean space.  A batch of posterior draws leaves
+``priors`` as posterior rows, (m, s) atom and weight arrays padded with
+zero weights; on one common finite support the weights alone are an
+(m, k) weight matrix, one row per measure, checked once by
+``weight_matrix``, and ``bound_finite`` cells run on such matrices.
+Zero-weight atoms are dropped when a row becomes an ``AtomicMeasure``.
+Continuous laws appear only through the analytic CDF families of
+``families``.
 """
 
 from __future__ import annotations

@@ -2,20 +2,20 @@
 and posterior draws of the directing random measure.
 
 Each model is a dataclass on ``ExchangeableModel`` that holds its own laws
-as methods: the continuation and its f-means, the posterior draw and its
-batched integrals, the predictive and pair-predictive expectations, and
-the prior predictive quantile.  Each model writes its urn once, across the
-rows of a matrix (the Dirichlet models, the fixed law) or one sequence at
-a time; the base class derives the other form, a sequence as a one-row
-batch or a batch as one sequence per row.  It also supplies observations
-on the real line, f-means of sequence rows, a Monte Carlo pair predictive,
-and no posterior draws.  The module functions (``continue_sequence``,
-``posterior_draw``, ...) check the shared preconditions and then make one
-call on the model.
+as methods: the continuation and its f-means, the posterior rows, the
+predictive and pair-predictive expectations, and the prior predictive
+quantile.  Each model writes its urn once, across the rows of a matrix
+(the Dirichlet models, the fixed law) or one sequence at a time; the base
+class derives the other form, a sequence as a one-row batch or a batch as
+one sequence per row.  It also supplies observations on the real line,
+f-means of sequence rows, a Monte Carlo pair predictive, and no posterior
+draws.  The module functions (``continue_sequence``, ``posterior_draw``,
+...) check the shared preconditions and then make one call on the model.
+Posterior draws come as posterior rows (see ``batched_posterior_rows``).
 
 * ``FiniteDirichletModel`` -- conjugate Dirichlet weights on k fixed atoms,
   sampled by the classic urn on atom indices, so label alphabets and
-  scalar atoms share it; posteriors are exact Dirichlet draws.
+  scalar atoms share it; posterior rows are one exact Dirichlet call.
 * ``DirichletProcessModel`` -- Blackwell-MacQueen urn over an analytic base,
   drawn exactly as counts: Dirichlet-multinomial on the history values and
   an Ewens partition of the new ones, shuffled into sequences or weighed
@@ -28,7 +28,8 @@ call on the model.
   rejection for histories of at most four points.
 * ``PolyaTreeModel`` -- dyadic quantile partition of an invertible base CDF
   with Beta-distributed branch probabilities; fully conjugate, observations
-  are emitted at quantile-interval midpoints of the deepest level.
+  are emitted at quantile-interval midpoints of the deepest level, and
+  posterior rows take one Beta call per level.
 * ``FixedLawModel`` -- a deterministic directing measure, the degenerate
   carrier used by median-law experiments.
 
@@ -38,6 +39,7 @@ Every operation takes its random state explicitly; see ``rng``.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
@@ -67,7 +69,7 @@ __all__ = [
     "batched_sequences",
     "batched_sequence_blocks",
     "batched_f_means",
-    "batched_fd_empirical_counts",
+    "batched_posterior_rows",
     "batched_posterior_integrals",
 ]
 
@@ -112,8 +114,9 @@ class ExchangeableModel(ABC):
         blocks = batched_sequence_blocks(self, history, upto, draws, rng)
         return np.concatenate([fvec(block).mean(axis=1) for block in blocks])
 
-    def posterior(self, history: Sample, rng: RngState) -> AtomicMeasure:
-        """One draw of the directing measure given the history."""
+    def posterior_rows(self, history: Sample, draws: int, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
+        """``draws`` draws of the directing measure given the history, as
+        (draws, s) atom and weight arrays (see ``batched_posterior_rows``)."""
         raise FiniPostError(
             "posterior-unavailable", f"{type(self).__name__} has no finite-support posterior representation"
         )
@@ -121,12 +124,10 @@ class ExchangeableModel(ABC):
     def posterior_integrals(
         self, history: Sample, fvec: Callable[[np.ndarray], np.ndarray], draws: int, rng: RngState
     ) -> np.ndarray:
-        """f-integrals of ``draws`` posterior draws, one draw at a time by default."""
-        out = np.empty(draws)
-        for r in range(draws):
-            m = posterior_draw(self, history, rng)
-            out[r] = float(np.dot(m.weights, fvec(np.asarray(m.points, dtype=float))))
-        return out
+        """f-integrals of ``draws`` posterior draws: Σ W·f(X) over the
+        posterior rows by default."""
+        atoms, weights = self.posterior_rows(history, draws, rng)
+        return (weights * fvec(atoms)).sum(axis=1)
 
     @abstractmethod
     def predictive(
@@ -174,9 +175,9 @@ def _check_truncation(max_sticks: int, residual_tol: float) -> None:
 class FiniteDirichletModel(ExchangeableModel):
     """Dirichlet-distributed weights on a fixed finite support.
 
-    ``atoms`` may be labels (a genuine finite alphabet) or scalars (a
-    finite support embedded in the real line, so that scalar estimators
-    apply).
+    ``atoms`` are all labels (a genuine finite alphabet) or all finite
+    scalars (a finite support embedded in the real line, so that scalar
+    estimators apply).
     """
 
     concentration: tuple[float, ...]
@@ -191,6 +192,9 @@ class FiniteDirichletModel(ExchangeableModel):
         atoms = self.atoms if self.atoms else tuple(f"a{i + 1}" for i in range(len(conc)))
         if len(atoms) != len(conc):
             raise FiniPostError("config-error", "atoms and concentration lengths differ")
+        real = (isinstance(a, numbers.Real) and not isinstance(a, bool) and math.isfinite(a) for a in atoms)
+        if not (all(isinstance(a, str) for a in atoms) or all(real)):
+            raise FiniPostError("config-error", f"support atoms must be all labels or all finite numbers: {atoms!r}")
         if len(set(atoms)) != len(atoms):
             raise FiniPostError("config-error", "support atoms must be distinct")
         object.__setattr__(self, "concentration", conc)
@@ -206,23 +210,16 @@ class FiniteDirichletModel(ExchangeableModel):
             return FiniteAlphabet(tuple(sorted(self.atoms)))
         return RealLine()
 
-    def atom_index(self, value) -> int:
-        try:
-            return self.atoms.index(value)
-        except ValueError:
-            raise FiniPostError("space-mismatch", f"value {value!r} is not a support atom") from None
-
-    def atom_counts(self, history: Sample) -> np.ndarray:
-        counts = np.zeros(self.k)
-        for v in history.values:
-            counts[self.atom_index(v)] += 1.0
-        return counts
-
     def posterior_alpha(self, history: Sample) -> np.ndarray:
         """Dirichlet parameters of the weights given the history: the
         concentration plus the atom counts, in ``atoms`` order.  The
         predictive law of the next observation is their normalisation."""
-        return np.asarray(self.concentration) + self.atom_counts(history)
+        counts = np.zeros(self.k)
+        for v in history.values:
+            if v not in self.atoms:
+                raise FiniPostError("space-mismatch", f"value {v!r} is not a support atom")
+            counts[self.atoms.index(v)] += 1.0
+        return np.asarray(self.concentration) + counts
 
     def _urn(self, history: Sample, draws: int, steps: int, rng: RngState) -> Iterator[np.ndarray]:
         """Atom indices of ``draws`` independent urn continuations, one
@@ -250,14 +247,9 @@ class FiniteDirichletModel(ExchangeableModel):
         for i, j in enumerate(self._urn(history, out.shape[0], out.shape[1] - n, rng), n):
             out[:, i] = atoms[j]
 
-    def posterior(self, history, rng):
-        w = rng.dirichlet(self.posterior_alpha(history))
-        return AtomicMeasure(list(zip(self.atoms, w)), space=self.space)
-
-    def posterior_integrals(self, history, fvec, draws, rng):
-        self._check_scalar("batched posterior integrals")
+    def posterior_rows(self, history, draws, rng):
         W = rng.dirichlet(self.posterior_alpha(history), size=draws)
-        return W @ fvec(np.asarray(self.atoms, dtype=float))
+        return np.asarray(self.atoms)[None].repeat(draws, axis=0), W
 
     def predictive(self, history, f, mc_draws, rng):
         weights = self.posterior_alpha(history)
@@ -385,13 +377,18 @@ class DirichletProcessModel(ExchangeableModel):
         d = rng.dirichlet(counts, size=size)
         return xstar, np.expand_dims(v, -1) * d, 1.0 - v
 
-    def posterior(self, history, rng):
-        atoms, scale = [], 1.0
-        if len(history):
-            xstar, w, scale = self._history_part(history, rng)
-            atoms = list(zip(xstar.tolist(), w.tolist()))
-        atoms += _stick_atoms(self, lambda _k: (1.0, self.total_mass), rng, scale)
-        return AtomicMeasure(atoms, space=self.space)
+    def posterior_rows(self, history, draws, rng):
+        return _stack_rows([self._posterior_row(history, rng) for _ in range(draws)])
+
+    def _posterior_row(self, history: Sample, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
+        """One draw: the distinct history values, then the atoms of P′ (all
+        sticks, then i.i.d. base locations), the last one carrying the
+        truncation residual."""
+        xstar, w, scale = self._history_part(history, rng) if len(history) else (np.empty(0), np.empty(0), 1.0)
+        c = self.total_mass
+        sticks, residual = _truncated_sticks(lambda _k: (1.0, c), self.max_sticks, self.residual_tol, rng, scale)
+        locs = np.asarray(self.base.sample(rng, sticks.size + 1), dtype=float)
+        return np.concatenate([xstar, locs]), np.concatenate([w, scale * np.append(sticks, residual)])
 
     def posterior_integrals(self, history, fvec, draws, rng):
         # Only the prior part P' breaks sticks; row r stops once
@@ -484,22 +481,21 @@ class StickBreakingModel(ExchangeableModel):
         return self.beta_params[k - 1]
 
     def continuation(self, history, upto, rng):
+        # I.i.d. draws from one posterior draw, by inverse CDF.
         measure = posterior_draw(self, history, rng)
-        new = _iid_from_measure(measure, upto - len(history), rng)
+        cum = np.cumsum(measure.weights)
+        idx = np.searchsorted(cum, rng.random(upto - len(history)) * cum[-1], side="right")
+        new = tuple(measure.points[i] for i in np.minimum(idx, len(measure) - 1))
         return Sample(tuple(history.values) + new, space=self.space)
 
-    def posterior(self, history, rng):
-        n = len(history)
-        if n == 0:
-            return AtomicMeasure(_stick_atoms(self, self.stick_beta, rng), space=self.space)
-        if n > 4:
+    def posterior_rows(self, history, draws, rng):
+        if len(history) > 4:
             raise FiniPostError(
-                "posterior-unavailable",
-                "stick-breaking posteriors are only served for histories of length <= 4",
+                "posterior-unavailable", "stick-breaking posteriors are only served for histories of length <= 4"
             )
-        return self._rejection_posterior(history, rng)
+        return _stack_rows([self._rejection_posterior(history, rng) for _ in range(draws)])
 
-    def _rejection_posterior(self, history: Sample, rng: RngState) -> AtomicMeasure:
+    def _rejection_posterior(self, history: Sample, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
         """Condition stick weights on the history by partition matching.
 
         Weights and locations are independent a priori and locations are
@@ -509,7 +505,8 @@ class StickBreakingModel(ExchangeableModel):
         sticks, assign the n observations to sticks by the stick weights,
         accept when the induced partition matches the observed one.  Draws
         landing in the truncation residual are rejected outright (a bias of
-        at most n times the residual tolerance).
+        at most n times the residual tolerance).  With no history the first
+        draw is accepted: a draw of the prior.
         """
         n = len(history)
         target = _history_pattern(history.values)
@@ -530,9 +527,7 @@ class StickBreakingModel(ExchangeableModel):
             locs = np.asarray(self.base.sample(rng, sticks.size + 1), dtype=float)
             for pos, cluster in enumerate(_cluster_sticks(idx, target)):
                 locs[cluster] = distinct[pos]
-            atoms = [(float(locs[i]), w) for i, w in enumerate(sticks)]
-            atoms.append((float(locs[-1]), residual))
-            return AtomicMeasure(atoms, space=self.space)
+            return locs, np.append(sticks, residual)
         raise FiniPostError("posterior-unavailable", "rejection cap exceeded; partition too unlikely")
 
     def predictive(self, history, f, mc_draws, rng):
@@ -595,22 +590,15 @@ def _truncated_sticks(
     return np.asarray(weights, dtype=float), residual
 
 
-def _stick_atoms(
-    model: DirichletProcessModel | StickBreakingModel, beta_at: Callable, rng: RngState, scale: float = 1.0
-) -> list[tuple[float, float]]:
-    """Atoms of a truncated stick-breaking measure of total mass ``scale``
-    under ``model``'s truncation and base: all sticks, then i.i.d. base
-    locations, the last one carrying the residual."""
-    sticks, residual = _truncated_sticks(beta_at, model.max_sticks, model.residual_tol, rng, scale)
-    locs = np.asarray(model.base.sample(rng, sticks.size + 1), dtype=float)
-    return list(zip(locs.tolist(), (scale * np.append(sticks, residual)).tolist()))
-
-
-def _iid_from_measure(measure: AtomicMeasure, n: int, rng: RngState) -> tuple:
-    cum = np.cumsum(measure.weights)
-    idx = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
-    idx = np.minimum(idx, len(measure.points) - 1)
-    return tuple(measure.points[i] for i in idx)
+def _stack_rows(rows: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior rows from one (atoms, weights) pair per draw: a short row
+    repeats its last atom with weight 0."""
+    width = max((x.size for x, _ in rows), default=0)
+    atoms, weights = np.empty((len(rows), width)), np.zeros((len(rows), width))
+    for r, (x, w) in enumerate(rows):
+        atoms[r, : x.size], atoms[r, x.size :] = x, x[-1]
+        weights[r, : w.size] = w
+    return atoms, weights
 
 
 # ---------------------------------------------------------------------------
@@ -712,14 +700,14 @@ class PolyaTreeModel(ExchangeableModel):
             values.append(points[node])
         return Sample(tuple(values), space=self.space)
 
-    def posterior(self, history, rng):
-        # Draw every branch probability, one Beta call per level, and take
-        # products down to the leaves.
-        probs = np.ones(1)
+    def posterior_rows(self, history, draws, rng):
+        # Draw every branch probability, one Beta call per level for all
+        # rows, and take products down to the leaves.
+        probs = np.ones((draws, 1))
         for a in self._posterior(history):
-            v = rng.beta(a[0::2], a[1::2])
-            probs = np.column_stack([probs * v, probs * (1.0 - v)]).ravel()
-        return AtomicMeasure(zip(self._points().tolist(), probs.tolist()), space=self.space)
+            v = rng.beta(a[0::2], a[1::2], size=(draws, a.size // 2))
+            probs = np.stack([probs * v, probs * (1.0 - v)], axis=-1).reshape(draws, 2 * probs.shape[1])
+        return self._points()[None].repeat(draws, axis=0), probs
 
     def predictive(self, history, f, mc_draws, rng):
         total = 0.0
@@ -825,9 +813,25 @@ def continue_sequence(model: ExchangeableModel, history: Sample, upto: int, rng:
 
 
 def posterior_draw(model: ExchangeableModel, history: Sample, rng: RngState) -> AtomicMeasure:
-    """One draw of the directing measure given the observed prefix."""
+    """One draw of the directing measure given the observed prefix: the row
+    of a one-row ``batched_posterior_rows``, zero weights dropped."""
+    atoms, weights = batched_posterior_rows(model, history, 1, rng)
+    return AtomicMeasure(zip(atoms[0].tolist(), weights[0].tolist()), space=model.space)
+
+
+def batched_posterior_rows(
+    model: ExchangeableModel, history: Sample, draws: int, rng: RngState
+) -> tuple[np.ndarray, np.ndarray]:
+    """``draws`` independent draws of the directing measure given the
+    observed prefix, as (draws, s) atom and weight arrays, one draw per row;
+    a row with fewer than s atoms repeats its last atom with weight 0.
+
+    The finite Dirichlet makes one Dirichlet call (its atoms, labels too,
+    are the same in every row), the Polya tree one Beta call per level; the
+    Dirichlet process and stick-breaking models draw one row at a time.
+    """
     _check_history(model, history)
-    return model.posterior(history, rng)
+    return model.posterior_rows(history, draws, rng)
 
 
 def predictive_expectation(
@@ -949,36 +953,6 @@ def _sequence_rows(
     return out
 
 
-def batched_fd_empirical_counts(
-    model: FiniteDirichletModel,
-    history: Sample,
-    upto: int,
-    draws: int,
-    rng: RngState,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Atom counts of ``draws`` length-``upto`` continuations, in ``atoms`` order.
-
-    Given a directing-measure draw the new observations are i.i.d. from
-    it, so each row is the history counts plus one multinomial draw.
-    ``weights`` are the (draws, k) directing rows to continue from (each
-    row normalised first); without them each row gets a fresh posterior
-    Dirichlet draw, which makes the rows exact, independent samples of
-    the Dirichlet-multinomial urn continuation.
-    """
-    _check_horizon(history, upto)
-    _check_history(model, history)
-    base = model.atom_counts(history)
-    fresh = upto - len(history)
-    if fresh == 0:
-        return np.tile(base, (draws, 1))
-    if weights is None:
-        weights = rng.dirichlet(model.posterior_alpha(history), size=draws)
-    else:
-        weights = weights / weights.sum(axis=1, keepdims=True)
-    return base[None, :] + rng.multinomial(fresh, weights)
-
-
 def batched_posterior_integrals(
     model: ExchangeableModel,
     history: Sample,
@@ -988,10 +962,13 @@ def batched_posterior_integrals(
 ) -> np.ndarray:
     """``draws`` independent values of the f-integral of a posterior draw.
 
-    ``fvec`` must accept a float vector.  The Dirichlet models run fully
-    vectorized; other models fall back to one posterior draw per entry.
+    ``fvec`` must accept a float array.  Scalar models only.  Each value
+    is Σ W·f(X) over one of ``batched_posterior_rows``; the Dirichlet
+    process instead breaks the sticks of all draws in lockstep and builds
+    no rows.
     """
     _check_history(model, history)
+    model._check_scalar("batched posterior integrals")
     return model.posterior_integrals(history, fvec, draws, rng)
 
 

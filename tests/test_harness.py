@@ -97,6 +97,7 @@ BL_CONFIG = {
 }
 
 DP_MODEL = {"kind": "dirichlet_process", "mass": 1.0, "base": GAUSS}
+FD_MIXED = {"kind": "finite_dirichlet", "alpha": [1, 1]}
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -251,6 +252,27 @@ class TestConfigValidation:
         assert (cfg.replicates, cfg.N_grid, cfg.master_seed) == (2, (2, 4), 42)
         assert all(type(v) is int for v in (cfg.replicates, *cfg.N_grid, cfg.master_seed))
 
+    @pytest.mark.parametrize("seed, ok", [(0, True), (2**64 - 1, True), (2**64, False), (-1, False)])
+    def test_master_seed_range(self, seed, ok):
+        # Stream keys mix the seed modulo 2**64: a seed outside [0, 2**64)
+        # would silently alias one inside.
+        cfg = {**K2_CONFIG, "m_samples": 8, "master_seed": seed}
+        if ok:
+            assert len(run_experiment(ExperimentConfig.from_dict(cfg)).rows) == 1
+        else:
+            with pytest.raises(FiniPostError) as err:
+                ExperimentConfig.from_dict(cfg)
+            assert err.value.code == "config-error"
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_cli_seed_range(self, tmp_path, capsys, seed):
+        from finipost.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**K2_CONFIG, "m_samples": 8}))
+        assert main(["run", "--config", str(cfg_path), "--seed", str(seed)]) == 1
+        assert "error [config-error]" in capsys.readouterr().err
+
     def test_grid_floor(self):
         with pytest.raises(FiniPostError):
             ExperimentConfig.from_dict({**K2_CONFIG, "n": 2, "N_grid": [2]})
@@ -371,28 +393,73 @@ class TestBoundExperimentShape:
             assert not row.violated
 
 
-    @pytest.mark.parametrize("kind", ["polya_tree", "stick_breaking"])
-    def test_independent_coupling_batch_equals_per_sequence_draws(self, kind):
-        # These models fill a batch one continue_sequence per row, so the
-        # one batched call reads the stream of m single continuations.
+    def test_independent_coupling_follows_the_continuation_law(self):
+        # Fresh posterior rows plus multinomial counts give the law of the
+        # urn continuation: compare the empirical means with the DP's count
+        # continuation.  Rounded, as rows made only of history values sum
+        # the same atoms in different orders on the two routes.
+        from scipy.stats import ks_2samp
+
+        from finipost.families import IDENTITY
         from finipost.harness import _posterior_and_empirical_draws
-        from finipost.measures import empirical
-        from finipost.priors import continue_sequence, model_from_spec, posterior_draw, sample_sequence
+        from finipost.priors import batched_f_means, model_from_spec, sample_sequence
         from finipost.rng import derive_seed
 
-        spec = {
-            "polya_tree": {"kind": "polya_tree", "base": GAUSS, "depth": 3, "level_alpha": [1.0, 4.0, 9.0]},
-            "stick_breaking": {"kind": "stick_breaking", "base": GAUSS, "beta_rule": {"a": 1.0, "b": 1.0},
-                               "max_sticks": 64, "residual_tol": 1e-4},
-        }[kind]
-        cfg = ExperimentConfig.from_dict({**BL_CONFIG, "model": spec, "n": 2, "N_grid": [9], "m_samples": 6,
+        cfg = ExperimentConfig.from_dict({**BL_CONFIG, "model": DP_MODEL, "n": 3, "N_grid": [20], "m_samples": 2000,
                                           "coupling": "independent"})
+        model = model_from_spec(DP_MODEL)
+        h = sample_sequence(model, 3, derive_seed(71))
+        _, emps = _posterior_and_empirical_draws(cfg, model, h, 20, derive_seed(72), derive_seed(73))
+        means = [float(np.dot(e.weights, e.scalars())) for e in emps]
+        reference = batched_f_means(model, h, 20, IDENTITY.vec, 2000, derive_seed(74))
+        assert ks_2samp(np.round(means, 12), np.round(reference, 12)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("coupling", ["posterior", "independent"])
+    def test_label_counts_mean(self, coupling):
+        # Mean count = history count + fresh * (alpha + count)/(A + n), under
+        # either coupling; columns come back in sorted-label order.
+        from finipost.harness import _posterior_and_empirical_draws
+        from finipost.priors import model_from_spec
+        from finipost.rng import derive_seed
+
+        spec = {"kind": "finite_dirichlet", "alpha": [1.0, 1.0], "atoms": ["b", "a"]}
+        cfg = ExperimentConfig.from_dict({**K2_CONFIG, "model": spec, "n": 3, "N_grid": [13], "m_samples": 40000,
+                                          "coupling": coupling})
         model = model_from_spec(spec)
-        h = sample_sequence(model, 2, derive_seed(71))
-        posts, emps = _posterior_and_empirical_draws(cfg, model, h, 9, derive_seed(72), derive_seed(73))
-        post_rng, cont_rng = derive_seed(72), derive_seed(73)
-        assert posts == [posterior_draw(model, h, post_rng) for _ in range(6)]
-        assert emps == [empirical(continue_sequence(model, h, 9, cont_rng)) for _ in range(6)]
+        P, Q = _posterior_and_empirical_draws(cfg, model, Sample(("a", "a", "b")), 13, derive_seed(117),
+                                              derive_seed(118))
+        counts = 13 * Q
+        assert P.shape == Q.shape == (40000, 2)
+        assert np.array_equal(counts, np.round(counts)) and np.all(counts.sum(axis=1) == 13)
+        assert np.all(counts[:, 0] >= 2) and np.all(counts[:, 1] >= 1)
+        expected = 2 + 10 * (1 + 2) / (2 + 3)
+        se = counts[:, 0].std(ddof=1) / math.sqrt(counts.shape[0])
+        assert abs(counts[:, 0].mean() - expected) <= 4 * se
+        assert abs(P[:, 0].mean() - 3 / 5) <= 4 * P[:, 0].std(ddof=1) / math.sqrt(P.shape[0])
+
+
+class TestStructure:
+    @pytest.mark.parametrize("module", ["harness", "estimators"])
+    def test_no_concrete_model_class_outside_priors(self, module):
+        # Model behaviour sits behind the ExchangeableModel protocol: these
+        # modules neither import a concrete model class nor name one.
+        import ast
+
+        from finipost.priors import ExchangeableModel
+
+        concrete = {cls.__name__ for cls in ExchangeableModel.__subclasses__()}
+        path = os.path.join(os.path.dirname(finipost.__file__), f"{module}.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                named |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        assert len(concrete) == 5 and not named & concrete
 
 
 class TestEstimatorSweep:
@@ -669,6 +736,11 @@ class TestCli:
             {**BL_CONFIG, "model": {**BL_CONFIG["model"], "max_sticks": 64.9}},
             {**BL_CONFIG, "model": {"kind": "polya_tree", "base": GAUSS, "depth": 2.5, "level_alpha": [1.0, 4.0]}},
             {**K2_CONFIG, "model": {"kind": "finite_dirichlet", "alpha": [1, 1], "atoms": "ab"}},
+            small_mean_config(experiment="estimator_sweep", model={**FD_MIXED, "atoms": ["a", 1.0]}),
+            small_mean_config(experiment="estimator_sweep", model={**FD_MIXED, "atoms": [0.0, "1"]}),
+            small_mean_config(experiment="estimator_sweep", model={**FD_MIXED, "atoms": [0.0, True]}),
+            {**K2_CONFIG, "master_seed": 2**64},
+            {**K2_CONFIG, "master_seed": -1},
             small_mean_config(f_spec={"kind": "gini"}),
             small_mean_config(model={**DP_MODEL, "mass": float("nan")}),
             small_mean_config(model={**DP_MODEL, "mass": float("inf")}),
@@ -693,7 +765,8 @@ class TestCli:
         ids=[
             "experiment-mystery", "n-str", "m_samples-str", "N_grid-int", "top-level-list", "alpha-str",
             "replicates-fraction", "N_grid-fraction", "n-bool", "master_seed-fraction", "m_samples-digits",
-            "max_sticks-fraction", "depth-fraction", "atoms-str", "mean-gini",
+            "max_sticks-fraction", "depth-fraction", "atoms-str", "atoms-label-then-number",
+            "atoms-number-then-label", "atoms-bool", "master_seed-2**64", "master_seed-negative", "mean-gini",
             "mass-nan", "mass-inf", "mass-str", "mass-bool", "residual_tol-str", "mu-nan", "sigma-inf",
             "uniform-a-str", "point_mass-c-bool", "indicator-y-nan", "alpha-nan", "beta_rule-inf",
             "beta_params-str", "level_alpha-nan", "params-bool", "output-int", "output-bool", "ground-bogus",

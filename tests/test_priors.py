@@ -17,8 +17,8 @@ from finipost.priors import (
     PolyaTreeModel,
     StickBreakingModel,
     batched_f_means,
-    batched_fd_empirical_counts,
     batched_posterior_integrals,
+    batched_posterior_rows,
     batched_sequences,
     continue_sequence,
     model_from_spec,
@@ -460,24 +460,6 @@ class TestBatched:
         assert FD01.posterior_alpha(h).tolist() == [2.0, 3.0]
         assert FD01.posterior_alpha(Sample((), space=FD01.space)).tolist() == [1.0, 1.0]
 
-    def test_fd_counts_coupled_to_given_rows(self):
-        # Degenerate directing rows pin every fresh observation.
-        h = Sample((0.0, 1.0))
-        W = np.array([[1.0, 0.0], [0.0, 2.0]])  # rows are normalised first
-        counts = batched_fd_empirical_counts(FD01, h, 12, 2, derive_seed(122), W)
-        assert counts.tolist() == [[11.0, 1.0], [1.0, 11.0]]
-
-    def test_fd_counts_mean(self):
-        rng = derive_seed(117)
-        h = Sample((0.0, 0.0, 1.0))
-        counts = batched_fd_empirical_counts(FD01, h, 13, 40000, rng)
-        assert counts.shape == (40000, 2)
-        assert np.all(counts.sum(axis=1) == 13)
-        # Mean count = history count + fresh * (alpha + count)/(A + n).
-        expected = 2 + 10 * (1 + 2) / (2 + 3)
-        se = counts[:, 0].std(ddof=1) / math.sqrt(counts.shape[0])
-        assert abs(counts[:, 0].mean() - expected) <= 4 * se
-
     def test_dp_batched_vs_sequential_law(self):
         rng = derive_seed(118)
         h = Sample((1.0,))
@@ -730,6 +712,7 @@ MODEL_SPECS = {
     "fixed": {"kind": "fixed", "base": {"family": "uniform", "a": 0, "b": 1}},
 }
 SCALAR_KINDS = [name for name in MODEL_SPECS if name != "finite_dirichlet_labels"]
+POSTERIOR_KINDS = [name for name in MODEL_SPECS if name != "fixed"]
 
 
 def _per_step_fd_urn(model, history, upto, rng):
@@ -816,15 +799,51 @@ class TestStreamContracts:
             seq = continue_sequence(model, h, n + 6, derive_seed(901, seed))
             assert np.array_equal(row, seq.scalars())
 
-    @pytest.mark.parametrize("kind", ["stick_breaking", "polya_tree"])
+    @pytest.mark.parametrize("kind", POSTERIOR_KINDS)
     @pytest.mark.parametrize("n", [0, 2])
-    def test_batched_integrals_equal_per_draw(self, kind, n):
+    def test_posterior_rows_sum_to_one(self, kind, n):
+        model = model_from_spec(MODEL_SPECS[kind])
+        h = sample_sequence(model, n, derive_seed(902))
+        atoms, weights = batched_posterior_rows(model, h, 30, derive_seed(903))
+        assert atoms.shape == weights.shape and weights.shape[0] == 30
+        assert np.all(weights >= 0.0)
+        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-12
+        assert batched_posterior_rows(model, h, 0, derive_seed(903))[1].shape[0] == 0
+
+    @pytest.mark.parametrize("kind", POSTERIOR_KINDS)
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_posterior_draw_is_row_zero(self, kind, n):
+        model = model_from_spec(MODEL_SPECS[kind])
+        h = sample_sequence(model, n, derive_seed(902))
+        for seed in range(10):
+            m = posterior_draw(model, h, derive_seed(903, seed))
+            atoms, weights = batched_posterior_rows(model, h, 1, derive_seed(903, seed))
+            keep = weights[0] > 0.0
+            assert m.points == tuple(atoms[0][keep].tolist())
+            assert np.array_equal(m.weights, weights[0][keep])
+
+    @pytest.mark.parametrize("kind", ["finite_dirichlet_scalars", "stick_breaking", "polya_tree"])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_batched_integrals_weigh_the_posterior_rows(self, kind, n):
+        # The Dirichlet process breaks its sticks without rows; it is
+        # checked in law by TestDPConjugateDecomposition.
         model = model_from_spec(MODEL_SPECS[kind])
         h = sample_sequence(model, n, derive_seed(902))
         batch = batched_posterior_integrals(model, h, IDENTITY.vec, 30, derive_seed(903))
-        rng = derive_seed(903)
-        draws = [posterior_draw(model, h, rng) for _ in range(30)]
-        assert np.array_equal(batch, [np.dot(m.weights, IDENTITY.vec(m.scalars())) for m in draws])
+        atoms, weights = batched_posterior_rows(model, h, 30, derive_seed(903))
+        assert np.array_equal(batch, (weights * IDENTITY.vec(atoms)).sum(axis=1))
+
+    def test_short_rows_repeat_their_last_atom_with_weight_zero(self):
+        model = model_from_spec(MODEL_SPECS["dirichlet_process"])
+        h = sample_sequence(model, 2, derive_seed(910))
+        atoms, weights = batched_posterior_rows(model, h, 40, derive_seed(911))
+        rng = derive_seed(911)
+        for x, w in zip(atoms, weights):
+            m = posterior_draw(model, h, rng)
+            s = len(m)
+            assert np.array_equal(x[:s], m.scalars()) and np.array_equal(w[:s], m.weights)
+            assert np.all(x[s:] == x[s - 1]) and np.all(w[s:] == 0.0)
+        assert len({int(np.count_nonzero(w)) for w in weights}) > 1
 
 
 def _all_finite(result) -> bool:
@@ -839,6 +858,7 @@ def _all_finite(result) -> bool:
 # every other call returns finite values.
 EXPECTED_CODES = {
     ("fixed", "posterior_draw"): "posterior-unavailable",
+    ("fixed", "batched_posterior_rows"): "posterior-unavailable",
     ("fixed", "batched_posterior_integrals"): "posterior-unavailable",
     ("finite_dirichlet_labels", "batched_sequences"): "space-mismatch",
     ("finite_dirichlet_labels", "batched_f_means"): "space-mismatch",
@@ -848,7 +868,7 @@ EXPECTED_CODES = {
         ("stick_breaking_n5", law): "posterior-unavailable"
         for law in (
             "continue_sequence", "posterior_draw", "batched_sequences", "batched_f_means",
-            "batched_posterior_integrals",
+            "batched_posterior_rows", "batched_posterior_integrals",
             "predictive_expectation", "predictive_expectation_mc", "predictive_pair_expectation",
         )
     },
@@ -861,6 +881,8 @@ LAWS = {
     "batched_f_means": lambda model, h, f, g, rng: batched_f_means(
         model, h, len(h) + 3, np.vectorize(f), 4, rng
     ),
+    # The weights only: on a label alphabet the atoms are labels.
+    "batched_posterior_rows": lambda model, h, f, g, rng: batched_posterior_rows(model, h, 4, rng)[1],
     "batched_posterior_integrals": lambda model, h, f, g, rng: batched_posterior_integrals(
         model, h, np.vectorize(f), 4, rng
     ),
@@ -888,6 +910,14 @@ class TestProtocolConformance:
             "PolyaTreeModel": {"continuation"},
             "FixedLawModel": {"batched_continuation"},
         }
+
+    def test_posterior_models_write_rows_and_only_the_dp_its_integrals(self):
+        from finipost.priors import ExchangeableModel
+
+        subclasses = ExchangeableModel.__subclasses__()
+        rows = [cls.__name__ for cls in subclasses if "posterior_rows" in vars(cls)]
+        assert rows == ["FiniteDirichletModel", "DirichletProcessModel", "StickBreakingModel", "PolyaTreeModel"]
+        assert [cls.__name__ for cls in subclasses if "posterior_integrals" in vars(cls)] == ["DirichletProcessModel"]
 
     def test_only_the_dirichlet_process_weighs_counts_into_f_means(self):
         from finipost.priors import ExchangeableModel
@@ -942,6 +972,15 @@ class TestModelSpecs:
             model = model_from_spec(spec)
             s = sample_sequence(model, 3, derive_seed(5))
             assert len(s) == 3
+
+    @pytest.mark.parametrize(
+        "atoms", [["a", 1.0], [0.0, "1"], [0.0, True], [0.0, float("nan")]],
+        ids=["label-then-number", "number-then-label", "bool", "nan"],
+    )
+    def test_atoms_all_labels_or_all_finite_numbers(self, atoms):
+        with pytest.raises(FiniPostError) as err:
+            model_from_spec({"kind": "finite_dirichlet", "alpha": [1, 1], "atoms": atoms})
+        assert err.value.code == "config-error"
 
     def test_unknown_kind(self):
         with pytest.raises(FiniPostError) as err:
