@@ -52,8 +52,8 @@ class MedianLawInputs:
 
 
 def _check_horizon(n: int, N: int) -> None:
-    if N <= n:
-        raise FiniPostError("bad-horizon", f"need n < N, got n={n}, N={N}")
+    if not 0 <= n < N:
+        raise FiniPostError("bad-horizon", f"need 0 <= n < N, got n={n}, N={N}")
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .priors import (
     batched_f_means,
     batched_posterior_integrals,
     batched_posterior_rows,
-    batched_sequences,
+    batched_sequence_blocks,
     model_from_spec,
     predictive_expectation,
     sample_sequence,
@@ -68,7 +68,7 @@ __all__ = [
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.6.0"
+ARTIFACT_VERSION = "0.7.0"
 
 _BOOTSTRAP_RESAMPLES = 200
 
@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise FiniPostError("config-error", f"unknown experiment {self.experiment!r}")
         if not self.N_grid:
             raise FiniPostError("config-error", "empty N grid")
+        if self.n < 0:
+            raise FiniPostError("config-error", f"history length n must be >= 0, got {self.n}")
         floor = max(self.n, 1) if self.experiment == "estimator_sweep" else self.n + 1
         if any(N < floor for N in self.N_grid):
             raise FiniPostError("config-error", f"every N in the grid must be >= {floor}")
@@ -446,8 +448,8 @@ def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dic
     def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
         x = model.prior_quantile((rep + 1) / (cfg.replicates + 1))
         F_x = predictive_expectation(model, history, Indicator(x))
-        block = batched_sequences(model, history, 2 * N + 1, cfg.m_samples, rngs[1])
-        estimate = float(np.mean(_median_at_most(block, x)))
+        blocks = batched_sequence_blocks(model, history, 2 * N + 1, cfg.m_samples, rngs[1])
+        estimate = sum(int(np.count_nonzero(_median_at_most(block, x))) for block in blocks) / cfg.m_samples
         se = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / cfg.m_samples)
         left_bound, right_bound = bd.median_tail_bounds(bd.MedianLawInputs(N, F_x), F_x, 1.0 - F_x)
         slack = 3.0 * se

@@ -2,20 +2,19 @@
 and posterior draws of the directing random measure.
 
 Each model is a dataclass on ``ExchangeableModel`` that holds its own laws
-as methods: the continuation and its f-means, the posterior rows, the
-predictive and pair-predictive expectations, and the prior predictive
-quantile.  Each model writes its urn once, across the rows of a matrix
-(the Dirichlet models, the fixed law) or one sequence at a time; the base
-class derives the other form, a sequence as a one-row batch or a batch as
-one sequence per row.  It also supplies observations on the real line,
-f-means of sequence rows, a Monte Carlo pair predictive, and no posterior
-draws.  The module functions (``continue_sequence``, ``posterior_draw``,
-...) check the shared preconditions and then make one call on the model.
-Posterior draws come as posterior rows (see ``batched_posterior_rows``).
+as methods: the posterior rows, the predictive and pair-predictive
+expectations, and the prior predictive quantile.  The base class continues
+every model from its posterior rows: by de Finetti a row's new values are
+i.i.d. from one posterior row, so they are multinomial counts on its atoms,
+shuffled (the finite-Dirichlet and Polya-tree rows are exact by conjugacy:
+Blackwell & MacQueen 1973, Lavine 1992).  Only the Dirichlet process, whose
+rows are truncated, keeps an exact count sampler, and the fixed law, with
+no rows, samples its base.  A sequence is a one-row batch.  The module
+functions (``continue_sequence``, ``posterior_draw``, ...) check the shared
+preconditions and then make one call on the model.
 
 * ``FiniteDirichletModel`` -- conjugate Dirichlet weights on k fixed atoms,
-  sampled by the classic urn on atom indices, so label alphabets and
-  scalar atoms share it; posterior rows are one exact Dirichlet call.
+  labels or scalars; posterior rows are one exact Dirichlet call.
 * ``DirichletProcessModel`` -- Blackwell-MacQueen urn over an analytic base,
   drawn exactly as counts: Dirichlet-multinomial on the history values and
   an Ewens partition of the new ones, shuffled into sequences or weighed
@@ -42,6 +41,7 @@ import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -85,26 +85,26 @@ class ExchangeableModel(ABC):
 
     The module functions check their preconditions (history space,
     horizon) before calling these methods, so a method may assume a
-    history on ``space`` and a target length beyond it.  A model defines
-    one of ``continuation`` and ``batched_continuation``; each default
-    derives its form from the other.
+    history on ``space`` and a target length beyond it.  A model that
+    writes ``posterior_rows`` and ``row_width`` gets its continuation,
+    f-means and posterior integrals from them by default.
     """
 
     @property
     def space(self) -> Space:
         return RealLine()
 
-    def continuation(self, history: Sample, upto: int, rng: RngState) -> Sample:
-        """The history extended to length ``upto`` under the conditional law;
-        one row of ``batched_continuation`` by default."""
-        return Sample(tuple(_sequence_rows(self, history, upto, 1, rng)[0].tolist()), space=self.space)
-
     def batched_continuation(self, history: Sample, out: np.ndarray, rng: RngState) -> None:
         """Fill the columns of ``out`` after the history (at least one) with
-        independent continuations, one ``continue_sequence`` per row by
-        default."""
-        for r in range(out.shape[0]):
-            out[r] = continue_sequence(self, history, out.shape[1], rng).scalars()
+        independent continuations, from posterior rows drawn in blocks of at
+        most 4e6 atoms by default."""
+        n, done = len(history), 0
+        for rows in _row_chunks(out.shape[0], self.row_width(history)):
+            atoms, weights = self.posterior_rows(history, rows, rng)
+            weights /= weights.sum(axis=1, keepdims=True)
+            _fill_shuffled(out[done : done + rows, n:], atoms, rng.multinomial(out.shape[1] - n, weights), rng)
+            done += rows
+            del atoms, weights  # before the next block is drawn
 
     def f_means(
         self, history: Sample, upto: int, fvec: Callable[[np.ndarray], np.ndarray], draws: int, rng: RngState
@@ -117,17 +117,24 @@ class ExchangeableModel(ABC):
     def posterior_rows(self, history: Sample, draws: int, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
         """``draws`` draws of the directing measure given the history, as
         (draws, s) atom and weight arrays (see ``batched_posterior_rows``)."""
-        raise FiniPostError(
-            "posterior-unavailable", f"{type(self).__name__} has no finite-support posterior representation"
-        )
+        raise _no_posterior(self)
+
+    def row_width(self, history: Sample) -> int:
+        """An upper bound on the width s of ``posterior_rows``, by which the
+        default continuation and integrals block their rows."""
+        raise _no_posterior(self)
 
     def posterior_integrals(
         self, history: Sample, fvec: Callable[[np.ndarray], np.ndarray], draws: int, rng: RngState
     ) -> np.ndarray:
-        """f-integrals of ``draws`` posterior draws: Σ W·f(X) over the
-        posterior rows by default."""
-        atoms, weights = self.posterior_rows(history, draws, rng)
-        return (weights * fvec(atoms)).sum(axis=1)
+        """f-integrals of ``draws`` posterior draws: Σ W·f(X) over posterior
+        rows drawn in blocks of at most 4e6 atoms by default."""
+        sums = []
+        for rows in _row_chunks(draws, self.row_width(history)):
+            atoms, weights = self.posterior_rows(history, rows, rng)
+            sums.append((weights * fvec(atoms)).sum(axis=1))
+            del atoms, weights  # before the next block is drawn
+        return np.concatenate([np.empty(0), *sums])
 
     @abstractmethod
     def predictive(
@@ -153,6 +160,18 @@ class ExchangeableModel(ABC):
     def _check_scalar(self, what: str) -> None:
         if not isinstance(self.space, RealLine):
             raise FiniPostError("space-mismatch", f"{what} need a scalar model")
+
+
+def _no_posterior(model: ExchangeableModel) -> FiniPostError:
+    return FiniPostError("posterior-unavailable", f"{type(model).__name__} has no posterior rows")
+
+
+def _fill_shuffled(new: np.ndarray, atoms: np.ndarray, counts: np.ndarray, rng: RngState) -> None:
+    """Fill each row of ``new`` with its atoms, each repeated by its count
+    (a row's counts sum to its width), in uniformly random order: given its
+    counts an exchangeable continuation takes every order equally likely."""
+    new[...] = np.repeat(atoms.ravel(), counts.ravel()).reshape(new.shape)
+    rng.permuted(new, axis=1, out=new)
 
 
 def _mc_mean(values: np.ndarray | list[float]) -> tuple[float, float]:
@@ -204,7 +223,7 @@ class FiniteDirichletModel(ExchangeableModel):
     def k(self) -> int:
         return len(self.concentration)
 
-    @property
+    @cached_property
     def space(self) -> Space:
         if all(isinstance(a, str) for a in self.atoms):
             return FiniteAlphabet(tuple(sorted(self.atoms)))
@@ -221,35 +240,12 @@ class FiniteDirichletModel(ExchangeableModel):
             counts[self.atoms.index(v)] += 1.0
         return np.asarray(self.concentration) + counts
 
-    def _urn(self, history: Sample, draws: int, steps: int, rng: RngState) -> Iterator[np.ndarray]:
-        """Atom indices of ``draws`` independent urn continuations, one
-        vector per step: each step picks an atom with probability
-        proportional to its posterior weight, then adds one to that weight."""
-        alpha = self.posterior_alpha(history)
-        weights = np.tile(alpha, (draws, 1))
-        total = alpha.sum()
-        rows = np.arange(draws)
-        for _ in range(steps):
-            u = rng.random(draws) * total
-            j = np.minimum((np.cumsum(weights, axis=1) < u[:, None]).sum(axis=1), self.k - 1)
-            weights[rows, j] += 1.0
-            total += 1.0
-            yield j
-
-    def continuation(self, history, upto, rng):
-        # One urn row, mapped to the atoms themselves, so labels work too.
-        new = tuple(self.atoms[j[0]] for j in self._urn(history, 1, upto - len(history), rng))
-        return Sample(tuple(history.values) + new, space=self.space)
-
-    def batched_continuation(self, history, out, rng):
-        atoms = np.asarray(self.atoms, dtype=float)
-        n = len(history)
-        for i, j in enumerate(self._urn(history, out.shape[0], out.shape[1] - n, rng), n):
-            out[:, i] = atoms[j]
-
     def posterior_rows(self, history, draws, rng):
         W = rng.dirichlet(self.posterior_alpha(history), size=draws)
         return np.asarray(self.atoms)[None].repeat(draws, axis=0), W
+
+    def row_width(self, history):
+        return self.k
 
     def predictive(self, history, f, mc_draws, rng):
         weights = self.posterior_alpha(history)
@@ -351,9 +347,7 @@ class DirichletProcessModel(ExchangeableModel):
         reps = np.zeros((rows, k + fresh), dtype=np.int64)
         vals[:, :k], reps[:, :k] = xstar, old
         vals[block_rows, k + block_cols], reps[block_rows, k + block_cols] = values, sizes
-        new = out[:, n:]
-        new[...] = np.repeat(vals.ravel(), reps.ravel()).reshape(rows, fresh)
-        rng.permuted(new, axis=1, out=new)
+        _fill_shuffled(out[:, n:], vals, reps, rng)
 
     def f_means(self, history, upto, fvec, draws, rng):
         # The same counts, weighted: no sequence is built or shuffled.
@@ -379,6 +373,9 @@ class DirichletProcessModel(ExchangeableModel):
 
     def posterior_rows(self, history, draws, rng):
         return _stack_rows([self._posterior_row(history, rng) for _ in range(draws)])
+
+    def row_width(self, history):
+        return len(set(history.values)) + self.max_sticks + 1
 
     def _posterior_row(self, history: Sample, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
         """One draw: the distinct history values, then the atoms of P′ (all
@@ -480,20 +477,15 @@ class StickBreakingModel(ExchangeableModel):
             raise FiniPostError("param-missing", f"no Beta parameters for stick {k}")
         return self.beta_params[k - 1]
 
-    def continuation(self, history, upto, rng):
-        # I.i.d. draws from one posterior draw, by inverse CDF.
-        measure = posterior_draw(self, history, rng)
-        cum = np.cumsum(measure.weights)
-        idx = np.searchsorted(cum, rng.random(upto - len(history)) * cum[-1], side="right")
-        new = tuple(measure.points[i] for i in np.minimum(idx, len(measure) - 1))
-        return Sample(tuple(history.values) + new, space=self.space)
-
     def posterior_rows(self, history, draws, rng):
         if len(history) > 4:
             raise FiniPostError(
                 "posterior-unavailable", "stick-breaking posteriors are only served for histories of length <= 4"
             )
         return _stack_rows([self._rejection_posterior(history, rng) for _ in range(draws)])
+
+    def row_width(self, history):
+        return self.max_sticks + 1
 
     def _rejection_posterior(self, history: Sample, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
         """Condition stick weights on the history by partition matching.
@@ -681,25 +673,6 @@ class PolyaTreeModel(ExchangeableModel):
     def _points(self) -> np.ndarray:
         return np.asarray(self.quantile_base.quantile((np.arange(2**self.depth) + 0.5) / 2**self.depth), dtype=float)
 
-    def continuation(self, history, upto, rng):
-        # Urn at every node: each new point descends the tree, choosing the
-        # left child with posterior-mean branch probability given all points
-        # seen so far (conjugate Beta-binomial at each node).
-        prior = [a.tolist() for a in self._prior()]
-        counts = [c.tolist() for c in self._counts(history)]
-        points = self._points().tolist()
-        values = list(history.values)
-        for _ in range(upto - len(history)):
-            node = 0
-            for a, c in zip(prior, counts):
-                left, right = 2 * node, 2 * node + 1
-                a0 = a[left] + c[left]
-                a1 = a[right] + c[right]
-                node = left if rng.random() < a0 / (a0 + a1) else right
-                c[node] += 1.0
-            values.append(points[node])
-        return Sample(tuple(values), space=self.space)
-
     def posterior_rows(self, history, draws, rng):
         # Draw every branch probability, one Beta call per level for all
         # rows, and take products down to the leaves.
@@ -708,6 +681,9 @@ class PolyaTreeModel(ExchangeableModel):
             v = rng.beta(a[0::2], a[1::2], size=(draws, a.size // 2))
             probs = np.stack([probs * v, probs * (1.0 - v)], axis=-1).reshape(draws, 2 * probs.shape[1])
         return self._points()[None].repeat(draws, axis=0), probs
+
+    def row_width(self, history):
+        return 2**self.depth
 
     def predictive(self, history, f, mc_draws, rng):
         total = 0.0
@@ -809,7 +785,7 @@ def continue_sequence(model: ExchangeableModel, history: Sample, upto: int, rng:
     _check_history(model, history)
     if upto == len(history):
         return history
-    return model.continuation(history, upto, rng)
+    return Sample(tuple(_sequence_rows(model, history, upto, 1, rng)[0].tolist()), space=model.space)
 
 
 def posterior_draw(model: ExchangeableModel, history: Sample, rng: RngState) -> AtomicMeasure:
@@ -829,6 +805,7 @@ def batched_posterior_rows(
     The finite Dirichlet makes one Dirichlet call (its atoms, labels too,
     are the same in every row), the Polya tree one Beta call per level; the
     Dirichlet process and stick-breaking models draw one row at a time.
+    ``model.row_width(history)`` bounds s.
     """
     _check_history(model, history)
     return model.posterior_rows(history, draws, rng)
@@ -894,11 +871,11 @@ def batched_sequences(
     """``draws`` independent continuations to length ``upto``, as a matrix.
 
     Returns a (draws, upto) float matrix whose first columns repeat the
-    history.  Scalar models only.  The finite Dirichlet runs its urn
-    across rows, the Dirichlet process draws each row's counts and
-    shuffles them, the fixed law samples the block at once, and
-    ``continue_sequence`` is one row of it; the Polya tree and
-    stick-breaking models fill one row per ``continue_sequence``.
+    history.  Scalar models only.  Each row draws its new values as
+    counts, shuffled: on the atoms of one posterior row (in row blocks of
+    at most 4e6 atoms), or on the history values and fresh base values for
+    the Dirichlet process; the fixed law samples the block at once.
+    ``continue_sequence`` is one row of it.
     """
     _check_horizon(history, upto)
     _check_history(model, history)
@@ -946,8 +923,9 @@ def batched_f_means(
 def _sequence_rows(
     model: ExchangeableModel, history: Sample, upto: int, draws: int, rng: RngState
 ) -> np.ndarray:
-    out = np.empty((draws, upto))
-    out[:, : len(history)] = history.scalars()
+    # Labels ride in an object matrix, so sequences on both spaces share it.
+    out = np.empty((draws, upto), dtype=float if isinstance(model.space, RealLine) else object)
+    out[:, : len(history)] = history.values
     if upto > len(history):
         model.batched_continuation(history, out, rng)
     return out

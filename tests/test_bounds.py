@@ -67,6 +67,21 @@ class TestMeanBounds:
         with pytest.raises(FiniPostError):
             mean_bound_conditional(5, 5, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            lambda: finite_bound(3, -50, 5),
+            lambda: real_bound(-3, 10, 1.0),
+            lambda: mean_bound_conditional(-1, 50, 0.0, 0.0, 1.0),
+        ],
+        ids=["finite", "real", "mean"],
+    )
+    def test_negative_history_length(self, bound):
+        # n = -50, N = 5 once gave a finite bound of -9.9 (the n/N head).
+        with pytest.raises(FiniPostError) as err:
+            bound()
+        assert err.value.code == "bad-horizon"
+
 
 class TestRateBounds:
     def test_finite_values(self):

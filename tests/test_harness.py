@@ -599,6 +599,31 @@ class TestMedianExperiment:
                 assert np.array_equal(_median_at_most(block, x), np.median(block, axis=1) <= x)
             assert not history or np.any(np.count_nonzero(block == 0.0, axis=1) > 1)
 
+    def test_counts_medians_in_row_blocks(self):
+        # m (2N + 1) = 4.02e6 entries: two row blocks.  The fixed law draws
+        # the same stream in blocks as in one matrix, so the estimate equals
+        # one full-matrix count from the row's seed (its phase-1 stream).
+        from finipost.harness import _median_at_most
+        from finipost.priors import batched_sequences, model_from_spec
+        from finipost.rng import state_from_key
+
+        model_spec = {"kind": "fixed", "base": {"family": "uniform", "a": 0, "b": 1}}
+        cfg = ExperimentConfig.from_dict(
+            {
+                "experiment": "median_law",
+                "model": model_spec,
+                "n": 0,
+                "N_grid": [100],
+                "m_samples": 20000,
+                "replicates": 1,
+                "master_seed": 16,
+            }
+        )
+        (row,) = run_experiment(cfg).rows
+        block = batched_sequences(model_from_spec(model_spec), Sample(()), 201, 20000, state_from_key(row.seed))
+        assert block.size > 4_000_000
+        assert row.estimate == float(np.mean(_median_at_most(block, 0.5)))
+
     def test_fixed_uniform_matches_exact_law(self):
         from finipost.bounds import MedianLawInputs, median_cdf
 
@@ -678,6 +703,16 @@ class TestCli:
         proc = self.run_cli("bound", "finite", "--params", '{"k": 3, "n": 10, "N": 100}')
         assert float(proc.stdout) == pytest.approx(0.17905694150420948)
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [("finite", '{"k": 3, "n": -50, "N": 5}'), ("real", '{"n": -3, "N": 10, "post_l21": 1.0}')],
+        ids=["finite", "real"],
+    )
+    def test_bound_negative_history_length(self, name, params):
+        proc = self.run_cli("bound", name, "--params", params, expect=1)
+        assert "error [bad-horizon]" in proc.stderr and not proc.stdout
+        assert "Traceback" not in proc.stderr
+
     def test_bound_unknown_name(self):
         self.run_cli("bound", "nope", "--params", "{}", expect=1)
 
@@ -741,6 +776,7 @@ class TestCli:
             small_mean_config(experiment="estimator_sweep", model={**FD_MIXED, "atoms": [0.0, True]}),
             {**K2_CONFIG, "master_seed": 2**64},
             {**K2_CONFIG, "master_seed": -1},
+            {**K2_CONFIG, "n": -1},
             small_mean_config(f_spec={"kind": "gini"}),
             small_mean_config(model={**DP_MODEL, "mass": float("nan")}),
             small_mean_config(model={**DP_MODEL, "mass": float("inf")}),
@@ -766,7 +802,7 @@ class TestCli:
             "experiment-mystery", "n-str", "m_samples-str", "N_grid-int", "top-level-list", "alpha-str",
             "replicates-fraction", "N_grid-fraction", "n-bool", "master_seed-fraction", "m_samples-digits",
             "max_sticks-fraction", "depth-fraction", "atoms-str", "atoms-label-then-number",
-            "atoms-number-then-label", "atoms-bool", "master_seed-2**64", "master_seed-negative", "mean-gini",
+            "atoms-number-then-label", "atoms-bool", "master_seed-2**64", "master_seed-negative", "n-negative", "mean-gini",
             "mass-nan", "mass-inf", "mass-str", "mass-bool", "residual_tol-str", "mu-nan", "sigma-inf",
             "uniform-a-str", "point_mass-c-bool", "indicator-y-nan", "alpha-nan", "beta_rule-inf",
             "beta_params-str", "level_alpha-nan", "params-bool", "output-int", "output-bool", "ground-bogus",

@@ -320,6 +320,22 @@ class TestPolyaTree:
         )
         assert abs(draws.mean() - exact) <= 4 * draws.std(ddof=1) / math.sqrt(draws.size)
 
+    def test_deep_tree_continuation_runs_in_bounded_memory(self):
+        # The rows of a depth-12 tree hold 4096 atoms, so 4096 continuations
+        # drawn from one block of rows would peak near 512 MB; the default
+        # continuation draws its rows in blocks of at most 4e6 atoms.
+        import tracemalloc
+
+        model = PolyaTreeModel(GaussianLaw(0, 1), 12, level_alpha=tuple(float(d * d) for d in range(1, 13)))
+        tracemalloc.start()
+        try:
+            block = batched_sequences(model, Sample(()), 2, 4096, derive_seed(380))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (4096, 2) and np.all(np.isin(block, model._points()))
+        assert peak < 256 * 2**20
+
     def test_point_mass_base_rejected(self):
         with pytest.raises(FiniPostError):
             PolyaTreeModel(PointMassLaw(0.0), 2, level_alpha=(1.0, 1.0))
@@ -717,7 +733,7 @@ POSTERIOR_KINDS = [name for name in MODEL_SPECS if name != "fixed"]
 
 def _per_step_fd_urn(model, history, upto, rng):
     """The finite-Dirichlet urn one draw at a time: an independent
-    reference for the index urn behind ``continue_sequence``."""
+    reference, in law, for the continuation from posterior rows."""
     values = list(history.values)
     total = sum(model.concentration) + len(history)
     weights = model.posterior_alpha(history)
@@ -728,6 +744,47 @@ def _per_step_fd_urn(model, history, upto, rng):
         weights[j] += 1.0
         total += 1.0
     return values
+
+
+def _per_step_pt_urn(model, history, upto, rng):
+    """The Polya-tree urn one point at a time: each new point descends the
+    tree, taking the left child with its posterior-mean branch probability
+    given all points so far, and adds one count along its path.  An
+    independent reference, in law, for the continuation from posterior
+    rows."""
+    prior = [a.tolist() for a in model._prior()]
+    counts = [c.tolist() for c in model._counts(history)]
+    points = model._points().tolist()
+    values = list(history.values)
+    for _ in range(upto - len(history)):
+        node = 0
+        for a, c in zip(prior, counts):
+            left, right = 2 * node, 2 * node + 1
+            a0, a1 = a[left] + c[left], a[right] + c[right]
+            node = left if rng.random() < a0 / (a0 + a1) else right
+            c[node] += 1.0
+        values.append(points[node])
+    return values
+
+
+def _posterior_draw_sb_urn(model, history, upto, rng):
+    """Stick-breaking new values i.i.d. from one ``posterior_draw``, by
+    inverse CDF: an independent reference, in law, for the continuation
+    from posterior rows."""
+    measure = posterior_draw(model, history, rng)
+    cum = np.cumsum(measure.weights)
+    idx = np.searchsorted(cum, rng.random(upto - len(history)) * cum[-1], side="right")
+    return [*history.scalars(), *measure.scalars()[np.minimum(idx, len(measure) - 1)]]
+
+
+def _chi2_same_law(a, b):
+    """p-value of the chi-square test that two samples of category codes
+    share one law (categories absent from both are dropped)."""
+    from scipy.stats import chi2_contingency
+
+    size = max(a.max(), b.max()) + 1
+    table = np.stack([np.bincount(a, minlength=size), np.bincount(b, minlength=size)])
+    return chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
 
 
 def _per_step_dp_urn(model, history, upto, rng):
@@ -743,12 +800,6 @@ def _per_step_dp_urn(model, history, upto, rng):
     return values
 
 
-PER_STEP_URNS = {
-    "finite_dirichlet_labels": _per_step_fd_urn,
-    "finite_dirichlet_scalars": _per_step_fd_urn,
-}
-
-
 def distinct_per_row(block):
     """The number of distinct values in each row of a matrix."""
     ordered = np.sort(block, axis=1)
@@ -756,16 +807,50 @@ def distinct_per_row(block):
 
 
 class TestStreamContracts:
-    @pytest.mark.parametrize("kind", sorted(PER_STEP_URNS))
+    @pytest.mark.parametrize("kind", ["finite_dirichlet_labels", "finite_dirichlet_scalars"])
     @pytest.mark.parametrize("n", [0, 3])
-    def test_continuation_equals_per_step_urn(self, kind, n):
+    def test_fd_continuation_matches_per_step_urn_in_law(self, kind, n):
+        # Continuations are drawn from posterior rows, a different stream
+        # from the per-step urn with the same law: the first three new
+        # values are compared as one of k**3 joint outcomes.
         model = model_from_spec(MODEL_SPECS[kind])
-        reference = PER_STEP_URNS[kind]
-        for seed in range(24):
-            h = sample_sequence(model, n, derive_seed(906, seed))
-            seq = continue_sequence(model, h, n + 12, derive_seed(907, seed))
-            assert list(seq.values) == reference(model, h, n + 12, derive_seed(907, seed))
-            assert seq.space == model.space
+        h = sample_sequence(model, n, derive_seed(906))
+        R, upto = 6000, n + 3
+        rng, new_rng = derive_seed(907), derive_seed(908)
+        reference = [_per_step_fd_urn(model, h, upto, rng) for _ in range(R)]
+        drawn = [continue_sequence(model, h, upto, new_rng) for _ in range(R)]
+        assert all(seq.space == model.space for seq in drawn)
+        codes = []
+        for seqs in (reference, [list(seq.values) for seq in drawn]):
+            assert all(seq[:n] == list(h.values) for seq in seqs)
+            codes.append(np.array([[model.atoms.index(v) for v in seq[n:]] for seq in seqs]) @ model.k ** np.arange(3))
+        assert _chi2_same_law(*codes) > 1e-3
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_pt_continuation_matches_per_point_descent_in_law(self, n):
+        # The three new leaves of a depth-3 tree: 512 joint outcomes.
+        model = model_from_spec(MODEL_SPECS["polya_tree"])
+        h = sample_sequence(model, n, derive_seed(906))
+        points = model._points()
+        rng = derive_seed(907)
+        reference = np.array([_per_step_pt_urn(model, h, n + 3, rng) for _ in range(30000)])
+        block = batched_sequences(model, h, n + 3, 60000, derive_seed(908))
+        assert np.all(block[:, :n] == h.scalars()) and np.all(reference[:, :n] == h.scalars())
+        codes = [np.searchsorted(points, seqs[:, n:]) @ 8 ** np.arange(3) for seqs in (reference, block)]
+        assert _chi2_same_law(*codes) > 1e-3
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_sb_continuation_matches_posterior_draw_urn_in_law(self, n):
+        model = model_from_spec(MODEL_SPECS["stick_breaking"])
+        h = sample_sequence(model, n, derive_seed(906))
+        R, upto = 3000, n + 6
+        rng = derive_seed(907)
+        reference = np.array([_posterior_draw_sb_urn(model, h, upto, rng) for _ in range(R)])
+        block = batched_sequences(model, h, upto, R, derive_seed(908))
+        assert np.all(block[:, :n] == h.scalars()) and np.all(reference[:, :n] == h.scalars())
+        assert ks_2samp((reference**2).mean(axis=1), (block**2).mean(axis=1)).pvalue > 1e-3
+        # Ties, among the new values and with the history.
+        assert _chi2_same_law(distinct_per_row(reference), distinct_per_row(block)) > 1e-3
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_dp_continuation_matches_per_step_urn_in_law(self, n):
@@ -895,21 +980,29 @@ LAWS = {
 
 class TestProtocolConformance:
     def test_each_model_writes_its_urn_once(self):
-        # The finite Dirichlet defines both forms, as two views of one
-        # private index urn (atoms for sequences, floats for batches).
+        # Every other model continues from its posterior rows through the
+        # base class, and a sequence is a one-row batch: only the DP's exact
+        # count sampler and the fixed law (no rows) write a continuation.
         from finipost.priors import ExchangeableModel
 
-        own = {
-            cls.__name__: {"continuation", "batched_continuation"} & set(vars(cls))
-            for cls in ExchangeableModel.__subclasses__()
-        }
-        assert own == {
-            "FiniteDirichletModel": {"continuation", "batched_continuation"},
-            "DirichletProcessModel": {"batched_continuation"},
-            "StickBreakingModel": {"continuation"},
-            "PolyaTreeModel": {"continuation"},
-            "FixedLawModel": {"batched_continuation"},
-        }
+        subclasses = ExchangeableModel.__subclasses__()
+        own = [cls.__name__ for cls in subclasses if "batched_continuation" in vars(cls)]
+        assert own == ["DirichletProcessModel", "FixedLawModel"]
+        assert not any(hasattr(cls, "continuation") for cls in [ExchangeableModel, *subclasses])
+
+    @pytest.mark.parametrize("kind", [*POSTERIOR_KINDS, "dirichlet_process_capped", "stick_breaking_capped"])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_rows_are_no_wider_than_the_width_bound(self, kind, n):
+        # The bound is reached where the support is fixed or the stick cap
+        # binds (eight Beta(1, b) sticks leave far more than residual_tol).
+        spec = MODEL_SPECS[kind.removesuffix("_capped")]
+        model = model_from_spec({**spec, "max_sticks": 8} if kind.endswith("_capped") else spec)
+        h = sample_sequence(model, n, derive_seed(912))
+        width = batched_posterior_rows(model, h, 30, derive_seed(913))[0].shape[1]
+        if kind in ("dirichlet_process", "stick_breaking"):
+            assert width <= model.row_width(h)
+        else:
+            assert width == model.row_width(h)
 
     def test_posterior_models_write_rows_and_only_the_dp_its_integrals(self):
         from finipost.priors import ExchangeableModel
