@@ -14,20 +14,23 @@ Five experiment kinds share one report schema:
 * ``median_law``     -- empirical law of the odd-sample median against the
   exact beta law and its tail inequalities.
 
-``run_experiment`` is the one runner: a serial loop over the (N,
-replicate) grid builds every report row.  Each experiment kind supplies
-only its validation and a cell function that returns the row's estimate,
-stderr, bound, slack and violation flag.
+``run_experiment`` is the one runner: it runs the cells of the (N,
+replicate) grid on a thread pool, one worker per usable CPU, and builds
+every report row in grid order.  Each experiment kind supplies only its
+validation and a cell function that returns the row's estimate, stderr,
+bound, slack and violation flag.
 
 Determinism contract: every cell of the (N, replicate) grid derives its
-own counter-based stream from ``(master_seed, replicate, stream_id)``, so
-reports are byte-identical across runs.
+own counter-based stream from ``(master_seed, replicate, stream_id)`` and
+shares no generator with another cell, so reports are byte-identical
+across runs and for any number of workers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
@@ -71,6 +74,10 @@ __all__ = [
 ARTIFACT_VERSION = "0.7.0"
 
 _BOOTSTRAP_RESAMPLES = 200
+_BOOTSTRAP_BLOCK_ENTRIES = 2**18
+# Sequence entries per block of a median cell; the other consumers of
+# ``batched_sequence_blocks`` keep its default, on which their streams depend.
+_MEDIAN_BLOCK_ENTRIES = 2**17
 
 # Stream ids: replicate-level history stream, then per-(N, phase) streams.
 _STREAM_HISTORY = 0
@@ -126,7 +133,8 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise FiniPostError("config-error", f"a config is a JSON object, not {type(obj).__name__}")
-        # ``threads`` is accepted and ignored: the runner is serial.
+        # ``threads`` is accepted and ignored: the runner sizes its own pool,
+        # and reports do not depend on it.
         unknown = sorted(set(obj) - {f.name for f in fields(cls)} - {"threads"})
         if unknown:
             raise FiniPostError("config-error", f"unknown config fields {unknown}")
@@ -215,10 +223,18 @@ def _test_function(f_spec: dict | None) -> tuple[NamedFunction, NamedFunction, C
 
 def _bootstrap_se(matched: np.ndarray, rng: RngState, resamples: int = _BOOTSTRAP_RESAMPLES) -> float:
     """Standard error of the mean matched cost under resampling of the
-    matched pair costs (the plug-in estimate is their mean)."""
+    matched pair costs (the plug-in estimate is their mean).
+
+    The resample indices are drawn as int32 in row blocks of at most 2^18
+    entries (one row at least), which bounds a cell's memory and draws the
+    same stream as one (resamples, m) int64 matrix."""
     m = matched.size
-    idx = rng.integers(0, m, size=(resamples, m))
-    return float(matched[idx].mean(axis=1).std(ddof=1))
+    rows = max(1, _BOOTSTRAP_BLOCK_ENTRIES // m)
+    means = np.empty(resamples)
+    for lo in range(0, resamples, rows):
+        idx = rng.integers(0, m, size=(min(rows, resamples - lo), m), dtype=np.int32)
+        means[lo : lo + idx.shape[0]] = matched[idx].mean(axis=1)
+    return float(means.std(ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +242,8 @@ def _bootstrap_se(matched: np.ndarray, rng: RngState, resamples: int = _BOOTSTRA
 # ---------------------------------------------------------------------------
 
 # A cell function maps (N, replicate, history, [phase 0, 1, 2 streams]) to
-# (estimate, stderr, bound, slack, violated).
+# (estimate, stderr, bound, slack, violated, stabilization), the last the
+# cell's metadata entry (bound cells) or None.
 CellFunction = Callable[[int, int, Sample, list], tuple]
 
 
@@ -237,19 +254,83 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     it across the N grid.  Each cell derives three streams (phases 0-2) and
     hands them to the experiment's cell function; the row's ``seed`` is the
     key of the experiment's seed stream (phase 1 for ``median_law``, phase
-    0 for the others).
+    0 for the others).  The cells run on every usable CPU (``_run_grid``);
+    rows and metadata entries are recorded in grid order, so the report is
+    the same for any number of workers.
     """
     model = model_from_spec(cfg.model)
     metadata = {"config": cfg.to_dict(), "artifact_version": ARTIFACT_VERSION}
     cell, seed_phase = _CELLS[cfg.experiment](cfg, model, metadata)
     histories = [_replicate_history(cfg, model, rep) for rep in range(cfg.replicates)]
+    grid = [
+        (N, rep, [derive_key(cfg.master_seed, rep, _cell_stream(ni, phase)) for phase in range(3)])
+        for ni, N in enumerate(cfg.N_grid)
+        for rep in range(cfg.replicates)
+    ]
+
+    def run(N: int, rep: int, keys: list) -> tuple:
+        return cell(N, rep, histories[rep], [state_from_key(key) for key in keys])
+
     rows = []
-    for ni, N in enumerate(cfg.N_grid):
-        for rep, history in enumerate(histories):
-            keys = [derive_key(cfg.master_seed, rep, _cell_stream(ni, phase)) for phase in range(3)]
-            *result, violated = cell(N, rep, history, [state_from_key(key) for key in keys])
-            rows.append(ReportRow(cfg.experiment, N, cfg.n, rep, keys[seed_phase], *result, bool(violated)))
+    for (N, rep, keys), (*result, violated, stabilization) in zip(grid, _run_grid(run, grid)):
+        rows.append(ReportRow(cfg.experiment, N, cfg.n, rep, keys[seed_phase], *result, bool(violated)))
+        if stabilization is not None:
+            metadata["stabilization"].append(stabilization)
     return ExperimentReport(rows, metadata)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_grid(run: Callable[..., tuple], grid: list) -> list:
+    """``run(*cell)`` for every cell of the grid, returned in grid order.
+
+    W = min(cells, usable CPUs) threads each run one strided slice
+    grid[w::W] (numpy releases the GIL in a cell's sampling, sorts and
+    large ufuncs).  A slice stops at its first error, or at a cell past a
+    lower failing one; the error raised is that of the lowest failing grid
+    index, the one a serial loop raises.
+    """
+    # Imported here: ``concurrent.futures`` loads ``logging``, which
+    # ``import finipost`` does not need.
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(len(grid), _usable_cpus())
+    first_failure = [len(grid)]
+    lock = threading.Lock()
+
+    def run_slice(w: int) -> tuple[list, Exception | None]:
+        done = []
+        for i in range(w, len(grid), workers):
+            if i > first_failure[0]:
+                break
+            try:
+                done.append(run(*grid[i]))
+            except Exception as exc:  # raised by the caller, in grid order
+                with lock:
+                    first_failure[0] = min(first_failure[0], i)
+                return done, exc
+        return done, None
+
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            slices = list(pool.map(run_slice, range(workers)))
+        except BaseException:
+            first_failure[0] = -1  # interrupted: every slice stops at its next cell
+            raise
+    failures = [(w + workers * len(done), exc) for w, (done, exc) in enumerate(slices) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(grid)
+    for w, (done, _) in enumerate(slices):
+        results[w::workers] = done
+    return results
 
 
 def _replicate_history(cfg: ExperimentConfig, model: ExchangeableModel, rep: int) -> Sample:
@@ -287,7 +368,7 @@ def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
     metadata so bias stabilization is visible.
     """
     _check_bound_config(cfg, model)
-    stabilization = metadata["stabilization"] = []
+    metadata["stabilization"] = []
 
     def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
         post_rng, cont_rng, boot_rng = rngs
@@ -305,12 +386,11 @@ def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
             bound = bd.real_bound(cfg.n, N, l21_mean)
             slack += 3.0 * l21_se / math.sqrt(N - cfg.n)
 
-        half = cfg.m_samples // 2
+        half, entry = cfg.m_samples // 2, None
         if half >= 2:
             est_half, _ = meta_w1_matched(posts[:half], emps[:half], cfg.ground)
             entry = {"N": N, "replicate": rep, "estimate_half": est_half, "estimate_full": estimate}
-            stabilization.append(entry)
-        return estimate, se, bound, slack, estimate > bound + slack
+        return estimate, se, bound, slack, estimate > bound + slack, entry
 
     return cell, 0
 
@@ -395,7 +475,7 @@ def _mean_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict)
             bound = bd.mean_bound_conditional(cfg.n, N, sample_mean_f, post_mean_abs_f, pred_f2)
 
         slack = 3.0 * se
-        return estimate, se, bound, slack, estimate > bound + slack
+        return estimate, se, bound, slack, estimate > bound + slack, None
 
     return cell, 0
 
@@ -424,7 +504,7 @@ def _sweep_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
         gap = abs(pair.finitary - pair.classical)
         stderr = pair.components.get("stderr")
         slack = 1e-9 + 3.0 * (stderr or 0.0)
-        return gap, stderr, pair.envelope, slack, gap > pair.envelope + slack
+        return gap, stderr, pair.envelope, slack, gap > pair.envelope + slack, None
 
     return cell, 0
 
@@ -448,13 +528,15 @@ def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dic
     def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
         x = model.prior_quantile((rep + 1) / (cfg.replicates + 1))
         F_x = predictive_expectation(model, history, Indicator(x))
-        blocks = batched_sequence_blocks(model, history, 2 * N + 1, cfg.m_samples, rngs[1])
+        blocks = batched_sequence_blocks(
+            model, history, 2 * N + 1, cfg.m_samples, rngs[1], _entries=_MEDIAN_BLOCK_ENTRIES
+        )
         estimate = sum(int(np.count_nonzero(_median_at_most(block, x))) for block in blocks) / cfg.m_samples
         se = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / cfg.m_samples)
         left_bound, right_bound = bd.median_tail_bounds(bd.MedianLawInputs(N, F_x), F_x, 1.0 - F_x)
         slack = 3.0 * se
         violated = estimate > left_bound + slack or (1.0 - estimate) > right_bound + slack
-        return estimate, se, left_bound, slack, violated
+        return estimate, se, left_bound, slack, violated, None
 
     return cell, 1
 

@@ -324,7 +324,11 @@ class DirichletProcessModel(ExchangeableModel):
         # next mark in flat order, which is always in the same row.
         i = np.arange(fresh)
         marks = np.zeros((rows, fresh + 1), dtype=bool)
-        np.less(rng.random((rows, fresh)), c / (c + i), out=marks[:, :fresh])
+        # The uniforms in row blocks of at most 2^16: one stream, less memory.
+        done = 0
+        for chunk in _row_chunks(rows, fresh, 2**16):
+            np.less(rng.random((chunk, fresh)), c / (c + i), out=marks[done : done + chunk, :fresh])
+            done += chunk
         marks[:, :fresh] &= i < a_new[:, None]
         marks[np.arange(rows), a_new] = True
         flat = np.flatnonzero(marks)
@@ -614,6 +618,8 @@ class PolyaTreeModel(ExchangeableModel):
     params: Mapping[str, float] = field(default_factory=dict)
     level_alpha: tuple[float, ...] | None = None
     _levels: tuple = field(init=False, repr=False, compare=False)
+    _missing: str | None = field(init=False, repr=False, compare=False)
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth < 1 or self.depth > 16:
@@ -635,6 +641,16 @@ class PolyaTreeModel(ExchangeableModel):
         for eps, a in self.params.items():
             levels[len(eps) - 1][int(eps, 2)] = a
         object.__setattr__(self, "_levels", tuple(levels))
+        # The first node that neither gives: ``_prior`` raises it for a law
+        # that reads its level.
+        holes = [
+            format(int(np.flatnonzero(np.isnan(a))[0]), f"0{level}b")
+            for level, a in enumerate(levels, 1)
+            if np.isnan(a).any()
+        ]
+        object.__setattr__(self, "_missing", holes[0] if holes else None)
+        points = self.quantile_base.quantile((np.arange(2**self.depth) + 0.5) / 2**self.depth)
+        object.__setattr__(self, "_points", np.asarray(points, dtype=float))
 
     def alpha(self, eps: str) -> float:
         if eps in self.params:
@@ -650,10 +666,8 @@ class PolyaTreeModel(ExchangeableModel):
     def _prior(self, depth: int | None = None) -> tuple[np.ndarray, ...]:
         """The node weights of levels 1..depth (all levels by default)."""
         levels = self._levels[:depth]
-        for level, a in enumerate(levels, 1):
-            missing = np.flatnonzero(np.isnan(a))
-            if missing.size:
-                raise FiniPostError("param-missing", f"no alpha for node {format(int(missing[0]), f'0{level}b')!r}")
+        if self._missing is not None and len(self._missing) <= len(levels):
+            raise FiniPostError("param-missing", f"no alpha for node {self._missing!r}")
         return levels
 
     def _counts(self, history: Sample) -> list[np.ndarray]:
@@ -670,9 +684,6 @@ class PolyaTreeModel(ExchangeableModel):
     def _posterior(self, history: Sample) -> list[np.ndarray]:
         return [a + c for a, c in zip(self._prior(), self._counts(history))]
 
-    def _points(self) -> np.ndarray:
-        return np.asarray(self.quantile_base.quantile((np.arange(2**self.depth) + 0.5) / 2**self.depth), dtype=float)
-
     def posterior_rows(self, history, draws, rng):
         # Draw every branch probability, one Beta call per level for all
         # rows, and take products down to the leaves.
@@ -680,14 +691,14 @@ class PolyaTreeModel(ExchangeableModel):
         for a in self._posterior(history):
             v = rng.beta(a[0::2], a[1::2], size=(draws, a.size // 2))
             probs = np.stack([probs * v, probs * (1.0 - v)], axis=-1).reshape(draws, 2 * probs.shape[1])
-        return self._points()[None].repeat(draws, axis=0), probs
+        return self._points[None].repeat(draws, axis=0), probs
 
     def row_width(self, history):
         return 2**self.depth
 
     def predictive(self, history, f, mc_draws, rng):
         total = 0.0
-        for p, x in zip(_leaf_probs(self._posterior(history)).tolist(), self._points().tolist()):
+        for p, x in zip(_leaf_probs(self._posterior(history)).tolist(), self._points.tolist()):
             total += p * float(f(x))
         return total, 0.0
 
@@ -697,7 +708,7 @@ class PolyaTreeModel(ExchangeableModel):
         if 4**self.depth > 20_000:
             return super().pair_predictive(history, g, mc_draws, rng)
         post = self._posterior(history)
-        points = self._points().tolist()
+        points = self._points.tolist()
         total = 0.0
         for leaf1, p1 in enumerate(_leaf_probs(post).tolist()):
             if p1 == 0.0:
@@ -711,7 +722,7 @@ class PolyaTreeModel(ExchangeableModel):
 
     def prior_quantile(self, u):
         cum = np.cumsum(_leaf_probs(self._prior()))
-        return float(self._points()[int(np.searchsorted(cum, u - 1e-12))])
+        return float(self._points[int(np.searchsorted(cum, u - 1e-12))])
 
 
 def _leaf_probs(levels: Sequence[np.ndarray]) -> np.ndarray:
@@ -884,18 +895,20 @@ def batched_sequences(
 
 
 def batched_sequence_blocks(
-    model: ExchangeableModel, history: Sample, upto: int, draws: int, rng: RngState
+    model: ExchangeableModel, history: Sample, upto: int, draws: int, rng: RngState, *, _entries: int = 4_000_000
 ) -> Iterator[np.ndarray]:
     """``batched_sequences`` in row blocks of at most 4e6 entries (bounding
-    peak memory); the blocks hold ``draws`` rows in all."""
-    for rows in _row_chunks(draws, upto):
+    peak memory); the blocks hold ``draws`` rows in all.  The private
+    ``_entries`` lowers the bound; only the fixed law draws the same stream
+    in any blocking."""
+    for rows in _row_chunks(draws, upto, _entries):
         yield batched_sequences(model, history, upto, rows, rng)
 
 
-def _row_chunks(draws: int, upto: int) -> Iterator[int]:
+def _row_chunks(draws: int, upto: int, entries: int = 4_000_000) -> Iterator[int]:
     """Row counts of ``draws`` rows of width ``upto`` in blocks of at most
-    4e6 entries."""
-    chunk = max(1, 4_000_000 // max(upto, 1))
+    ``entries`` entries (one row at least)."""
+    chunk = max(1, entries // max(upto, 1))
     for done in range(0, draws, chunk):
         yield min(chunk, draws - done)
 

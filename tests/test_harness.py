@@ -100,6 +100,18 @@ DP_MODEL = {"kind": "dirichlet_process", "mass": 1.0, "base": GAUSS}
 FD_MIXED = {"kind": "finite_dirichlet", "alpha": [1, 1]}
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDENS = [
+    (K2_CONFIG, "k2_oracle_seed42.csv"),
+    (K3_UNSORTED_CONFIG, "k3_unsorted_seed7.csv"),
+    (DP_MEAN_N5_CONFIG, "dp_mean_n5_seed13.csv"),
+    (PT_REAL_N5_CONFIG, "pt_real_n5_seed17.csv"),
+    (DP_REAL_INDEPENDENT_CONFIG, "dp_real_independent_seed19.csv"),
+]
+
+
+def golden_text(name):
+    with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def small_mean_config(**over):
@@ -133,29 +145,104 @@ class TestDeterminism:
         rows4 = run_experiment(ExperimentConfig.from_dict({**base, "threads": 4})).rows
         assert rows1 == rows4
 
+    def test_worker_count_invariance(self, monkeypatch):
+        # The goldens (both bound kinds and bound_mean), a sweep and a median
+        # config: CSV and JSON, metadata included (so the order of the
+        # stabilization entries), must not depend on how many workers run
+        # the cells.  Three workers on fewer cores, switching often, give
+        # the cells every chance to interleave.
+        import finipost.harness as harness
+
+        sweep = {**small_mean_config(experiment="estimator_sweep", f_spec={"kind": "gini"}), "n": 4, "N_grid": [4, 16]}
+        median = {
+            "experiment": "median_law",
+            "model": {"kind": "fixed", "base": {"family": "uniform", "a": 0, "b": 1}},
+            "n": 0,
+            "N_grid": [1, 3],
+            "m_samples": 2000,
+            "replicates": 3,
+            "master_seed": 21,
+        }
+        configs = [config for config, _ in GOLDENS] + [sweep, median]
+        reports = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+                runs = [run_experiment(ExperimentConfig.from_dict(config)) for config in configs]
+                reports[workers] = [(report_to_csv(r), report_to_json(r)) for r in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [csv for csv, _ in reports[2][: len(GOLDENS)]] == [golden_text(name) for _, name in GOLDENS]
+        assert reports[1] == reports[2] == reports[3]
+        assert len(json.loads(reports[1][1][1])["metadata"]["stabilization"]) == 8
+
+    def test_first_failing_cell_in_grid_order_raises(self, monkeypatch):
+        # Worker 0 fails at grid index 2 first; worker 1 fails later at
+        # index 1, whose error the serial loop would raise.
+        import time
+
+        import finipost.harness as harness
+
+        def failing_cells(cfg, model, metadata):
+            def cell(N, rep, history, rngs):
+                index = cfg.N_grid.index(N) * cfg.replicates + rep
+                if index == 1:
+                    time.sleep(0.2)
+                if index in (1, 2):
+                    raise FiniPostError("cell-failed", f"cell {index}")
+                return 0.0, 0.0, 1.0, 0.0, False, None
+
+            return cell, 0
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setitem(harness._CELLS, "bound_mean", failing_cells)
+        with pytest.raises(FiniPostError, match="cell 1") as err:
+            run_experiment(ExperimentConfig.from_dict(small_mean_config(N_grid=[25, 50, 75])))
+        assert err.value.code == "cell-failed"
+
     def test_seed_changes_rows(self):
         a = run_experiment(ExperimentConfig.from_dict(small_mean_config())).rows
         b = run_experiment(ExperimentConfig.from_dict(small_mean_config(master_seed=6))).rows
         assert a != b
 
-    @pytest.mark.parametrize(
-        "config, name",
-        [
-            (K2_CONFIG, "k2_oracle_seed42.csv"),
-            (K3_UNSORTED_CONFIG, "k3_unsorted_seed7.csv"),
-            (DP_MEAN_N5_CONFIG, "dp_mean_n5_seed13.csv"),
-            (PT_REAL_N5_CONFIG, "pt_real_n5_seed17.csv"),
-            (DP_REAL_INDEPENDENT_CONFIG, "dp_real_independent_seed19.csv"),
-        ],
-        ids=[
-            "k2_oracle_seed42", "k3_unsorted_seed7", "dp_mean_n5_seed13", "pt_real_n5_seed17",
-            "dp_real_independent_seed19",
-        ],
-    )
+    @pytest.mark.parametrize("config, name", GOLDENS, ids=[name[: -len(".csv")] for _, name in GOLDENS])
     def test_golden_file(self, config, name):
         report = run_experiment(ExperimentConfig.from_dict(config))
-        with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
-            assert report_to_csv(report) == fh.read()
+        assert report_to_csv(report) == golden_text(name)
+
+
+class TestBootstrap:
+    @pytest.mark.parametrize("m, resamples", [(2, 200), (64, 200), (4000, 200), (300000, 3)])
+    def test_row_blocks_draw_the_one_matrix_stream(self, m, resamples):
+        # At m = 300000 one row exceeds a block; three resamples keep the
+        # one-matrix reference small (200 would take about 1 GB).
+        from finipost.harness import _bootstrap_se
+        from finipost.rng import derive_seed
+
+        matched = derive_seed(30, m).random(m)
+        rng = derive_seed(31, m)
+        expected = float(matched[rng.integers(0, m, size=(resamples, m))].mean(axis=1).std(ddof=1))
+        assert _bootstrap_se(matched, derive_seed(31, m), resamples) == expected
+
+    def test_memory_is_bounded(self):
+        # Row blocks keep the peak far below one (200, 4000) index matrix
+        # and its gathered costs (12.8 MB).
+        import tracemalloc
+
+        from finipost.harness import _bootstrap_se
+        from finipost.rng import derive_seed
+
+        matched = derive_seed(32).random(4000)
+        tracemalloc.start()
+        try:
+            se = _bootstrap_se(matched, derive_seed(33))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < se < 0.01
+        assert peak < 4 * 2**20
 
 
 class TestEmission:
@@ -624,6 +711,30 @@ class TestMedianExperiment:
         assert block.size > 4_000_000
         assert row.estimate == float(np.mean(_median_at_most(block, 0.5)))
 
+    def test_median_cell_memory_is_bounded(self):
+        # Counting medians block by block keeps the peak far below one
+        # (20000, 51) matrix and its sampled copy (16 MB).
+        import tracemalloc
+
+        from finipost.harness import _median_cells
+        from finipost.priors import model_from_spec
+        from finipost.rng import derive_seed
+
+        model_spec = {"kind": "fixed", "base": {"family": "uniform", "a": 0, "b": 1}}
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "median_law", "model": model_spec, "n": 0, "N_grid": [25], "m_samples": 20000, "master_seed": 2}
+        )
+        cell, _ = _median_cells(cfg, model_from_spec(model_spec), {})
+        rngs = [derive_seed(5, phase) for phase in range(3)]
+        tracemalloc.start()
+        try:
+            estimate, *_ = cell(25, 0, Sample(()), rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.45 < estimate < 0.55
+        assert peak < 4 * 2**20
+
     def test_fixed_uniform_matches_exact_law(self):
         from finipost.bounds import MedianLawInputs, median_cdf
 
@@ -680,13 +791,15 @@ class TestCli:
                 ExperimentConfig.from_dict(cfg)
             parsed = scipy_modules()
             finipost.cli.main(["bound", "finite", "--params", '{"k": 3, "n": 10, "N": 100}'])
-            print(json.dumps([parsed, scipy_modules()]))
+            print(json.dumps([parsed, scipy_modules(), "concurrent.futures" in sys.modules]))
             """
         )
-        configs = [K2_CONFIG, K3_UNSORTED_CONFIG, DP_MEAN_N5_CONFIG, PT_REAL_N5_CONFIG, DP_REAL_INDEPENDENT_CONFIG]
+        # Nor does anything before a run load the cell pool's
+        # ``concurrent.futures`` (and with it ``logging``).
+        configs = [config for config, _ in GOLDENS]
         bound, loaded = self.run_python("-c", script, json.dumps(configs)).stdout.splitlines()
         assert float(bound) == pytest.approx(0.17905694150420948)
-        assert json.loads(loaded) == [[], []]
+        assert json.loads(loaded) == [[], [], False]
 
     def test_run_matches_goldens_in_a_fresh_process(self, tmp_path):
         # Each child takes its deferred scipy imports for the first time:

@@ -333,7 +333,7 @@ class TestPolyaTree:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert block.shape == (4096, 2) and np.all(np.isin(block, model._points()))
+        assert block.shape == (4096, 2) and np.all(np.isin(block, model._points))
         assert peak < 256 * 2**20
 
     def test_point_mass_base_rejected(self):
@@ -689,6 +689,25 @@ class TestDPCountContinuation:
         block = batched_sequences(model, h, 9, 50, derive_seed(146))
         assert np.array_equal(means, Square().vec(block).mean(axis=1))
 
+    @pytest.mark.parametrize(
+        "history, total, picks",
+        [
+            ((), 2007.6713856389965, [0.6634234719145751, 0.7542070368605767, 1.3102740664128105, 0.254179185145656]),
+            (
+                (0.5, -1.0, 0.5),
+                1240.639611089935,
+                [1.0448081376687488, 0.5153077273282588, 3.0866811240963123, 0.5190713408890184],
+            ),
+        ],
+        ids=["n0", "n3"],
+    )
+    def test_f_means_stream_is_pinned(self, history, total, picks):
+        # 2000 rows of 397-400 fresh values: the block openings draw their
+        # uniforms in several row blocks, and the stream must not move.
+        means = batched_f_means(DP, Sample(history), 400, np.square, 2000, derive_seed(61))
+        assert float(means.sum()) == total
+        assert means[[0, 1, 999, 1999]].tolist() == picks
+
     def test_no_new_values_at_the_horizon(self):
         h = Sample((0.5, -1.0))
         assert np.array_equal(batched_sequences(DP, h, 2, 3, derive_seed(147)), np.tile([0.5, -1.0], (3, 1)))
@@ -754,7 +773,7 @@ def _per_step_pt_urn(model, history, upto, rng):
     rows."""
     prior = [a.tolist() for a in model._prior()]
     counts = [c.tolist() for c in model._counts(history)]
-    points = model._points().tolist()
+    points = model._points.tolist()
     values = list(history.values)
     for _ in range(upto - len(history)):
         node = 0
@@ -831,7 +850,7 @@ class TestStreamContracts:
         # The three new leaves of a depth-3 tree: 512 joint outcomes.
         model = model_from_spec(MODEL_SPECS["polya_tree"])
         h = sample_sequence(model, n, derive_seed(906))
-        points = model._points()
+        points = model._points
         rng = derive_seed(907)
         reference = np.array([_per_step_pt_urn(model, h, n + 3, rng) for _ in range(30000)])
         block = batched_sequences(model, h, n + 3, 60000, derive_seed(908))
