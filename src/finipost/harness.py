@@ -71,7 +71,7 @@ __all__ = [
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.7.0"
+ARTIFACT_VERSION = "0.8.0"
 
 _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_BLOCK_ENTRIES = 2**18

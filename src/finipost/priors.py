@@ -18,19 +18,23 @@ preconditions and then make one call on the model.
 * ``DirichletProcessModel`` -- Blackwell-MacQueen urn over an analytic base,
   drawn exactly as counts: Dirichlet-multinomial on the history values and
   an Ewens partition of the new ones, shuffled into sequences or weighed
-  into f-means; posteriors are drawn by the conjugate decomposition: exact
-  Beta/Dirichlet weights on the distinct history values plus a truncated
-  stick-breaking draw of the prior, whose residual mass goes to one extra
-  atom.
+  into f-means; posterior rows are drawn by the conjugate decomposition:
+  exact Beta/Dirichlet weights on the distinct history values plus a
+  truncated stick-breaking draw of the prior, whose residual mass goes to
+  one extra atom.
 * ``StickBreakingModel`` -- general independent Beta(a_k, b_k) sticks; the
   posterior has no tractable form and is served by partition-matching
-  rejection for histories of at most four points.
+  rejection over batches of prior rows for histories of at most four points.
 * ``PolyaTreeModel`` -- dyadic quantile partition of an invertible base CDF
   with Beta-distributed branch probabilities; fully conjugate, observations
   are emitted at quantile-interval midpoints of the deepest level, and
   posterior rows take one Beta call per level.
 * ``FixedLawModel`` -- a deterministic directing measure, the degenerate
   carrier used by median-law experiments.
+
+Both stick models draw their sticks with one sampler, ``_truncated_sticks``,
+which breaks the sticks of all rows in lockstep, one Beta call per stick
+index, and then draws every location in one call.
 
 Every operation takes its random state explicitly; see ``rng``.
 """
@@ -365,53 +369,27 @@ class DirichletProcessModel(ExchangeableModel):
             means.append((head + total) / upto)
         return np.concatenate(means)
 
-    def _history_part(self, history: Sample, rng: RngState, size: int | None = None):
-        """(x*, V·D, 1 − V) of the posterior V·Σⱼ Dⱼ δ_{x*ⱼ} + (1−V)·P′, with
-        V ~ Beta(n, c), D ~ Dirichlet(n₁…n_K) on the K distinct history values
-        and P′ ~ DP(c, base) independent (Ferguson 1973); one row per draw when
-        ``size`` is given.  The history must be nonempty."""
+    def _history_part(self, history: Sample, draws: int, rng: RngState):
+        """(x*, V·D, 1 − V) of ``draws`` posteriors V·Σⱼ Dⱼ δ_{x*ⱼ} + (1−V)·P′,
+        one row per draw, with V ~ Beta(n, c), D ~ Dirichlet(n₁…n_K) on the K
+        distinct history values and P′ ~ DP(c, base) independent (Ferguson
+        1973); with no history V = 0 and no value is drawn."""
+        if not len(history):
+            return np.empty(0), np.zeros((draws, 0)), np.ones(draws)
         xstar, counts = np.unique(history.scalars(), return_counts=True)
-        v = rng.beta(len(history), self.total_mass, size=size)
-        d = rng.dirichlet(counts, size=size)
-        return xstar, np.expand_dims(v, -1) * d, 1.0 - v
+        v = rng.beta(len(history), self.total_mass, size=draws)
+        return xstar, v[:, None] * rng.dirichlet(counts, size=draws), 1.0 - v
 
     def posterior_rows(self, history, draws, rng):
-        return _stack_rows([self._posterior_row(history, rng) for _ in range(draws)])
+        # The distinct history values, then the atoms of P′, its last one
+        # carrying the truncation residual.
+        xstar, w, scale = self._history_part(history, draws, rng)
+        c = self.total_mass
+        atoms, sticks = _truncated_sticks(lambda _k: (1.0, c), self.base, self.max_sticks, self.residual_tol, rng, scale)
+        return np.hstack([np.broadcast_to(xstar, w.shape), atoms]), np.hstack([w, scale[:, None] * sticks])
 
     def row_width(self, history):
         return len(set(history.values)) + self.max_sticks + 1
-
-    def _posterior_row(self, history: Sample, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
-        """One draw: the distinct history values, then the atoms of P′ (all
-        sticks, then i.i.d. base locations), the last one carrying the
-        truncation residual."""
-        xstar, w, scale = self._history_part(history, rng) if len(history) else (np.empty(0), np.empty(0), 1.0)
-        c = self.total_mass
-        sticks, residual = _truncated_sticks(lambda _k: (1.0, c), self.max_sticks, self.residual_tol, rng, scale)
-        locs = np.asarray(self.base.sample(rng, sticks.size + 1), dtype=float)
-        return np.concatenate([xstar, locs]), np.concatenate([w, scale * np.append(sticks, residual)])
-
-    def posterior_integrals(self, history, fvec, draws, rng):
-        # Only the prior part P' breaks sticks; row r stops once
-        # scale[r] * residual[r], its untruncated mass, is below tolerance.
-        acc = np.zeros(draws)
-        scale = np.ones(draws)
-        if len(history):
-            xstar, w, scale = self._history_part(history, rng, draws)
-            acc = w @ fvec(xstar)
-        residual = np.ones(draws)
-        alive = np.flatnonzero(scale >= self.residual_tol)
-        sticks_used = 0
-        while alive.size and sticks_used < self.max_sticks:
-            v = rng.beta(1.0, self.total_mass, size=alive.size)
-            locs = np.asarray(self.base.sample(rng, alive.size), dtype=float)
-            acc[alive] += scale[alive] * residual[alive] * v * fvec(locs)
-            residual[alive] *= 1.0 - v
-            sticks_used += 1
-            alive = alive[scale[alive] * residual[alive] >= self.residual_tol]
-        locs = np.asarray(self.base.sample(rng, draws), dtype=float)
-        acc += scale * residual * fvec(locs)
-        return acc
 
     def predictive(self, history, f, mc_draws, rng):
         c = self.total_mass
@@ -486,45 +464,52 @@ class StickBreakingModel(ExchangeableModel):
             raise FiniPostError(
                 "posterior-unavailable", "stick-breaking posteriors are only served for histories of length <= 4"
             )
-        return _stack_rows([self._rejection_posterior(history, rng) for _ in range(draws)])
+        if not len(history):
+            return self._prior_rows(draws, rng)
+        return self._rejection_posterior(history, draws, rng)
 
     def row_width(self, history):
         return self.max_sticks + 1
 
-    def _rejection_posterior(self, history: Sample, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
-        """Condition stick weights on the history by partition matching.
+    def _prior_rows(self, draws: int, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
+        return _truncated_sticks(self.stick_beta, self.base, self.max_sticks, self.residual_tol, rng, np.ones(draws))
+
+    def _rejection_posterior(self, history: Sample, draws: int, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
+        """Condition stick weights on a nonempty history by partition matching.
 
         Weights and locations are independent a priori and locations are
         i.i.d. from a non-atomic base, so conditioning on the observed values
         pins the locations of the sticks that produced them and constrains
         the weights only through the observation partition.  Rejection: draw
-        sticks, assign the n observations to sticks by the stick weights,
-        accept when the induced partition matches the observed one.  Draws
-        landing in the truncation residual are rejected outright (a bias of
-        at most n times the residual tolerance).  With no history the first
-        draw is accepted: a draw of the prior.
+        candidate prior rows, assign the n observations to sticks by the
+        stick weights, accept a row when the induced partition matches the
+        observed one and put each history value on its stick.  Accepted rows
+        are i.i.d. posterior draws, and the first ``draws`` are kept.
+        Candidates come in batches, 16 per wanted row at first, doubling up
+        to a block of 4e6 atoms.  A row with
+        an observation in its truncation residual (its last weighted atom) is
+        rejected outright (a bias of at most n times the residual tolerance).
         """
-        n = len(history)
-        target = _history_pattern(history.values)
-        distinct: list[float] = []
-        for v in history.values:
-            if v not in distinct:
-                distinct.append(float(v))
-
-        for _ in range(_REJECTION_CAP):
-            sticks, residual = _truncated_sticks(self.stick_beta, self.max_sticks, self.residual_tol, rng)
-            cum = np.cumsum(sticks)
-            u = rng.random(n)
-            if np.any(u >= cum[-1]):
-                continue
-            idx = np.searchsorted(cum, u, side="right")
-            if _history_pattern(idx.tolist()) != target:
-                continue
-            locs = np.asarray(self.base.sample(rng, sticks.size + 1), dtype=float)
-            for pos, cluster in enumerate(_cluster_sticks(idx, target)):
-                locs[cluster] = distinct[pos]
-            return locs, np.append(sticks, residual)
-        raise FiniPostError("posterior-unavailable", "rejection cap exceeded; partition too unlikely")
+        values = history.scalars()
+        same = values[:, None] == values[None, :]
+        limit = max(1, 4_000_000 // self.row_width(history))
+        kept, got, tries, batch = [], 0, 0, min(16 * draws, limit)
+        while got < draws:
+            if tries >= _REJECTION_CAP * draws:
+                raise FiniPostError("posterior-unavailable", "rejection cap exceeded; partition too unlikely")
+            atoms, weights = self._prior_rows(batch, rng)
+            cum = np.cumsum(weights, axis=1)
+            u = rng.random((batch, values.size))
+            idx = np.minimum((cum[:, None, :] <= u[..., None]).sum(axis=2), cum.shape[1] - 1)
+            row = np.arange(batch)[:, None]
+            ok = ((idx[:, :, None] == idx[:, None, :]) == same).reshape(batch, -1).all(axis=1)
+            ok &= (cum[row, idx] < cum[:, -1:]).all(axis=1)
+            atoms, idx = atoms[ok], idx[ok]
+            atoms[row[: idx.shape[0]], idx] = values
+            kept.append((atoms, weights[ok]))
+            got, tries, batch = got + idx.shape[0], tries + batch, min(2 * batch, limit)
+        atoms, weights = _stack_rows(kept)
+        return atoms[:draws], weights[:draws]
 
     def predictive(self, history, f, mc_draws, rng):
         n = len(history)
@@ -539,61 +524,69 @@ class StickBreakingModel(ExchangeableModel):
         return _mc_mean([float(f(v)) for v in block[:, n].tolist()])
 
 
-def _history_pattern(values: Sequence) -> tuple[int, ...]:
-    seen: dict = {}
-    out = []
-    for v in values:
-        if v not in seen:
-            seen[v] = len(seen)
-        out.append(seen[v])
-    return tuple(out)
-
-
-def _cluster_sticks(idx: np.ndarray, pattern: tuple[int, ...]) -> list[int]:
-    """Stick index backing each observation cluster, in first-appearance order."""
-    out: dict[int, int] = {}
-    for stick, lab in zip(idx.tolist(), pattern):
-        out.setdefault(lab, stick)
-    return [out[lab] for lab in range(len(out))]
-
-
 # ---------------------------------------------------------------------------
 # Stick machinery shared by the Dirichlet process and stick-breaking draws
 # ---------------------------------------------------------------------------
 
 def _truncated_sticks(
     beta_at: Callable[[int], tuple[float, float]],
+    base: AnalyticLaw,
     max_sticks: int,
     residual_tol: float,
     rng: RngState,
-    scale: float = 1.0,
-) -> tuple[np.ndarray, float]:
-    """Stick weights until ``scale`` times the residual falls below tolerance
-    or the cap.  ``scale`` is the mass of the whole measure inside a mixture.
+    scale: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated stick-breaking draws, one row per entry of ``scale``, the
+    mass of the row's measure inside a mixture.
 
-    Returns (weights, residual); weights sum to 1 - residual up to float
-    rounding.
+    Sticks V_k ~ Beta(beta_at(k)) are broken in lockstep, one Beta call per
+    k over the rows still breaking: row r breaks while scale[r] times its
+    residual is at least ``residual_tol`` and fewer than ``max_sticks``
+    sticks are drawn.  Then one ``base.sample`` call draws every location,
+    row by row, so a one-row call draws the stream of a sequential stick
+    loop.  Returns (rows, s) atom and weight arrays: the sticks, then the
+    residual on one more atom, a row's weights summing to 1 up to rounding;
+    a short row repeats its last atom with weight 0.
     """
-    weights: list[float] = []
-    residual = 1.0
-    k = 0
-    while scale * residual >= residual_tol and k < max_sticks:
-        k += 1
-        a, b = beta_at(k)
-        v = rng.beta(a, b)
-        weights.append(residual * v)
-        residual *= 1.0 - v
-    return np.asarray(weights, dtype=float), residual
+    rows = scale.size
+    alive = np.flatnonzero(scale >= residual_tol)
+    res, sc = np.ones(alive.size), scale[alive]
+    residual = np.ones(rows)
+    broken, drawn = [], []  # the rows that break stick k, and its weights
+    while alive.size and len(broken) < max_sticks:
+        a, b = beta_at(len(broken) + 1)
+        v = rng.beta(a, b, size=alive.size)
+        broken.append(alive)
+        drawn.append(res * v)
+        res *= 1.0 - v
+        keep = sc * res >= residual_tol
+        if np.count_nonzero(keep) < alive.size:
+            residual[alive] = res
+            alive, res, sc = alive[keep], res[keep], sc[keep]
+    residual[alive] = res
+    at = np.concatenate([np.empty(0, dtype=np.intp), *broken])
+    sticks = np.bincount(at, minlength=rows)
+    weights = np.zeros((rows, len(broken) + 1))
+    weights[at, np.repeat(np.arange(len(broken)), [r.size for r in broken])] = np.concatenate([np.empty(0), *drawn])
+    weights[np.arange(rows), sticks] = residual
+    # Row r takes the next sticks[r] + 1 locations and repeats its last one.
+    locs = np.asarray(base.sample(rng, int(sticks.sum()) + rows), dtype=float)
+    first = np.cumsum(sticks + 1) - (sticks + 1)
+    return locs[first[:, None] + np.minimum(np.arange(weights.shape[1]), sticks[:, None])], weights
 
 
-def _stack_rows(rows: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior rows from one (atoms, weights) pair per draw: a short row
-    repeats its last atom with weight 0."""
-    width = max((x.size for x, _ in rows), default=0)
-    atoms, weights = np.empty((len(rows), width)), np.zeros((len(rows), width))
-    for r, (x, w) in enumerate(rows):
-        atoms[r, : x.size], atoms[r, x.size :] = x, x[-1]
-        weights[r, : w.size] = w
+def _stack_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior rows from (atoms, weights) row blocks of differing widths: a
+    short row repeats its last atom with weight 0."""
+    width = max((x.shape[1] for x, _ in blocks), default=0)
+    rows = sum(x.shape[0] for x, _ in blocks)
+    atoms, weights = np.empty((rows, width)), np.zeros((rows, width))
+    done = 0
+    for x, w in blocks:
+        block = slice(done, done + x.shape[0])
+        atoms[block, : x.shape[1]], atoms[block, x.shape[1] :] = x, x[:, -1:]
+        weights[block, : w.shape[1]] = w
+        done = block.stop
     return atoms, weights
 
 
@@ -814,9 +807,9 @@ def batched_posterior_rows(
     a row with fewer than s atoms repeats its last atom with weight 0.
 
     The finite Dirichlet makes one Dirichlet call (its atoms, labels too,
-    are the same in every row), the Polya tree one Beta call per level; the
-    Dirichlet process and stick-breaking models draw one row at a time.
-    ``model.row_width(history)`` bounds s.
+    are the same in every row), the Polya tree one Beta call per level, and
+    the stick models one Beta call per stick index over the rows still
+    breaking.  ``model.row_width(history)`` bounds s.
     """
     _check_history(model, history)
     return model.posterior_rows(history, draws, rng)
@@ -954,9 +947,8 @@ def batched_posterior_integrals(
     """``draws`` independent values of the f-integral of a posterior draw.
 
     ``fvec`` must accept a float array.  Scalar models only.  Each value
-    is Σ W·f(X) over one of ``batched_posterior_rows``; the Dirichlet
-    process instead breaks the sticks of all draws in lockstep and builds
-    no rows.
+    is Σ W·f(X) over one of ``batched_posterior_rows``, drawn in row blocks
+    of at most 4e6 atoms.
     """
     _check_history(model, history)
     model._check_scalar("batched posterior integrals")

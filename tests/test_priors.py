@@ -200,11 +200,11 @@ class TestPosteriorDraws:
         model = DirichletProcessModel(5.0, GaussianLaw(0, 1), max_sticks=4096, residual_tol=1e-6)
         from finipost.priors import _truncated_sticks
 
-        rng = derive_seed(111)
-        for _ in range(200):
-            sticks, residual = _truncated_sticks(
-                lambda _k: (1.0, 6.0), model.max_sticks, model.residual_tol, rng
-            )
+        _, weights = _truncated_sticks(
+            lambda _k: (1.0, 6.0), model.base, model.max_sticks, model.residual_tol, derive_seed(111), np.ones(200)
+        )
+        for row in weights:
+            sticks, residual = sticks_and_residual(row)
             assert residual < model.residual_tol or sticks.size == model.max_sticks
             assert abs(float(sticks.sum()) + residual - 1.0) <= 1e-12
 
@@ -227,6 +227,16 @@ class TestStickBreaking:
         rng = derive_seed(112)
         h = Sample((0.5, 0.5, -0.2))
         ws = np.array([posterior_draw(self.SB, h, rng).mass_at(0.5) for _ in range(3000)])
+        assert abs(ws.mean() - 0.5) <= 4 * ws.std(ddof=1) / math.sqrt(ws.size)
+
+    def test_batched_rows_match_dp_closed_form(self):
+        # The same law from one batch: about 18000 candidates, drawn in
+        # rounds of up to 976 rows whose accepted rows are stacked.
+        h = Sample((0.5, 0.5, -0.2))
+        atoms, weights = batched_posterior_rows(self.SB, h, 3000, derive_seed(114))
+        assert atoms.shape[0] == 3000 and np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-12
+        ws = np.where(atoms == 0.5, weights, 0.0).sum(axis=1)
+        assert np.all(np.where(atoms == -0.2, weights, 0.0).sum(axis=1) > 0.0)
         assert abs(ws.mean() - 0.5) <= 4 * ws.std(ddof=1) / math.sqrt(ws.size)
 
     def test_history_values_kept(self):
@@ -591,8 +601,6 @@ class TestDPConjugateDecomposition:
         fvec, h = TEST_FUNCTIONS[f_id], tied_history(n)
         new = batched_posterior_integrals(DP_SHIFTED, h, fvec, 4000, derive_seed(131))
         old = polya_stick_integrals(DP_SHIFTED, h, fvec, 4000, derive_seed(131 if n == 0 else 132))
-        if n == 0:
-            assert np.array_equal(new, old)
         assert ks_2samp(new, old).pvalue > 1e-3
 
     @pytest.mark.parametrize("f_id", sorted(TEST_FUNCTIONS))
@@ -618,6 +626,24 @@ class TestDPConjugateDecomposition:
             locs, w = polya_stick_draw(DP_SHIFTED, h, old_rng)
             assert m.points == tuple(locs.tolist())
             assert np.array_equal(m.weights, w)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_prior_mean_has_the_cifarelli_regazzini_law(self, seed):
+        # For DP(1, Uniform(0, 1)) the law of ∫x dP has the density
+        # (e/π) sin(πy) y^(-y) (1-y)^(-(1-y)) on (0, 1) (Cifarelli &
+        # Regazzini 1990); its CDF is integrated on a fine grid.
+        from scipy.integrate import cumulative_simpson
+        from scipy.stats import kstest
+
+        y = np.linspace(0.0, 1.0, 100_001)
+        inner = y[1:-1]
+        density = np.zeros_like(y)
+        density[1:-1] = math.e / math.pi * np.sin(math.pi * inner) * inner**-inner * (1 - inner) ** -(1 - inner)
+        cdf = cumulative_simpson(density, x=y, initial=0.0)
+        assert abs(cdf[-1] - 1.0) < 1e-9
+        model = DirichletProcessModel(1.0, UniformLaw(0.0, 1.0))
+        means = batched_posterior_integrals(model, Sample(()), IDENTITY.vec, 20000, derive_seed(seed))
+        assert kstest(means, lambda t: np.interp(t, y, cdf)).pvalue > 1e-3
 
     def test_history_atoms_are_distinct_values(self):
         h = tied_history(50)
@@ -714,19 +740,31 @@ class TestDPCountContinuation:
         assert np.allclose(batched_f_means(DP, h, 2, IDENTITY.vec, 3, derive_seed(147)), -0.25)
 
 
+def sticks_and_residual(row):
+    """A stick row's sticks and its residual, the last positive weight."""
+    last = np.flatnonzero(row)[-1]
+    assert np.all(row[last + 1 :] == 0.0)
+    return row[:last], row[last]
+
+
 class TestTruncationScale:
     def test_scaled_stop_rule(self):
+        # One call over mixed row scales, so rows stop at different k.
         from finipost.priors import _truncated_sticks
 
-        rng = derive_seed(137)
-        for scale in (1.0, 0.3, 1e-3):
-            for _ in range(100):
-                sticks, residual = _truncated_sticks(lambda _k: (1.0, 2.0), 4096, 1e-6, rng, scale)
-                assert scale * residual < 1e-6
-                if sticks.size > 1:
-                    assert scale * (residual + sticks[-1]) >= 1e-6
-        sticks, residual = _truncated_sticks(lambda _k: (1.0, 2.0), 4096, 1e-6, rng, 1e-7)
-        assert sticks.size == 0 and residual == 1.0
+        scale = np.repeat([1.0, 0.3, 1e-3, 1e-7], 100)
+        _, weights = _truncated_sticks(lambda _k: (1.0, 2.0), GaussianLaw(0, 1), 4096, 1e-6, derive_seed(137), scale)
+        sizes = set()
+        for s, row in zip(scale, weights):
+            sticks, residual = sticks_and_residual(row)
+            assert s * residual < 1e-6
+            if sticks.size > 1:
+                assert s * (residual + sticks[-1]) >= 1e-6
+            assert abs(float(sticks.sum()) + residual - 1.0) <= 1e-12
+            if s < 1e-6:
+                assert sticks.size == 0 and residual == 1.0
+            sizes.add(sticks.size)
+        assert len(sizes) > 10
 
 
 # ---------------------------------------------------------------------------
@@ -926,11 +964,9 @@ class TestStreamContracts:
             assert m.points == tuple(atoms[0][keep].tolist())
             assert np.array_equal(m.weights, weights[0][keep])
 
-    @pytest.mark.parametrize("kind", ["finite_dirichlet_scalars", "stick_breaking", "polya_tree"])
+    @pytest.mark.parametrize("kind", ["finite_dirichlet_scalars", "dirichlet_process", "stick_breaking", "polya_tree"])
     @pytest.mark.parametrize("n", [0, 2])
     def test_batched_integrals_weigh_the_posterior_rows(self, kind, n):
-        # The Dirichlet process breaks its sticks without rows; it is
-        # checked in law by TestDPConjugateDecomposition.
         model = model_from_spec(MODEL_SPECS[kind])
         h = sample_sequence(model, n, derive_seed(902))
         batch = batched_posterior_integrals(model, h, IDENTITY.vec, 30, derive_seed(903))
@@ -941,12 +977,10 @@ class TestStreamContracts:
         model = model_from_spec(MODEL_SPECS["dirichlet_process"])
         h = sample_sequence(model, 2, derive_seed(910))
         atoms, weights = batched_posterior_rows(model, h, 40, derive_seed(911))
-        rng = derive_seed(911)
         for x, w in zip(atoms, weights):
-            m = posterior_draw(model, h, rng)
-            s = len(m)
-            assert np.array_equal(x[:s], m.scalars()) and np.array_equal(w[:s], m.weights)
+            s = np.flatnonzero(w)[-1] + 1
             assert np.all(x[s:] == x[s - 1]) and np.all(w[s:] == 0.0)
+            assert np.unique(x[:s]).size == s and abs(math.fsum(w) - 1.0) <= 1e-12
         assert len({int(np.count_nonzero(w)) for w in weights}) > 1
 
 
@@ -1023,13 +1057,14 @@ class TestProtocolConformance:
         else:
             assert width == model.row_width(h)
 
-    def test_posterior_models_write_rows_and_only_the_dp_its_integrals(self):
+    def test_posterior_models_write_rows_and_no_model_its_integrals(self):
+        # Every posterior integral is Σ W·f(X) over the model's rows.
         from finipost.priors import ExchangeableModel
 
         subclasses = ExchangeableModel.__subclasses__()
         rows = [cls.__name__ for cls in subclasses if "posterior_rows" in vars(cls)]
         assert rows == ["FiniteDirichletModel", "DirichletProcessModel", "StickBreakingModel", "PolyaTreeModel"]
-        assert [cls.__name__ for cls in subclasses if "posterior_integrals" in vars(cls)] == ["DirichletProcessModel"]
+        assert [cls.__name__ for cls in subclasses if "posterior_integrals" in vars(cls)] == []
 
     def test_only_the_dirichlet_process_weighs_counts_into_f_means(self):
         from finipost.priors import ExchangeableModel
