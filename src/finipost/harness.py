@@ -6,7 +6,9 @@ Five experiment kinds share one report schema:
 * ``bound_finite`` / ``bound_real`` -- plug-in transport distance between
   posterior draws of the directing measure and empirical-measure draws,
   against the matching rate bound (total variation / bounded Lipschitz).
-  ``bound_finite`` cells run on (m, k) weight matrices, one row per draw.
+  ``bound_finite`` cells run on (m, k) weight matrices, one row per draw,
+  and ``bound_real`` cells on merged rows, one pair of point and weight
+  arrays per draw.
 * ``bound_mean``     -- scalar pushforward distance for a named test
   function against the mean bounds.
 * ``estimator_sweep`` -- finite-horizon vs classical estimator gap with
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable
 
@@ -40,7 +42,7 @@ import numpy as np
 from . import bounds as bd
 from .errors import FiniPostError, config_float, config_int
 from .families import IDENTITY, AbsDeviation, Indicator, NamedFunction, Square
-from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, Space, cdf_of, l21_functional
+from .measures import FiniteAlphabet, RealLine, Sample, Space, cdf_of_row, l21_functional, merged_rows
 from .priors import (
     ExchangeableModel,
     batched_f_means,
@@ -108,6 +110,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in _CELLS:
             raise FiniPostError("config-error", f"unknown experiment {self.experiment!r}")
+        for name in ("n", "m_samples", "replicates", "master_seed"):
+            object.__setattr__(self, name, config_int(getattr(self, name), name))
+        object.__setattr__(self, "N_grid", tuple(config_int(N, "N_grid") for N in self.N_grid))
         if not self.N_grid:
             raise FiniPostError("config-error", "empty N grid")
         if self.n < 0:
@@ -127,7 +132,6 @@ class ExperimentConfig:
             raise FiniPostError("config-error", f"ground must be one of {list(_GROUNDS)}, not {self.ground!r}")
         if self.output is not None and not isinstance(self.output, str):
             raise FiniPostError("config-error", f"output must be a path string or null, not {self.output!r}")
-        object.__setattr__(self, "N_grid", tuple(int(N) for N in self.N_grid))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -138,41 +142,16 @@ class ExperimentConfig:
         unknown = sorted(set(obj) - {f.name for f in fields(cls)} - {"threads"})
         if unknown:
             raise FiniPostError("config-error", f"unknown config fields {unknown}")
+        given = {key: value for key, value in obj.items() if key != "threads"}
         try:
-            return cls(
-                experiment=obj["experiment"],
-                model=obj["model"],
-                n=config_int(obj.get("n", 0), "n"),
-                N_grid=tuple(config_int(N, "N_grid") for N in obj["N_grid"]),
-                m_samples=config_int(obj.get("m_samples", 2000), "m_samples"),
-                replicates=config_int(obj.get("replicates", 1), "replicates"),
-                ground=obj.get("ground", "TV"),
-                master_seed=config_int(obj.get("master_seed", 0), "master_seed"),
-                output=obj.get("output"),
-                f_spec=obj.get("f_spec"),
-                coupling=obj.get("coupling", "posterior"),
-            )
+            return cls(**{"n": 0, "m_samples": 2000, "replicates": 1, **given})
         except FiniPostError:
             raise
-        except KeyError as exc:
-            raise FiniPostError("config-error", f"config missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise FiniPostError("config-error", f"malformed config: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "model": self.model,
-            "n": self.n,
-            "N_grid": list(self.N_grid),
-            "m_samples": self.m_samples,
-            "replicates": self.replicates,
-            "ground": self.ground,
-            "master_seed": self.master_seed,
-            "output": self.output,
-            "f_spec": self.f_spec,
-            "coupling": self.coupling,
-        }
+        return {**asdict(self), "N_grid": list(self.N_grid)}
 
 
 @dataclass(frozen=True)
@@ -361,11 +340,13 @@ def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
     posterior draw, which keeps the plug-in bias at desk scale;
     ``coupling="independent"`` draws fresh directing measures instead,
     which over-states the distance badly in the bounded-Lipschitz
-    geometry (see README).  Slack is three bootstrap standard errors of
-    the plug-in (matched-cost resampling); the real-line bound folds in
-    three standard errors of the estimated posterior mean of the
-    sqrt(F(1-F)) integral.  A half-sample estimate is recorded in the
-    metadata so bias stabilization is visible.
+    geometry (see README).  The draws are weight matrices on a label
+    alphabet and merged rows on the line.  Slack is three bootstrap
+    standard errors of the plug-in (matched-cost resampling); the
+    real-line bound folds in three standard errors of the estimated
+    posterior mean of the sqrt(F(1-F)) integral over the step CDFs of the
+    posterior rows.  A half-sample estimate is recorded in the metadata so
+    bias stabilization is visible.
     """
     _check_bound_config(cfg, model)
     metadata["stabilization"] = []
@@ -380,7 +361,7 @@ def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
         if cfg.experiment == "bound_finite":
             bound = bd.finite_bound(model.space.k, cfg.n, N)
         else:
-            l21s = np.array([l21_functional(cdf_of(p)) for p in posts])
+            l21s = np.array([l21_functional(cdf_of_row(*p)) for p in posts])
             l21_mean = float(l21s.mean())
             l21_se = float(l21s.std(ddof=1) / math.sqrt(len(l21s)))
             bound = bd.real_bound(cfg.n, N, l21_mean)
@@ -424,7 +405,8 @@ def _posterior_and_empirical_draws(
     ``cont_rng`` counts the N - n new observations, i.i.d. from each row.
     On a label alphabet, where every row carries the alphabet in one order,
     both come back as (m, k) weight matrices in sorted-label order; on the
-    real line the rows become measures for the bounded Lipschitz ground.
+    line as merged rows, an empirical row being the history and the
+    directing row's atoms, weighted by one and by the counts over N.
     """
     m, space, n = cfg.m_samples, model.space, len(history)
     X, P = batched_posterior_rows(model, history, m, post_rng)
@@ -434,13 +416,8 @@ def _posterior_and_empirical_draws(
         order = np.argsort(Xd[0])
         held = np.array([history.values.count(label) for label in space.labels])
         return P[:, order], (held + counts[:, order]) / N
-    head, ones = list(history.values), np.ones(n)
-    posts = [AtomicMeasure(zip(x.tolist(), w.tolist()), space=space) for x, w in zip(X, P)]
-    emps = [
-        AtomicMeasure(zip(head + x.tolist(), (np.concatenate([ones, c]) / N).tolist()), space=space)
-        for x, c in zip(Xd, counts)
-    ]
-    return posts, emps
+    head = np.broadcast_to(history.scalars(), (m, n))
+    return merged_rows(X, P), merged_rows(np.hstack([head, Xd]), np.hstack([np.ones((m, n)), counts]) / N)
 
 
 # ---------------------------------------------------------------------------
@@ -580,24 +557,7 @@ def report_to_csv(report: ExperimentReport) -> str:
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    obj = {
-        "metadata": report.metadata,
-        "rows": [
-            {
-                "experiment": r.experiment,
-                "N": r.N,
-                "n": r.n,
-                "replicate": r.replicate,
-                "seed": r.seed,
-                "estimate": r.estimate,
-                "stderr": r.stderr,
-                "bound": r.bound,
-                "slack": r.slack,
-                "violated": r.violated,
-            }
-            for r in report.rows
-        ],
-    }
+    obj = {"metadata": report.metadata, "rows": [asdict(r) for r in report.rows]}
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -8,8 +8,10 @@ a d-dimensional Euclidean space.  A batch of posterior draws leaves
 ``priors`` as posterior rows, (m, s) atom and weight arrays padded with
 zero weights; on one common finite support the weights alone are an
 (m, k) weight matrix, one row per measure, checked once by
-``weight_matrix``, and ``bound_finite`` cells run on such matrices.
-Zero-weight atoms are dropped when a row becomes an ``AtomicMeasure``.
+``weight_matrix``, and ``bound_finite`` cells run on such matrices.  On
+the line ``merged_rows`` turns the padded rows into merged rows, one
+pair of 1-d arrays per measure (sorted distinct points, their weights,
+zero weights dropped), and ``bound_real`` cells run on those.
 Continuous laws appear only through the analytic CDF families of
 ``families``.
 """
@@ -35,12 +37,14 @@ __all__ = [
     "Point",
     "AtomicMeasure",
     "weight_matrix",
+    "merged_rows",
     "Cdf",
     "Sample",
     "empirical",
     "mixture",
     "integrate",
     "cdf_of",
+    "cdf_of_row",
     "l21_functional",
     "gini_md",
     "moment",
@@ -203,6 +207,32 @@ def weight_matrix(rows) -> np.ndarray:
     return W
 
 
+def merged_rows(atoms, weights) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Padded (m, s) real-line rows as merged rows: per row, the sorted
+    distinct points and their weights.  Checks and merges each row as
+    ``AtomicMeasure`` does a measure: finite points, no weight below
+    -1e-12, a sum within 1e-12 of one; equal points summed in row order
+    (``np.bincount`` accumulates sequentially), zero weights dropped from
+    a row of more than one point, tiny negatives set to 0."""
+    X, W = np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float)
+    if X.ndim != 2 or X.shape != W.shape or X.size == 0:
+        raise FiniPostError("bad-weights", f"need matching nonempty (m, s) rows, got {X.shape} and {W.shape}")
+    if not np.all(np.isfinite(X)):
+        raise FiniPostError("space-mismatch", "non-finite scalar point in a row")
+    if not np.all(W >= -_WEIGHT_TOL):
+        raise FiniPostError("bad-weights", "negative or NaN weight in a row")
+    rows = []
+    for x, w in zip(X, W):
+        points, group = np.unique(x, return_inverse=True)
+        sums = np.bincount(group, weights=w)
+        total = math.fsum(sums)
+        if abs(total - 1.0) > _WEIGHT_TOL:
+            raise FiniPostError("bad-weights", f"row weights sum to {total!r}, not 1")
+        keep = (sums != 0.0) | (sums.size == 1)
+        rows.append((points[keep], np.maximum(sums[keep], 0.0)))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Samples
 # ---------------------------------------------------------------------------
@@ -333,10 +363,14 @@ def cdf_of(measure: AtomicMeasure) -> Cdf:
     if not isinstance(measure.space, RealLine):
         raise FiniPostError("space-mismatch", "cdf_of needs a real-line measure")
     order = np.argsort(measure.scalars(), kind="stable")
-    x = measure.scalars()[order]
-    c = np.cumsum(measure.weights[order])
+    return cdf_of_row(measure.scalars()[order], measure.weights[order])
+
+
+def cdf_of_row(points: np.ndarray, weights: np.ndarray) -> Cdf:
+    """Step CDF of a merged row: sorted distinct points and their weights."""
+    c = np.cumsum(weights)
     c[-1] = 1.0  # exact endpoint; partial sums already within 1e-12
-    return Cdf(thresholds=x, cumulative=c)
+    return Cdf(thresholds=points, cumulative=c)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ Lipschitz with an optimal test-function certificate, generic discrete
 optimal transport with dual certificates) and one meta-level plug-in: the
 order-1 transport distance between two equal-size samples of measures
 under a chosen bounded ground metric.  Bounded Lipschitz is an exact chain
-dynamic program on the line and a HiGHS linear program in R^d.  Discrete
+dynamic program on the line and a HiGHS linear program in R^d.  W1, TV
+and BL fold their two measures into one array of signed weights on the
+sorted union support; the BL and W1 meta grounds also take merged rows,
+a measure's distinct points and weights as two arrays.  Discrete
 optimal transport is one HiGHS transportation LP for every pair of
 marginals, uniform or not; the meta distance takes its optimal matching
 from scipy's ``linear_sum_assignment``.
@@ -134,23 +137,9 @@ class LipschitzDual:
 
 def w1_real(p: AtomicMeasure, q: AtomicMeasure) -> float:
     """Exact order-1 Wasserstein distance on the line: integral of |F_p - F_q|."""
-    if not isinstance(p.space, RealLine) or not isinstance(q.space, RealLine):
-        raise FiniPostError("space-mismatch", "w1_real needs two real-line measures")
-    grid = np.unique(np.concatenate([p.scalars(), q.scalars()]))
-    if grid.size == 1:
-        return 0.0
-    Fp = _step_cdf_on(grid, p)
-    Fq = _step_cdf_on(grid, q)
-    return float(np.dot(np.abs(Fp[:-1] - Fq[:-1]), np.diff(grid)))
-
-
-def _step_cdf_on(grid: np.ndarray, m: AtomicMeasure) -> np.ndarray:
-    x = m.scalars()
-    order = np.argsort(x, kind="stable")
-    xs, ws = x[order], m.weights[order]
-    cum = np.cumsum(ws)
-    idx = np.searchsorted(xs, grid, side="right")
-    return np.concatenate([[0.0], cum])[idx]
+    (rp,), (rq,) = _as_arrays([p], [q], "W1REAL")
+    x, delta = _signed_weights(rp, rq)
+    return float(np.dot(np.abs(np.cumsum(delta)[:-1]), np.diff(x)))
 
 
 def w1_scalar_samples(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -174,10 +163,8 @@ def tv_finite(p: AtomicMeasure, q: AtomicMeasure) -> float:
     """Half the l1 distance of the weight vectors over the union support."""
     if p.space != q.space:
         raise FiniPostError("space-mismatch", f"{p.space} vs {q.space}")
-    acc: dict = {pt: w for pt, w in zip(p.points, p.weights)}
-    for pt, w in zip(q.points, q.weights):
-        acc[pt] = acc.get(pt, 0.0) - w
-    return 0.5 * math.fsum(abs(v) for v in acc.values())
+    _, delta = _signed_weights(_row(p), _row(q))
+    return 0.5 * math.fsum(np.abs(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +181,24 @@ def bounded_lipschitz(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, Lipsch
     is solved exactly by a dynamic program (:func:`_bl_chain`).  In R^d
     all pairs are constrained and the linear program goes to HiGHS.
     """
-    value, support, f = _bl_solve(p, q)
+    (rp,), (rq,) = _as_arrays([p], [q], "BL")
+    value, x, f = _bl_solve(rp, rq)
+    support = x.tolist() if x.ndim == 1 else [tuple(pt) for pt in x.tolist()]
     return value, LipschitzDual(support, f)
 
 
-def _bl_solve(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, list, np.ndarray]:
-    """(value, support, f) of the bounded Lipschitz problem, f an optimal
-    test function on the support.  The value alone needs no certificate,
-    so the cost matrix skips building and validating a ``LipschitzDual``."""
-    if p.space != q.space:
-        raise FiniPostError("space-mismatch", f"{p.space} vs {q.space}")
-    if isinstance(p.space, FiniteAlphabet):
-        raise FiniPostError("space-mismatch", "bounded Lipschitz needs scalar or vector points")
-
-    support, delta = _signed_weights(p, q)
-    s = len(support)
+def _bl_solve(p: tuple, q: tuple) -> tuple[float, np.ndarray, np.ndarray]:
+    """(value, support, f) of the bounded Lipschitz problem between two
+    merged rows, f an optimal test function on the sorted union support.
+    The value alone needs no certificate, so the cost matrix skips
+    building and validating a ``LipschitzDual``."""
+    x, delta = _signed_weights(p, q)
+    s = len(x)
     if s == 1:
-        return 0.0, support, np.zeros(1)
-
-    if isinstance(p.space, RealLine):
-        x = np.asarray(support, dtype=float)
-        order = np.argsort(x, kind="stable")
-        support = [support[i] for i in order]
-        delta = delta[order]
-        f = _bl_chain(x[order], delta)
-        return float(np.dot(delta, f)), support, f
+        return 0.0, x, np.zeros(1)
+    if x.ndim == 1:
+        f = _bl_chain(x, delta)
+        return float(np.dot(delta, f)), x, f
 
     from scipy import sparse
     from scipy.optimize import linprog
@@ -228,7 +208,7 @@ def _bl_solve(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, list, np.ndarr
     i, j = np.triu_indices(s, 1)
     unit = sparse.eye(s, format="csr")
     diff = unit[i] - unit[j]
-    d = pdist(np.asarray(support, dtype=float))
+    d = pdist(x)
     res = linprog(
         c=-delta,
         A_ub=sparse.vstack([diff, -diff]),
@@ -239,7 +219,7 @@ def _bl_solve(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, list, np.ndarr
     if not res.success:
         raise FiniPostError("lp-failure", f"bounded Lipschitz LP failed: {res.message}")
     f = np.clip(res.x, -1.0, 1.0)
-    return float(np.dot(delta, f)), support, f
+    return float(np.dot(delta, f)), x, f
 
 
 class _Side:
@@ -343,14 +323,20 @@ def _bl_chain(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.array(f)
 
 
-def _signed_weights(p: AtomicMeasure, q: AtomicMeasure) -> tuple[list, np.ndarray]:
-    acc: dict = {}
-    for pt, w in zip(p.points, p.weights):
-        acc[pt] = acc.get(pt, 0.0) + w
-    for pt, w in zip(q.points, q.weights):
-        acc[pt] = acc.get(pt, 0.0) - w
-    support = list(acc.keys())
-    return support, np.array([acc[pt] for pt in support], dtype=float)
+def _signed_weights(p: tuple, q: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union support of two merged rows (lexicographic in R^d)
+    and the signed weights P - Q on it.  A stable sort puts a shared
+    point's two entries next to each other, so each group of equal points
+    holds at most one entry per side and sums to exactly P - Q."""
+    x = np.concatenate((p[0], q[0]))
+    w = np.concatenate((p[1], -q[1]))
+    order = x.argsort(kind="stable") if x.ndim == 1 else np.lexsort(x.T[::-1])
+    x, w = x[order], w[order]
+    first = np.empty(len(x), dtype=bool)
+    first[0] = True
+    first[1:] = x[1:] != x[:-1] if x.ndim == 1 else (x[1:] != x[:-1]).any(axis=1)
+    start = first.nonzero()[0]
+    return x[start], np.add.reduceat(w, start)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +442,9 @@ def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
     array gives a cheap bootstrap of the estimate.  Under "TV" the two
     samples may also be given as (m, k) weight matrices whose columns
     share one alphabet order; measure lists are converted to such
-    matrices over their union alphabet on entry.
+    matrices over their union alphabet on entry.  Under "BL" and "W1REAL"
+    they may be given as lists of merged rows (``merged_rows``); measure
+    lists are converted to such lists on entry.
     """
     if ground not in _GROUNDS:
         raise FiniPostError("config-error", f"unknown ground metric {ground!r}")
@@ -464,7 +452,7 @@ def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
         raise FiniPostError("size-mismatch", f"need equal nonempty samples, got {len(ps)} vs {len(qs)}")
     m = len(ps)
     if ground == "TV":
-        ps, qs = _tv_weight_matrices(ps, qs)
+        ps, qs = _as_arrays(ps, qs, ground)
         k = ps.shape[1]
         if k <= 2:
             # On two letters the TV cost is the absolute difference of the
@@ -480,8 +468,9 @@ def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
 
 def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
     """Ground costs between two samples: (m, k) weight matrices under
-    "TV", measure lists under "BL" and "W1REAL".  A matrix above 2 GiB is
-    refused with "resource-limit" before anything is allocated."""
+    "TV", lists of merged rows or of measures under "BL" and "W1REAL".  A
+    matrix above 2 GiB is refused with "resource-limit" before anything is
+    allocated."""
     size = 8 * len(ps) * len(qs)
     if size > _MAX_COST_MATRIX_BYTES:
         raise FiniPostError(
@@ -489,6 +478,7 @@ def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
             f"a {len(ps)} x {len(qs)} cost matrix needs {size / 2**30:.1f} GiB, above the "
             f"{_MAX_COST_MATRIX_BYTES / 2**30:.0f} GiB limit; lower m_samples",
         )
+    ps, qs = _as_arrays(ps, qs, ground)
     if ground == "TV":
         m, k = ps.shape
         out = np.empty((m, m))
@@ -502,20 +492,34 @@ def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
     return np.array([[w1_real(p, q) for q in qs] for p in ps])
 
 
-def _tv_weight_matrices(ps, qs) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(ps, np.ndarray) and isinstance(qs, np.ndarray):
+def _as_arrays(ps, qs, ground: str) -> tuple:
+    """Two samples as (m, k) weight matrices under "TV" and lists of
+    merged rows under "BL" and "W1REAL", converted from lists of measures
+    on one space (labels, the line or R^d, the line respectively) where
+    need be; TV columns follow the union alphabet."""
+    if ground == "TV" and isinstance(ps, np.ndarray) and isinstance(qs, np.ndarray):
         P, Q = weight_matrix(ps), weight_matrix(qs)
         if P.shape != Q.shape:
             raise FiniPostError("size-mismatch", f"weight matrices of shapes {P.shape} vs {Q.shape}")
         return P, Q
-    if isinstance(ps, np.ndarray) or isinstance(qs, np.ndarray):
-        raise FiniPostError("space-mismatch", "give two weight matrices or two lists of measures")
-    spaces = {p.space for p in ps} | {q.space for q in qs}
-    if not all(isinstance(sp, FiniteAlphabet) for sp in spaces):
-        raise FiniPostError("space-mismatch", "TV ground needs finite-alphabet measures")
-    labels = tuple(sorted(set().union(*[sp.labels for sp in spaces])))
-    alphabet = next(iter(spaces)) if len(spaces) == 1 else FiniteAlphabet(labels)
-    return (
-        np.stack([p.weight_vector(alphabet) for p in ps]),
-        np.stack([q.weight_vector(alphabet) for q in qs]),
-    )
+    given = [isinstance(p, AtomicMeasure) for p in (*ps, *qs)]
+    if ground != "TV" and not any(given):
+        return list(ps), list(qs)
+    if not all(given):
+        raise FiniPostError("space-mismatch", "give two samples in array form or two lists of measures")
+    spaces = {p.space for p in (*ps, *qs)}
+    if ground == "TV":
+        if not all(isinstance(sp, FiniteAlphabet) for sp in spaces):
+            raise FiniPostError("space-mismatch", "TV ground needs finite-alphabet measures")
+        labels = tuple(sorted(set().union(*[sp.labels for sp in spaces])))
+        alphabet = next(iter(spaces)) if len(spaces) == 1 else FiniteAlphabet(labels)
+        return np.stack([p.weight_vector(alphabet) for p in ps]), np.stack([q.weight_vector(alphabet) for q in qs])
+    space = spaces.pop()
+    if spaces or isinstance(space, FiniteAlphabet) or (ground == "W1REAL" and not isinstance(space, RealLine)):
+        raise FiniPostError("space-mismatch", f"{ground} ground needs measures on one space, the line or R^d")
+    return [_row(p) for p in ps], [_row(q) for q in qs]
+
+
+def _row(m: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """A measure's points (scalars, label strings or (s, d) vectors) and weights."""
+    return np.asarray(m.points), m.weights

@@ -360,6 +360,16 @@ class TestConfigValidation:
         assert main(["run", "--config", str(cfg_path), "--seed", str(seed)]) == 1
         assert "error [config-error]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over", [{"N_grid": (2.9,)}, {"m_samples": 4.5}, {"replicates": True}],
+                             ids=["fractional-N", "fractional-m", "boolean-replicates"])
+    def test_direct_construction_checks_integers(self, over):
+        # The dataclass checks its integer fields itself: no silent int(2.9),
+        # no raw TypeError, no boolean count.
+        fields = {key: K2_CONFIG[key] for key in ("experiment", "model", "n", "N_grid", "m_samples", "replicates")}
+        with pytest.raises(FiniPostError) as err:
+            ExperimentConfig(**{**fields, **over})
+        assert err.value.code == "config-error"
+
     def test_grid_floor(self):
         with pytest.raises(FiniPostError):
             ExperimentConfig.from_dict({**K2_CONFIG, "n": 2, "N_grid": [2]})
@@ -497,7 +507,7 @@ class TestBoundExperimentShape:
         model = model_from_spec(DP_MODEL)
         h = sample_sequence(model, 3, derive_seed(71))
         _, emps = _posterior_and_empirical_draws(cfg, model, h, 20, derive_seed(72), derive_seed(73))
-        means = [float(np.dot(e.weights, e.scalars())) for e in emps]
+        means = [float(np.dot(w, x)) for x, w in emps]
         reference = batched_f_means(model, h, 20, IDENTITY.vec, 2000, derive_seed(74))
         assert ks_2samp(np.round(means, 12), np.round(reference, 12)).pvalue > 1e-3
 
@@ -525,28 +535,51 @@ class TestBoundExperimentShape:
         assert abs(P[:, 0].mean() - 3 / 5) <= 4 * P[:, 0].std(ddof=1) / math.sqrt(P.shape[0])
 
 
+def names_in_module(module):
+    """Every name a finipost module imports, reads or takes as an attribute."""
+    import ast
+
+    path = os.path.join(os.path.dirname(finipost.__file__), f"{module}.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    return named
+
+
 class TestStructure:
     @pytest.mark.parametrize("module", ["harness", "estimators"])
     def test_no_concrete_model_class_outside_priors(self, module):
         # Model behaviour sits behind the ExchangeableModel protocol: these
         # modules neither import a concrete model class nor name one.
-        import ast
-
         from finipost.priors import ExchangeableModel
 
         concrete = {cls.__name__ for cls in ExchangeableModel.__subclasses__()}
-        path = os.path.join(os.path.dirname(finipost.__file__), f"{module}.py")
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        named = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                named |= {alias.name for alias in node.names}
-            elif isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-        assert len(concrete) == 5 and not named & concrete
+        assert len(concrete) == 5 and not names_in_module(module) & concrete
+
+    def test_harness_names_no_atomic_measure(self):
+        # Bound cells run on weight matrices and merged rows, not on one
+        # measure object per draw.
+        assert "AtomicMeasure" not in names_in_module("harness")
+
+    @pytest.mark.parametrize("coupling", ["posterior", "independent"])
+    @pytest.mark.parametrize("model", [PT_REAL_N5_CONFIG["model"], DP_REAL_INDEPENDENT_CONFIG["model"]],
+                             ids=["polya_tree", "dp"])
+    def test_bound_real_builds_no_atomic_measure(self, monkeypatch, model, coupling):
+        from finipost.measures import AtomicMeasure
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an AtomicMeasure was built")
+
+        monkeypatch.setattr(AtomicMeasure, "__init__", refuse)
+        cfg = {**PT_REAL_N5_CONFIG, "model": model, "N_grid": [20], "replicates": 1, "coupling": coupling}
+        assert len(run_experiment(ExperimentConfig.from_dict(cfg)).rows) == 1
 
 
 class TestEstimatorSweep:

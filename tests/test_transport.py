@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finipost.errors import FiniPostError
-from finipost.measures import AtomicMeasure, FiniteAlphabet, Sample, empirical
+from finipost.measures import AtomicMeasure, FiniteAlphabet, Sample, empirical, merged_rows
 from finipost.transport import (
     LipschitzDual,
     TransportPlan,
@@ -544,6 +544,50 @@ class TestMetaW1:
         est, matched = meta_w1_matched(P[:, order], Q[:, order], "TV")
         est_m, matched_m = meta_w1_matched(ps, qs, "TV")
         assert est == est_m and np.array_equal(matched, matched_m)
+
+    @pytest.mark.parametrize("model_spec", [
+        {"kind": "dirichlet_process", "mass": 1.0, "base": {"family": "gaussian", "mu": 0.0, "sigma": 1.0},
+         "max_sticks": 64, "residual_tol": 1e-4},
+        {"kind": "polya_tree", "base": {"family": "gaussian", "mu": 0.0, "sigma": 1.0}, "depth": 3,
+         "level_alpha": [1.0, 4.0, 9.0]},
+    ], ids=["dp", "polya_tree"])
+    def test_merged_rows_equal_measure_lists(self, model_spec):
+        # Posterior rows, and empirical rows of the history plus counts
+        # (ties and zero counts included), give bit-identical BL results as
+        # merged rows and as the measures built from the same padded rows.
+        from finipost.priors import batched_posterior_rows, model_from_spec, sample_sequence
+        from finipost.rng import derive_seed
+
+        model, rng = model_from_spec(model_spec), derive_seed(61)
+        h = sample_sequence(model, 3, rng)
+        X, P = batched_posterior_rows(model, h, 20, rng)
+        counts = rng.multinomial(9, P / P.sum(axis=1, keepdims=True))
+        E = np.hstack([np.broadcast_to(h.scalars(), (20, 3)), X])
+        V = np.hstack([np.ones((20, 3)), counts]) / 12
+        posts, emps = merged_rows(X, P), merged_rows(E, V)
+        measures = [[AtomicMeasure(zip(x.tolist(), w.tolist())) for x, w in zip(A, W)] for A, W in ((X, P), (E, V))]
+        for (x, w), m in zip(posts + emps, measures[0] + measures[1]):
+            order = np.argsort(m.scalars())
+            assert np.array_equal(x, m.scalars()[order]) and np.array_equal(w, m.weights[order])
+        est, matched = meta_w1_matched(posts, emps, "BL")
+        est_m, matched_m = meta_w1_matched(*measures, "BL")
+        assert est == est_m and np.array_equal(matched, matched_m)
+
+    def test_merged_rows_and_measures_do_not_mix(self):
+        rows = merged_rows(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]]))
+        with pytest.raises(FiniPostError) as err:
+            meta_w1(rows, [dirac(0.5)], "BL")
+        assert err.value.code == "space-mismatch"
+
+    @pytest.mark.parametrize("points, weights, code", [
+        ([[0.0, 1.0]], [[1.5, -0.5]], "bad-weights"),
+        ([[0.0, 1.0]], [[0.5, 0.6]], "bad-weights"),
+        ([[0.0, np.inf]], [[0.5, 0.5]], "space-mismatch"),
+    ], ids=["negative", "sum", "non-finite"])
+    def test_merged_rows_are_checked(self, points, weights, code):
+        with pytest.raises(FiniPostError) as err:
+            merged_rows(np.array(points), np.array(weights))
+        assert err.value.code == code
 
     def test_weight_matrix_rows_are_checked(self):
         P = np.array([[0.5, 0.5, 0.0], [0.2, 0.2, 0.2]])
