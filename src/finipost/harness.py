@@ -233,9 +233,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     it across the N grid.  Each cell derives three streams (phases 0-2) and
     hands them to the experiment's cell function; the row's ``seed`` is the
     key of the experiment's seed stream (phase 1 for ``median_law``, phase
-    0 for the others).  The cells run on every usable CPU (``_run_grid``);
-    rows and metadata entries are recorded in grid order, so the report is
-    the same for any number of workers.
+    0 for the others).  The cells run on every usable CPU in contiguous
+    chunks (``_run_grid``): the lowest failing cell's error is raised, after
+    the running chunks finish and the others are cancelled.  Rows and
+    metadata are recorded in grid order, the same for any worker count.
     """
     model = model_from_spec(cfg.model)
     metadata = {"config": cfg.to_dict(), "artifact_version": ARTIFACT_VERSION}
@@ -269,47 +270,24 @@ def _usable_cpus() -> int:
 def _run_grid(run: Callable[..., tuple], grid: list) -> list:
     """``run(*cell)`` for every cell of the grid, returned in grid order.
 
-    W = min(cells, usable CPUs) threads each run one strided slice
-    grid[w::W] (numpy releases the GIL in a cell's sampling, sorts and
-    large ufuncs).  A slice stops at its first error, or at a cell past a
-    lower failing one; the error raised is that of the lowest failing grid
-    index, the one a serial loop raises.
+    W = min(cells, usable CPUs) threads run contiguous chunks of cells
+    (numpy releases the GIL in sampling, sorts and large ufuncs).  ``map``
+    yields the chunks in grid order and a chunk stops at its first error,
+    so the error raised is the lowest failing index's, as in a serial loop.
+    An error or interrupt cancels the chunks not yet started; those already
+    running finish their cells.
     """
     # Imported here: ``concurrent.futures`` loads ``logging``, which
     # ``import finipost`` does not need.
-    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     workers = min(len(grid), _usable_cpus())
-    first_failure = [len(grid)]
-    lock = threading.Lock()
-
-    def run_slice(w: int) -> tuple[list, Exception | None]:
-        done = []
-        for i in range(w, len(grid), workers):
-            if i > first_failure[0]:
-                break
-            try:
-                done.append(run(*grid[i]))
-            except Exception as exc:  # raised by the caller, in grid order
-                with lock:
-                    first_failure[0] = min(first_failure[0], i)
-                return done, exc
-        return done, None
-
+    # About 8 chunks a worker: few pool tasks (one per cell ran slower), short tail.
+    size = math.ceil(len(grid) / (8 * workers))
+    chunks = [grid[lo : lo + size] for lo in range(0, len(grid), size)]
     with ThreadPoolExecutor(workers) as pool:
-        try:
-            slices = list(pool.map(run_slice, range(workers)))
-        except BaseException:
-            first_failure[0] = -1  # interrupted: every slice stops at its next cell
-            raise
-    failures = [(w + workers * len(done), exc) for w, (done, exc) in enumerate(slices) if exc is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results = [None] * len(grid)
-    for w, (done, _) in enumerate(slices):
-        results[w::workers] = done
-    return results
+        done = pool.map(lambda chunk: [run(*cell) for cell in chunk], chunks)
+        return [result for chunk in done for result in chunk]
 
 
 def _replicate_history(cfg: ExperimentConfig, model: ExchangeableModel, rep: int) -> Sample:

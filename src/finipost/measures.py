@@ -233,6 +233,26 @@ def merged_rows(atoms, weights) -> list[tuple[np.ndarray, np.ndarray]]:
     return rows
 
 
+def checked_rows(rows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Merged rows from a caller, checked as ``merged_rows`` checks its
+    rows: (points, weights) array pairs of equal length, finite points, no
+    weight below -1e-12 and a sum within 1e-12 of one."""
+    out = []
+    for row in rows:
+        try:
+            x, w = (np.asarray(a, dtype=float) for a in row)
+        except (TypeError, ValueError):
+            raise FiniPostError("bad-weights", f"a merged row is a (points, weights) pair, not {row!r}") from None
+        if w.ndim != 1 or w.size == 0 or x.shape[:1] != w.shape:
+            raise FiniPostError("bad-weights", f"row points of shape {x.shape} with weights of shape {w.shape}")
+        if not np.all(np.isfinite(x)):
+            raise FiniPostError("space-mismatch", "non-finite point in a row")
+        if not (np.all(w >= -_WEIGHT_TOL) and abs(math.fsum(w) - 1.0) <= _WEIGHT_TOL):
+            raise FiniPostError("bad-weights", "a row has a negative or NaN weight or does not sum to 1")
+        out.append((x, w))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Samples
 # ---------------------------------------------------------------------------

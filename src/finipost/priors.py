@@ -90,8 +90,8 @@ class ExchangeableModel(ABC):
     The module functions check their preconditions (history space,
     horizon) before calling these methods, so a method may assume a
     history on ``space`` and a target length beyond it.  A model that
-    writes ``posterior_rows`` and ``row_width`` gets its continuation,
-    f-means and posterior integrals from them by default.
+    writes ``posterior_rows`` and ``row_width`` gets its posterior
+    integrals from them, and its continuation and f-means by default.
     """
 
     @property
@@ -127,18 +127,6 @@ class ExchangeableModel(ABC):
         """An upper bound on the width s of ``posterior_rows``, by which the
         default continuation and integrals block their rows."""
         raise _no_posterior(self)
-
-    def posterior_integrals(
-        self, history: Sample, fvec: Callable[[np.ndarray], np.ndarray], draws: int, rng: RngState
-    ) -> np.ndarray:
-        """f-integrals of ``draws`` posterior draws: Σ W·f(X) over posterior
-        rows drawn in blocks of at most 4e6 atoms by default."""
-        sums = []
-        for rows in _row_chunks(draws, self.row_width(history)):
-            atoms, weights = self.posterior_rows(history, rows, rng)
-            sums.append((weights * fvec(atoms)).sum(axis=1))
-            del atoms, weights  # before the next block is drawn
-        return np.concatenate([np.empty(0), *sums])
 
     @abstractmethod
     def predictive(
@@ -952,7 +940,12 @@ def batched_posterior_integrals(
     """
     _check_history(model, history)
     model._check_scalar("batched posterior integrals")
-    return model.posterior_integrals(history, fvec, draws, rng)
+    sums = []
+    for rows in _row_chunks(draws, model.row_width(history)):
+        atoms, weights = model.posterior_rows(history, rows, rng)
+        sums.append((weights * fvec(atoms)).sum(axis=1))
+        del atoms, weights  # before the next block is drawn
+    return np.concatenate([np.empty(0), *sums])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FiniPostError
-from .measures import AtomicMeasure, FiniteAlphabet, RealLine, weight_matrix
+from .measures import AtomicMeasure, FiniteAlphabet, RealLine, checked_rows, weight_matrix
 
 __all__ = [
     "CostMatrix",
@@ -126,9 +126,12 @@ class LipschitzDual:
         self.values = vals
 
     def pairing(self, p: AtomicMeasure, q: AtomicMeasure) -> float:
-        """Integral of the test function against p - q."""
+        """Integral of the test function against p - q, both on its support."""
         lookup = dict(zip(self.support, self.values.tolist()))
-        return float(p.weights @ [lookup[pt] for pt in p.points] - q.weights @ [lookup[pt] for pt in q.points])
+        try:
+            return float(p.weights @ [lookup[pt] for pt in p.points] - q.weights @ [lookup[pt] for pt in q.points])
+        except KeyError as exc:
+            raise FiniPostError("space-mismatch", f"point {exc.args[0]!r} is outside the test function's support") from None
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +141,12 @@ class LipschitzDual:
 def w1_real(p: AtomicMeasure, q: AtomicMeasure) -> float:
     """Exact order-1 Wasserstein distance on the line: integral of |F_p - F_q|."""
     (rp,), (rq,) = _as_arrays([p], [q], "W1REAL")
-    x, delta = _signed_weights(rp, rq)
+    return _w1_solve(rp, rq)
+
+
+def _w1_solve(p: tuple, q: tuple) -> float:
+    """w1 between two merged rows on the line."""
+    x, delta = _signed_weights(p, q)
     return float(np.dot(np.abs(np.cumsum(delta)[:-1]), np.diff(x)))
 
 
@@ -489,14 +497,14 @@ def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
         return out
     if ground == "BL":
         return np.array([[_bl_solve(p, q)[0] for q in qs] for p in ps])
-    return np.array([[w1_real(p, q) for q in qs] for p in ps])
+    return np.array([[_w1_solve(p, q) for q in qs] for p in ps])
 
 
 def _as_arrays(ps, qs, ground: str) -> tuple:
     """Two samples as (m, k) weight matrices under "TV" and lists of
     merged rows under "BL" and "W1REAL", converted from lists of measures
     on one space (labels, the line or R^d, the line respectively) where
-    need be; TV columns follow the union alphabet."""
+    need be (TV columns follow the union alphabet), or checked if given."""
     if ground == "TV" and isinstance(ps, np.ndarray) and isinstance(qs, np.ndarray):
         P, Q = weight_matrix(ps), weight_matrix(qs)
         if P.shape != Q.shape:
@@ -504,7 +512,7 @@ def _as_arrays(ps, qs, ground: str) -> tuple:
         return P, Q
     given = [isinstance(p, AtomicMeasure) for p in (*ps, *qs)]
     if ground != "TV" and not any(given):
-        return list(ps), list(qs)
+        return checked_rows(ps), checked_rows(qs)
     if not all(given):
         raise FiniPostError("space-mismatch", "give two samples in array form or two lists of measures")
     spaces = {p.space for p in (*ps, *qs)}

@@ -178,9 +178,16 @@ class TestDeterminism:
         assert reports[1] == reports[2] == reports[3]
         assert len(json.loads(reports[1][1][1])["metadata"]["stabilization"]) == 8
 
-    def test_first_failing_cell_in_grid_order_raises(self, monkeypatch):
-        # Worker 0 fails at grid index 2 first; worker 1 fails later at
-        # index 1, whose error the serial loop would raise.
+    @pytest.mark.parametrize(
+        "N_grid, replicates, slow, fast",
+        [([25, 50, 75], 2, 1, 2), ([25 * k for k in range(1, 9)], 8, 5, 40)],
+        ids=["6_cells", "64_cells"],
+    )
+    def test_first_failing_cell_in_grid_order_raises(self, monkeypatch, N_grid, replicates, slow, fast):
+        # Cell `fast` fails first; cell `slow` fails later, and its error is
+        # the one the serial loop would raise.  On 2 workers the 6-cell grid
+        # runs one cell per chunk; the 64-cell grid puts the two failures in
+        # different chunks of several cells.
         import time
 
         import finipost.harness as harness
@@ -188,9 +195,9 @@ class TestDeterminism:
         def failing_cells(cfg, model, metadata):
             def cell(N, rep, history, rngs):
                 index = cfg.N_grid.index(N) * cfg.replicates + rep
-                if index == 1:
+                if index == slow:
                     time.sleep(0.2)
-                if index in (1, 2):
+                if index in (slow, fast):
                     raise FiniPostError("cell-failed", f"cell {index}")
                 return 0.0, 0.0, 1.0, 0.0, False, None
 
@@ -198,9 +205,37 @@ class TestDeterminism:
 
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setitem(harness._CELLS, "bound_mean", failing_cells)
-        with pytest.raises(FiniPostError, match="cell 1") as err:
-            run_experiment(ExperimentConfig.from_dict(small_mean_config(N_grid=[25, 50, 75])))
+        config = small_mean_config(N_grid=N_grid, replicates=replicates)
+        with pytest.raises(FiniPostError, match=f"cell {slow}$") as err:
+            run_experiment(ExperimentConfig.from_dict(config))
         assert err.value.code == "cell-failed"
+
+    def test_failure_cancels_cells_not_started(self, monkeypatch):
+        # Cell 0 fails at once; the chunks not yet started are cancelled, so
+        # only the chunks already running start their cells.
+        import time
+
+        import finipost.harness as harness
+
+        started = []
+
+        def failing_cells(cfg, model, metadata):
+            def cell(N, rep, history, rngs):
+                index = cfg.N_grid.index(N) * cfg.replicates + rep
+                if index == 0:
+                    raise FiniPostError("cell-failed", "cell 0")
+                started.append(index)
+                time.sleep(0.005)
+                return 0.0, 0.0, 1.0, 0.0, False, None
+
+            return cell, 0
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setitem(harness._CELLS, "bound_mean", failing_cells)
+        config = small_mean_config(N_grid=[25 * k for k in range(1, 9)], replicates=8)
+        with pytest.raises(FiniPostError, match="cell 0$"):
+            run_experiment(ExperimentConfig.from_dict(config))
+        assert len(started) < 32
 
     def test_seed_changes_rows(self):
         a = run_experiment(ExperimentConfig.from_dict(small_mean_config())).rows

@@ -277,6 +277,12 @@ class TestBoundedLipschitzChain:
             LipschitzDual(dual.support, dual.values)
             assert dual.pairing(p, q) == pytest.approx(value, abs=1e-12)
 
+    def test_pairing_outside_the_support_is_refused(self):
+        _, dual = bounded_lipschitz(AtomicMeasure([(0.0, 0.5), (1.0, 0.5)]), dirac(0.0))
+        with pytest.raises(FiniPostError, match="point 2.0") as err:
+            dual.pairing(dirac(2.0), dirac(0.0))
+        assert err.value.code == "space-mismatch"
+
 
 class TestInvariance:
     def test_translation(self):
@@ -587,6 +593,17 @@ class TestMetaW1:
     def test_merged_rows_are_checked(self, points, weights, code):
         with pytest.raises(FiniPostError) as err:
             merged_rows(np.array(points), np.array(weights))
+        assert err.value.code == code
+
+    @pytest.mark.parametrize("ps, qs, code", [
+        ([(np.array([0.0, 1.0]), np.array([0.7, 0.7]))], [(np.array([0.0]), np.array([1.0]))], "bad-weights"),
+        ([(np.array([0.0, np.nan]), np.array([0.3, 0.7]))], [(np.array([0.0]), np.array([1.0]))], "space-mismatch"),
+        ([1, 2], [3, 4], "bad-weights"),
+    ], ids=["sum", "nan-point", "not-a-pair"])
+    @pytest.mark.parametrize("ground", ["BL", "W1REAL"])
+    def test_given_rows_are_checked(self, ps, qs, code, ground):
+        with pytest.raises(FiniPostError) as err:
+            meta_w1(ps, qs, ground)
         assert err.value.code == code
 
     def test_weight_matrix_rows_are_checked(self):
