@@ -8,10 +8,10 @@ under a chosen bounded ground metric.  Bounded Lipschitz is an exact chain
 dynamic program on the line and a HiGHS linear program in R^d.  W1, TV
 and BL fold their two measures into one array of signed weights on the
 sorted union support; the BL and W1 meta grounds also take merged rows,
-a measure's distinct points and weights as two arrays.  Discrete
-optimal transport is one HiGHS transportation LP for every pair of
-marginals, uniform or not; the meta distance takes its optimal matching
-from scipy's ``linear_sum_assignment``.
+a measure's distinct points and weights as two arrays.  Discrete OT is
+one HiGHS transportation LP for any marginals; the meta distance takes
+its optimal matching from ``linear_sum_assignment``, under BL certified
+on lower bounds with exact solves only where the matching needs them.
 """
 
 from __future__ import annotations
@@ -434,13 +434,12 @@ _MAX_COST_MATRIX_BYTES = 2**31  # m = 16384 float64 costs per side
 def meta_w1(ps, qs, ground: str = "TV") -> float:
     """Plug-in transport distance between the laws behind two measure samples.
 
-    Builds the m-by-m ground-cost matrix between the samples and solves
-    the uniform-marginal transport problem exactly.  The ground metric is
-    always explicit: "TV" on a common finite alphabet, "BL" on the line
-    or R^d, "W1REAL" for scalar-pushforward experiments only (unbounded).
+    Solves the uniform-marginal transport problem between the samples
+    exactly, as an optimal matching.  The ground metric is always
+    explicit: "TV" on a common finite alphabet, "BL" on the line or R^d,
+    "W1REAL" for scalar-pushforward experiments only (unbounded).
     """
-    value, _ = meta_w1_matched(ps, qs, ground)
-    return value
+    return meta_w1_matched(ps, qs, ground)[0]
 
 
 def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
@@ -452,40 +451,75 @@ def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
     share one alphabet order; measure lists are converted to such
     matrices over their union alphabet on entry.  Under "BL" and "W1REAL"
     they may be given as lists of merged rows (``merged_rows``); measure
-    lists are converted to such lists on entry.
+    lists are converted to such lists on entry.  Where the optimum is not
+    unique, the certified BL matching may differ from the dense one.
     """
+    (matched,) = _matched_blocks(ps, qs, ground, (len(ps),))
+    return float(matched.mean()), matched
+
+
+def _matched_blocks(ps, qs, ground: str, sizes: Sequence[int]) -> list[np.ndarray]:
+    """The optimally matched pair costs, in row order, of the leading h x h
+    block of one cost state for each h in ``sizes``.  Under "BL" on the
+    line the state starts as the exact diagonal and lower bounds elsewhere;
+    each round solves the matched pairs not yet exact and assigns again.
+    It ends below the exact costs and equal to them on the matching, which
+    is therefore optimal for the exact costs too."""
     if ground not in _GROUNDS:
         raise FiniPostError("config-error", f"unknown ground metric {ground!r}")
     if len(ps) != len(qs) or len(ps) == 0:
         raise FiniPostError("size-mismatch", f"need equal nonempty samples, got {len(ps)} vs {len(qs)}")
-    m = len(ps)
-    if ground == "TV":
-        ps, qs = _as_arrays(ps, qs, ground)
+    ps, qs = _as_arrays(ps, qs, ground)
+    if ground == "TV" and ps.shape[1] <= 2:
+        # On two letters the TV cost is the absolute difference of the
+        # first-letter masses, and the sorted matching is optimal.
         k = ps.shape[1]
-        if k <= 2:
-            # On two letters the TV cost is the absolute difference of the
-            # first-letter masses, and the sorted matching is optimal.
-            matched = np.abs(np.sort(ps[:, 0]) - np.sort(qs[:, 0])) if k == 2 else np.zeros(m)
-            return float(matched.mean()), matched
+        return [np.abs(np.sort(ps[:h, 0]) - np.sort(qs[:h, 0])) if k == 2 else np.zeros(h) for h in sizes]
     from scipy.optimize import linear_sum_assignment
 
-    cost = meta_cost_matrix(ps, qs, ground)
-    matched = cost[linear_sum_assignment(cost)]
-    return float(matched.mean()), matched
+    if ground != "BL" or ps[0][0].ndim > 1:
+        cost = meta_cost_matrix(ps, qs, ground)
+        return [block[linear_sum_assignment(block)] for block in (cost[:h, :h] for h in sizes)]
+    _refuse_huge(len(ps), len(qs))
+    values, xs, fs = zip(*[_bl_solve(p, q) for p, q in zip(ps, qs)])
+    cost, exact = _bl_lower_bounds(ps, qs, zip(xs, fs)), np.eye(len(ps), dtype=bool)
+    cost[exact] = values
+    out = []
+    for h in sizes:
+        rows, cols = linear_sum_assignment(cost[:h, :h])
+        while not exact[rows, cols].all():
+            for i, j in zip(rows.tolist(), cols.tolist()):
+                if not exact[i, j]:
+                    cost[i, j], exact[i, j] = _bl_solve(ps[i], qs[j])[0], True
+            rows, cols = linear_sum_assignment(cost[:h, :h])
+        out.append(cost[rows, cols])
+    return out
+
+
+def _bl_lower_bounds(ps, qs, witnesses) -> np.ndarray:
+    """LB_ij = max_k |int f_k dp_i - int f_k dq_j| <= BL(p_i, q_j) between
+    merged rows on the line (Kantorovich-Rubinstein duality; Villani 2009,
+    ch. 5-6), over the given test functions f_k (in [-1, 1] and 1-Lipschitz
+    on sorted points, as is their ``np.interp`` extension) and 13 ramps
+    clip(x - t, -1, 1), t at quantiles of all points; shrunk for rounding."""
+    m, rows = len(ps), (*ps, *qs)
+    points = np.concatenate([x for x, _ in rows])
+    weights = np.concatenate([w for _, w in rows])
+    owner = np.repeat(np.arange(2 * m), [len(x) for x, _ in rows])
+    ramp = np.array([-1.0, 1.0])
+    lb = np.zeros((m, m))
+    for x, f in [*witnesses, *((t + ramp, ramp) for t in np.quantile(points, np.linspace(0.0, 1.0, 13)))]:
+        integral = np.bincount(owner, weights * np.interp(points, x, f), minlength=2 * m)
+        np.maximum(lb, np.abs(integral[:m, None] - integral[None, m:]), out=lb)
+    return np.maximum(0.0, (1.0 - 1e-9) * lb - 1e-12)
 
 
 def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
     """Ground costs between two samples: (m, k) weight matrices under
     "TV", lists of merged rows or of measures under "BL" and "W1REAL".  A
     matrix above 2 GiB is refused with "resource-limit" before anything is
-    allocated."""
-    size = 8 * len(ps) * len(qs)
-    if size > _MAX_COST_MATRIX_BYTES:
-        raise FiniPostError(
-            "resource-limit",
-            f"a {len(ps)} x {len(qs)} cost matrix needs {size / 2**30:.1f} GiB, above the "
-            f"{_MAX_COST_MATRIX_BYTES / 2**30:.0f} GiB limit; lower m_samples",
-        )
+    allocated.  Under "BL" it is the reference for :func:`_matched_blocks`."""
+    _refuse_huge(len(ps), len(qs))
     ps, qs = _as_arrays(ps, qs, ground)
     if ground == "TV":
         m, k = ps.shape
@@ -498,6 +532,12 @@ def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
     if ground == "BL":
         return np.array([[_bl_solve(p, q)[0] for q in qs] for p in ps])
     return np.array([[_w1_solve(p, q) for q in qs] for p in ps])
+
+
+def _refuse_huge(m: int, mp: int) -> None:
+    if 8 * m * mp > _MAX_COST_MATRIX_BYTES:
+        raise FiniPostError("resource-limit", f"a {m} x {mp} cost matrix needs {8 * m * mp / 2**30:.1f} GiB, above "
+                            f"the {_MAX_COST_MATRIX_BYTES / 2**30:.0f} GiB limit; lower m_samples")
 
 
 def _as_arrays(ps, qs, ground: str) -> tuple:

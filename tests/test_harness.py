@@ -140,10 +140,13 @@ class TestDeterminism:
         assert run_experiment(cfg).rows == run_experiment(cfg).rows
 
     def test_thread_count_invariance(self):
+        # ``threads`` is accepted and ignored: it yields the config without
+        # it, so no report can depend on it.  Worker counts themselves are
+        # covered by test_worker_count_invariance.
         base = small_mean_config(N_grid=[25, 50], replicates=3)
-        rows1 = run_experiment(ExperimentConfig.from_dict({**base, "threads": 1})).rows
-        rows4 = run_experiment(ExperimentConfig.from_dict({**base, "threads": 4})).rows
-        assert rows1 == rows4
+        cfg = ExperimentConfig.from_dict({**base, "threads": 4})
+        assert cfg == ExperimentConfig.from_dict(base)
+        assert "threads" not in cfg.to_dict()
 
     def test_worker_count_invariance(self, monkeypatch):
         # The goldens (both bound kinds and bound_mean), a sweep and a median
@@ -1007,6 +1010,15 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         report = run_experiment(ExperimentConfig.from_dict({**K2_CONFIG, "m_samples": 20000}))
         assert len(report.rows) == 1
+
+    def test_run_refuses_huge_bl_cost_matrix(self, tmp_path):
+        # The certified BL matching keeps the m x m refusal of the dense
+        # cost matrix; test_transport checks that it comes before any solve.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**BL_CONFIG, "m_samples": 20000}))
+        proc = self.run_cli("run", "--config", str(cfg_path), expect=1)
+        assert "error [resource-limit]" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_selftest_reports_grid_size_check_only_when_made(self):
         # The quick grid is below 200 cells, so its size check is skipped,

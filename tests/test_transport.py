@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finipost import transport
 from finipost.errors import FiniPostError
 from finipost.measures import AtomicMeasure, FiniteAlphabet, Sample, empirical, merged_rows
 from finipost.transport import (
@@ -630,3 +631,141 @@ class TestMetaW1:
         with pytest.raises(FiniPostError) as err:
             meta_w1([p], [p], "L2")
         assert err.value.code == "config-error"
+
+
+BL_MODELS = {
+    "dp": {"kind": "dirichlet_process", "mass": 1.0, "base": {"family": "gaussian", "mu": 0.0, "sigma": 1.0},
+           "max_sticks": 64, "residual_tol": 1e-4},
+    "polya_tree": {"kind": "polya_tree", "base": {"family": "gaussian", "mu": 0.0, "sigma": 1.0}, "depth": 4,
+                   "level_alpha": [1.0, 4.0, 9.0, 16.0]},
+}
+
+
+def bl_cell_config(model, coupling, m, seed, n=5, N=100):
+    """One seeded bound_real cell: one N, one replicate."""
+    from finipost.harness import ExperimentConfig
+
+    return ExperimentConfig.from_dict({
+        "experiment": "bound_real", "model": BL_MODELS[model], "n": n, "N_grid": [N], "m_samples": m,
+        "replicates": 1, "ground": "BL", "master_seed": seed, "coupling": coupling,
+    })
+
+
+def bl_cell_rows(monkeypatch, model, coupling, m, seed):
+    """The posterior and empirical merged rows of one seeded bound_real
+    cell, as the harness hands them to the matching."""
+    import finipost.harness as harness
+
+    seen = []
+
+    def capture(ps, qs, ground, sizes):
+        seen.append((ps, qs))
+        return transport._matched_blocks(ps, qs, ground, sizes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_matched_blocks", capture)
+        harness.run_experiment(bl_cell_config(model, coupling, m, seed))
+    return seen[0]
+
+
+def dense_matched(cost):
+    from scipy.optimize import linear_sum_assignment
+
+    return cost[linear_sum_assignment(cost)]
+
+
+def count_solves(monkeypatch) -> list:
+    """Count the exact BL solves from here on: one list entry per call."""
+    calls, solve = [], transport._bl_solve
+    monkeypatch.setattr(transport, "_bl_solve", lambda p, q: calls.append(1) or solve(p, q))
+    return calls
+
+
+class TestCertifiedBL:
+    """The lazy certified BL matching against the dense cost matrix."""
+
+    @pytest.mark.parametrize("coupling", ["posterior", "independent"])
+    @pytest.mark.parametrize("model", ["dp", "polya_tree"])
+    def test_lower_bounds_below_exact_costs(self, monkeypatch, model, coupling):
+        ps, qs = bl_cell_rows(monkeypatch, model, coupling, 24, seed=7)
+        lb = transport._bl_lower_bounds(ps, qs, [transport._bl_solve(p, q)[1:] for p, q in zip(ps, qs)])
+        cost = meta_cost_matrix(ps, qs, "BL")
+        assert np.all(lb >= 0.0) and np.all(lb <= cost)
+        # Each diagonal pair's own optimal test function attains its cost.
+        assert np.all(cost.diagonal() - lb.diagonal() <= 1e-8)
+
+    @pytest.mark.parametrize("coupling", ["posterior", "independent"])
+    @pytest.mark.parametrize("model", ["dp", "polya_tree"])
+    @pytest.mark.parametrize("m", [16, 24, 64])
+    def test_matched_costs_equal_dense(self, monkeypatch, m, model, coupling):
+        # Both blocks the harness asks for, bit for bit, on cells whose
+        # optimum is unique (seed 1 of the m = 16 DP independent cell is a
+        # tie, checked below).
+        for seed in (2, 3):
+            ps, qs = bl_cell_rows(monkeypatch, model, coupling, m, seed)
+            cost = meta_cost_matrix(ps, qs, "BL")
+            for h, matched in zip((m, m // 2), transport._matched_blocks(ps, qs, "BL", (m, m // 2))):
+                assert np.array_equal(matched, dense_matched(cost[:h, :h]))
+            assert meta_w1_matched(ps, qs, "BL")[0] == float(dense_matched(cost).mean())
+
+    def test_ramps_alone_stay_exact(self, monkeypatch):
+        # Without the diagonal test functions the bounds are weak, so more
+        # pairs are solved, but the matching is still the optimum.
+        ps, qs = bl_cell_rows(monkeypatch, "dp", "independent", 24, seed=4)
+        expected = dense_matched(meta_cost_matrix(ps, qs, "BL"))
+        calls = count_solves(monkeypatch)
+        assert np.array_equal(meta_w1_matched(ps, qs, "BL")[1], expected)
+        with_diagonal = len(calls)
+        lower = transport._bl_lower_bounds
+        monkeypatch.setattr(transport, "_bl_lower_bounds", lambda ps, qs, witnesses: lower(ps, qs, []))
+        calls.clear()
+        assert np.array_equal(meta_w1_matched(ps, qs, "BL")[1], expected)
+        assert len(calls) > with_diagonal
+
+    @pytest.mark.parametrize("m, seed", [(3, 53), (16, 1)])
+    def test_tied_cell_gets_an_exact_optimal_matching(self, monkeypatch, m, seed):
+        # Seeded cells whose optimum is not unique: at m = 3, the smallest
+        # found, rows 1 and 2 may swap partners; at m = 16 rows 0 and 7 may,
+        # and the certified matching takes the other optimum than the dense
+        # one.  Either way every matched cost is an exact entry of one
+        # permutation, and its sum is the optimum.
+        from scipy.optimize import linear_sum_assignment
+
+        ps, qs = bl_cell_rows(monkeypatch, "dp", "independent", m, seed)
+        cost = meta_cost_matrix(ps, qs, "BL")
+        rows, cols = linear_sum_assignment(cost)
+        best = cost[rows, cols].sum()
+        ties = 0
+        for i in range(m):
+            banned = cost.copy()
+            banned[i, cols[i]] = np.inf
+            ties += abs(banned[linear_sum_assignment(banned)].sum() - best) <= 1e-12
+        assert ties >= 2
+        matched = meta_w1_matched(ps, qs, "BL")[1]
+        hits = cost == matched[:, None]
+        assert hits[linear_sum_assignment(hits, maximize=True)].all()
+        assert abs(matched.sum() - best) <= 1e-12
+
+    @pytest.mark.parametrize("coupling", ["posterior", "independent"])
+    def test_few_exact_solves(self, monkeypatch, coupling):
+        # One m = 24 cell, both blocks: well under the m^2 + (m/2)^2 = 720
+        # solves of two dense matrices, and the same count on a rerun.
+        from finipost.harness import run_experiment
+
+        cfg = bl_cell_config("dp", coupling, 24, seed=5)
+        calls, counts = count_solves(monkeypatch), []
+        for _ in range(2):
+            calls.clear()
+            run_experiment(cfg)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 0.4 * (24**2 + 12**2)
+
+    def test_huge_sample_refused_before_any_solve(self, monkeypatch):
+        def solve(p, q):
+            raise AssertionError("solved before the size check")
+
+        monkeypatch.setattr(transport, "_bl_solve", solve)
+        rows = [(np.array([0.0]), np.array([1.0]))] * 20000
+        with pytest.raises(FiniPostError) as err:
+            meta_w1_matched(rows, rows, "BL")
+        assert err.value.code == "resource-limit"
