@@ -25,8 +25,6 @@ from .measures import (
     gini_md,
     integrate,
     l21_functional,
-    measure_from_csv,
-    measure_to_csv,
     mixture,
     moment,
 )
@@ -69,7 +67,6 @@ from .transport import (
     tv_finite,
     verify_plan,
     w1_real,
-    w1_scalar_samples,
 )
 from .bounds import (
     MedianLawInputs,

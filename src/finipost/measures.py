@@ -18,8 +18,6 @@ Continuous laws appear only through the analytic CDF families of
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -48,8 +46,6 @@ __all__ = [
     "l21_functional",
     "gini_md",
     "moment",
-    "measure_to_csv",
-    "measure_from_csv",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -433,45 +429,3 @@ def l21_functional(cdf: Cdf, tol: float = 1e-9) -> float:
 
     return quad(integrand, lo, hi, epsabs=tol, limit=200)[0]
 
-
-# ---------------------------------------------------------------------------
-# CSV serialization (point,weight / p1..pd,weight / label,weight)
-# ---------------------------------------------------------------------------
-
-def measure_to_csv(measure: AtomicMeasure) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if isinstance(measure.space, FiniteAlphabet):
-        writer.writerow(["label", "weight"])
-        for p, w in zip(measure.points, measure.weights):
-            writer.writerow([p, f"{w:.17g}"])
-    elif isinstance(measure.space, RealLine):
-        writer.writerow(["point", "weight"])
-        for p, w in zip(measure.points, measure.weights):
-            writer.writerow([f"{p:.17g}", f"{w:.17g}"])
-    else:
-        d = measure.space.d
-        writer.writerow([f"p{i + 1}" for i in range(d)] + ["weight"])
-        for p, w in zip(measure.points, measure.weights):
-            writer.writerow([f"{c:.17g}" for c in p] + [f"{w:.17g}"])
-    return buf.getvalue()
-
-
-def measure_from_csv(text: str, space: Space | None = None) -> AtomicMeasure:
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 2:
-        raise FiniPostError("empty-sample", "CSV has no atom rows")
-    header = rows[0]
-    atoms: list[tuple[Point, float]] = []
-    if header == ["label", "weight"]:
-        for row in rows[1:]:
-            atoms.append((row[0], float(row[1])))
-    elif header == ["point", "weight"]:
-        for row in rows[1:]:
-            atoms.append((float(row[0]), float(row[1])))
-    elif header[-1] == "weight" and all(h == f"p{i + 1}" for i, h in enumerate(header[:-1])):
-        for row in rows[1:]:
-            atoms.append((tuple(float(c) for c in row[:-1]), float(row[-1])))
-    else:
-        raise FiniPostError("config-error", f"unrecognized atom CSV header {header}")
-    return AtomicMeasure(atoms, space=space)

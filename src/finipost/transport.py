@@ -5,13 +5,14 @@ Lipschitz with an optimal test-function certificate, generic discrete
 optimal transport with dual certificates) and one meta-level plug-in: the
 order-1 transport distance between two equal-size samples of measures
 under a chosen bounded ground metric.  Bounded Lipschitz is an exact chain
-dynamic program on the line and a HiGHS linear program in R^d.  W1, TV
-and BL fold their two measures into one array of signed weights on the
-sorted union support; the BL and W1 meta grounds also take merged rows,
-a measure's distinct points and weights as two arrays.  Discrete OT is
-one HiGHS transportation LP for any marginals; the meta distance takes
-its optimal matching from ``linear_sum_assignment``, under BL certified
-on lower bounds with exact solves only where the matching needs them.
+dynamic program on the line and, in R^d, transport under the truncated
+metric min(d, 2).  W1, TV and BL fold their two measures into one array
+of signed weights on the sorted union support; the BL meta ground also
+takes merged rows, a measure's distinct points and weights as two
+arrays.  Discrete OT is one HiGHS transportation LP for any marginals;
+the meta distance takes its optimal matching from
+``linear_sum_assignment``, under BL certified on lower bounds with exact
+solves only where the matching needs them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "LipschitzDual",
     "PlanCheck",
     "w1_real",
-    "w1_scalar_samples",
     "tv_finite",
     "bounded_lipschitz",
     "solve_discrete_ot",
@@ -75,13 +75,6 @@ class TransportPlan:
     row_marginal: np.ndarray
     col_marginal: np.ndarray
     duals: tuple[np.ndarray, np.ndarray]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "coupling": self.coupling.tolist(),
-            "cost": self.cost,
-            "duals": [self.duals[0].tolist(), self.duals[1].tolist()],
-        }
 
 
 @dataclass(frozen=True)
@@ -140,27 +133,10 @@ class LipschitzDual:
 
 def w1_real(p: AtomicMeasure, q: AtomicMeasure) -> float:
     """Exact order-1 Wasserstein distance on the line: integral of |F_p - F_q|."""
-    (rp,), (rq,) = _as_arrays([p], [q], "W1REAL")
-    return _w1_solve(rp, rq)
-
-
-def _w1_solve(p: tuple, q: tuple) -> float:
-    """w1 between two merged rows on the line."""
-    x, delta = _signed_weights(p, q)
+    if not (isinstance(p.space, RealLine) and isinstance(q.space, RealLine)):
+        raise FiniPostError("space-mismatch", f"w1 needs two measures on the line, not {p.space} and {q.space}")
+    x, delta = _signed_weights(_row(p), _row(q))
     return float(np.dot(np.abs(np.cumsum(delta)[:-1]), np.diff(x)))
-
-
-def w1_scalar_samples(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Plug-in distance between two equal-size scalar samples.
-
-    Equals the exact w1 between the two empirical measures: the mean
-    absolute difference of the sorted order statistics.
-    """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.ndim != 1 or y.ndim != 1 or x.size != y.size or x.size == 0:
-        raise FiniPostError("size-mismatch", f"sample sizes {x.size} vs {y.size}")
-    return float(np.mean(np.abs(np.sort(x) - np.sort(y))))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +152,7 @@ def tv_finite(p: AtomicMeasure, q: AtomicMeasure) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bounded Lipschitz distance: chain dynamic program on the line, LP in R^d
+# Bounded Lipschitz distance: chain dynamic program on the line, transport in R^d
 # ---------------------------------------------------------------------------
 
 def bounded_lipschitz(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, LipschitzDual]:
@@ -187,7 +163,8 @@ def bounded_lipschitz(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, Lipsch
     consecutive-point constraints are needed (they imply all pairs by
     telescoping along the sorted support), and the resulting chain problem
     is solved exactly by a dynamic program (:func:`_bl_chain`).  In R^d
-    all pairs are constrained and the linear program goes to HiGHS.
+    the value is the transport cost under rho = min(d, 2), solved by
+    :func:`solve_discrete_ot`, and f the c-transform of its column duals.
     """
     (rp,), (rq,) = _as_arrays([p], [q], "BL")
     value, x, f = _bl_solve(rp, rq)
@@ -201,32 +178,21 @@ def _bl_solve(p: tuple, q: tuple) -> tuple[float, np.ndarray, np.ndarray]:
     The value alone needs no certificate, so the cost matrix skips
     building and validating a ``LipschitzDual``."""
     x, delta = _signed_weights(p, q)
-    s = len(x)
-    if s == 1:
+    if len(x) == 1:
         return 0.0, x, np.zeros(1)
     if x.ndim == 1:
         f = _bl_chain(x, delta)
         return float(np.dot(delta, f)), x, f
 
-    from scipy import sparse
-    from scipy.optimize import linprog
-    from scipy.spatial.distance import pdist
+    from scipy.spatial.distance import cdist
 
-    # Rows f_i - f_j <= d_ij, then f_j - f_i <= d_ij, for every pair i < j.
-    i, j = np.triu_indices(s, 1)
-    unit = sparse.eye(s, format="csr")
-    diff = unit[i] - unit[j]
-    d = pdist(x)
-    res = linprog(
-        c=-delta,
-        A_ub=sparse.vstack([diff, -diff]),
-        b_ub=np.concatenate([d, d]),
-        bounds=[(-1.0, 1.0)] * s,
-        method="highs",
-    )
-    if not res.success:
-        raise FiniPostError("lp-failure", f"bounded Lipschitz LP failed: {res.message}")
-    f = np.clip(res.x, -1.0, 1.0)
+    # Between probability measures BL is w1 under rho = min(d, 2)
+    # (Kantorovich-Rubinstein duality; Villani 2009, ch. 5-6).  The
+    # c-transform f(z) = min_j [rho(z, y_j) - v_j] of the column duals v is
+    # rho-1-Lipschitz, so of range at most 2, and centring puts it in [-1, 1].
+    v = solve_discrete_ot(np.minimum(cdist(p[0], q[0]), 2.0), p[1], q[1]).duals[1]
+    f = (np.minimum(cdist(x, q[0]), 2.0) - v).min(axis=1)
+    f -= 0.5 * (f.max() + f.min())
     return float(np.dot(delta, f)), x, f
 
 
@@ -427,7 +393,7 @@ def verify_plan(
 # Plug-in meta distance between two samples of measures
 # ---------------------------------------------------------------------------
 
-_GROUNDS = ("TV", "BL", "W1REAL")
+_GROUNDS = ("TV", "BL")
 _MAX_COST_MATRIX_BYTES = 2**31  # m = 16384 float64 costs per side
 
 
@@ -436,8 +402,7 @@ def meta_w1(ps, qs, ground: str = "TV") -> float:
 
     Solves the uniform-marginal transport problem between the samples
     exactly, as an optimal matching.  The ground metric is always
-    explicit: "TV" on a common finite alphabet, "BL" on the line or R^d,
-    "W1REAL" for scalar-pushforward experiments only (unbounded).
+    explicit: "TV" on a common finite alphabet, "BL" on the line or R^d.
     """
     return meta_w1_matched(ps, qs, ground)[0]
 
@@ -449,9 +414,9 @@ def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
     array gives a cheap bootstrap of the estimate.  Under "TV" the two
     samples may also be given as (m, k) weight matrices whose columns
     share one alphabet order; measure lists are converted to such
-    matrices over their union alphabet on entry.  Under "BL" and "W1REAL"
-    they may be given as lists of merged rows (``merged_rows``); measure
-    lists are converted to such lists on entry.  Where the optimum is not
+    matrices over their union alphabet on entry.  Under "BL" they may be
+    given as lists of merged rows (``merged_rows``); measure lists are
+    converted to such lists on entry.  Where the optimum is not
     unique, the certified BL matching may differ from the dense one.
     """
     (matched,) = _matched_blocks(ps, qs, ground, (len(ps),))
@@ -516,7 +481,7 @@ def _bl_lower_bounds(ps, qs, witnesses) -> np.ndarray:
 
 def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
     """Ground costs between two samples: (m, k) weight matrices under
-    "TV", lists of merged rows or of measures under "BL" and "W1REAL".  A
+    "TV", lists of merged rows or of measures under "BL".  A
     matrix above 2 GiB is refused with "resource-limit" before anything is
     allocated.  Under "BL" it is the reference for :func:`_matched_blocks`."""
     _refuse_huge(len(ps), len(qs))
@@ -529,9 +494,7 @@ def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
             hi = min(m, lo + block)
             out[lo:hi] = 0.5 * np.abs(ps[lo:hi, None, :] - qs[None, :, :]).sum(axis=2)
         return out
-    if ground == "BL":
-        return np.array([[_bl_solve(p, q)[0] for q in qs] for p in ps])
-    return np.array([[_w1_solve(p, q) for q in qs] for p in ps])
+    return np.array([[_bl_solve(p, q)[0] for q in qs] for p in ps])
 
 
 def _refuse_huge(m: int, mp: int) -> None:
@@ -542,9 +505,9 @@ def _refuse_huge(m: int, mp: int) -> None:
 
 def _as_arrays(ps, qs, ground: str) -> tuple:
     """Two samples as (m, k) weight matrices under "TV" and lists of
-    merged rows under "BL" and "W1REAL", converted from lists of measures
-    on one space (labels, the line or R^d, the line respectively) where
-    need be (TV columns follow the union alphabet), or checked if given."""
+    merged rows under "BL", converted from lists of measures on one space
+    (labels under TV, the line or R^d under BL) where need be (TV columns
+    follow the union alphabet), or checked if given."""
     if ground == "TV" and isinstance(ps, np.ndarray) and isinstance(qs, np.ndarray):
         P, Q = weight_matrix(ps), weight_matrix(qs)
         if P.shape != Q.shape:
@@ -563,8 +526,8 @@ def _as_arrays(ps, qs, ground: str) -> tuple:
         alphabet = next(iter(spaces)) if len(spaces) == 1 else FiniteAlphabet(labels)
         return np.stack([p.weight_vector(alphabet) for p in ps]), np.stack([q.weight_vector(alphabet) for q in qs])
     space = spaces.pop()
-    if spaces or isinstance(space, FiniteAlphabet) or (ground == "W1REAL" and not isinstance(space, RealLine)):
-        raise FiniPostError("space-mismatch", f"{ground} ground needs measures on one space, the line or R^d")
+    if spaces or isinstance(space, FiniteAlphabet):
+        raise FiniPostError("space-mismatch", "BL ground needs measures on one space, the line or R^d")
     return [_row(p) for p in ps], [_row(q) for q in qs]
 
 

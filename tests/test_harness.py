@@ -430,7 +430,7 @@ class TestConfigValidation:
             with pytest.raises(FiniPostError) as err:
                 ExperimentConfig.from_dict(small_mean_config(experiment=experiment, **over))
             assert err.value.code == "config-error"
-        for ground in ("TV", "BL", "W1REAL"):
+        for ground in ("TV", "BL"):
             assert ExperimentConfig.from_dict(small_mean_config(experiment=experiment, ground=ground)).ground == ground
         assert ExperimentConfig.from_dict(small_mean_config(output="r.csv")).output == "r.csv"
 
@@ -600,6 +600,23 @@ class TestStructure:
 
         concrete = {cls.__name__ for cls in ExchangeableModel.__subclasses__()}
         assert len(concrete) == 5 and not names_in_module(module) & concrete
+
+    def test_one_linear_program(self):
+        # Every LP, BL in R^d included, is the transportation LP of
+        # solve_discrete_ot: the one linprog call site in the package.
+        import ast
+
+        root, sites = os.path.dirname(finipost.__file__), []
+        for name in sorted(f for f in os.listdir(root) if f.endswith(".py")):
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "linprog":
+                    while node in parent and not isinstance(node, ast.FunctionDef):
+                        node = parent[node]
+                    sites.append((name, getattr(node, "name", None)))
+        assert sites == [("transport.py", "solve_discrete_ot")]
 
     def test_harness_names_no_atomic_measure(self):
         # Bound cells run on weight matrices and merged rows, not on one
@@ -981,6 +998,7 @@ class TestCli:
             small_mean_config(output=True),
             small_mean_config(ground="bogus"),
             small_mean_config(ground=["x"]),
+            small_mean_config(ground="W1REAL"),
         ],
         ids=[
             "experiment-mystery", "n-str", "m_samples-str", "N_grid-int", "top-level-list", "alpha-str",
@@ -990,7 +1008,7 @@ class TestCli:
             "mass-nan", "mass-inf", "mass-str", "mass-bool", "residual_tol-str", "mu-nan", "sigma-inf",
             "uniform-a-str", "point_mass-c-bool", "indicator-y-nan", "alpha-nan", "beta_rule-inf",
             "beta_params-str", "level_alpha-nan", "params-bool", "output-int", "output-bool", "ground-bogus",
-            "ground-list",
+            "ground-list", "ground-W1REAL",
         ],
     )
     def test_run_bad_config_exit_code(self, tmp_path, config):

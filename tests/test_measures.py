@@ -20,8 +20,6 @@ from finipost.measures import (
     gini_md,
     integrate,
     l21_functional,
-    measure_from_csv,
-    measure_to_csv,
     mixture,
     moment,
     weight_matrix,
@@ -237,21 +235,6 @@ class TestInvariants:
             AtomicMeasure([(0.0, 0.5), (1.0, 0.6)])
         with pytest.raises(FiniPostError):
             AtomicMeasure([(0.0, 1.5), (1.0, -0.5)])
-
-
-class TestCsv:
-    def test_scalar_roundtrip(self):
-        m = AtomicMeasure([(0.1234567890123, 0.25), (-3.5, 0.75)])
-        assert measure_from_csv(measure_to_csv(m)) == m
-
-    def test_label_roundtrip(self):
-        m = empirical(Sample(("a", "b", "b")))
-        back = measure_from_csv(measure_to_csv(m), space=m.space)
-        assert back == m
-
-    def test_vector_roundtrip(self):
-        m = AtomicMeasure([((1.0, 2.0), 0.5), ((0.0, -1.0), 0.5)])
-        assert measure_from_csv(measure_to_csv(m)) == m
 
 
 class TestSampleAndSpaces:
