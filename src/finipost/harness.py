@@ -48,7 +48,6 @@ from .priors import (
     batched_f_means,
     batched_posterior_integrals,
     batched_posterior_rows,
-    batched_sequence_blocks,
     model_from_spec,
     predictive_expectation,
     sample_sequence,
@@ -73,13 +72,10 @@ __all__ = [
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.8.0"
+ARTIFACT_VERSION = "0.9.0"
 
 _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_BLOCK_ENTRIES = 2**18
-# Sequence entries per block of a median cell; the other consumers of
-# ``batched_sequence_blocks`` keep its default, on which their streams depend.
-_MEDIAN_BLOCK_ENTRIES = 2**17
 
 # Stream ids: replicate-level history stream, then per-(N, phase) streams.
 _STREAM_HISTORY = 0
@@ -474,7 +470,10 @@ def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dic
 
     The replicate index enumerates the grid: replicate r targets the
     predictive CDF level (r+1)/(replicates+1).  Each row estimates
-    P{median <= x_r} from m_samples independent sequences.
+    P{median <= x_r} from m_samples independent sequences, each drawn as
+    its count of values at most x_r, Binomial(2N+1, P(-inf, x_r]) given
+    its directing measure P (``model.mass_at_most``): its median is at most
+    x_r iff more than N are, ties included.
     """
     _require_scalar(cfg, model.space)
     if cfg.n != 0:
@@ -483,10 +482,8 @@ def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dic
     def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
         x = model.prior_quantile((rep + 1) / (cfg.replicates + 1))
         F_x = predictive_expectation(model, history, Indicator(x))
-        blocks = batched_sequence_blocks(
-            model, history, 2 * N + 1, cfg.m_samples, rngs[1], _entries=_MEDIAN_BLOCK_ENTRIES
-        )
-        estimate = sum(int(np.count_nonzero(_median_at_most(block, x))) for block in blocks) / cfg.m_samples
+        counts = rngs[1].binomial(2 * N + 1, model.mass_at_most(history, x, cfg.m_samples, rngs[1]))
+        estimate = int(np.count_nonzero(counts > N)) / cfg.m_samples
         se = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / cfg.m_samples)
         left_bound, right_bound = bd.median_tail_bounds(bd.MedianLawInputs(N, F_x), F_x, 1.0 - F_x)
         slack = 3.0 * se
@@ -494,12 +491,6 @@ def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dic
         return estimate, se, left_bound, slack, violated, None
 
     return cell, 1
-
-
-def _median_at_most(block: np.ndarray, x: float) -> np.ndarray:
-    """Whether the median of each odd-length row is at most x: the median
-    of 2N+1 values is <= x iff at least N+1 of them are, ties included."""
-    return np.count_nonzero(block <= x, axis=1) > block.shape[1] // 2
 
 
 _CELLS = {

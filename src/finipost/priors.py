@@ -33,8 +33,9 @@ preconditions and then make one call on the model.
   carrier used by median-law experiments.
 
 Both stick models draw their sticks with one sampler, ``_truncated_sticks``,
-which breaks the sticks of all rows in lockstep, one Beta call per stick
-index, and then draws every location in one call.
+which breaks the sticks of all rows in lockstep, one call per stick index
+(Beta(1, b) sticks by inversion of their CDF), and then draws every
+location in one call.
 
 Every operation takes its random state explicitly; see ``rng``.
 """
@@ -51,7 +52,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import FiniPostError, config_float, config_int
-from .families import AnalyticLaw, NamedPairFunction, PointMassLaw
+from .families import AnalyticLaw, Indicator, NamedPairFunction, PointMassLaw
 from .measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, Space
 from .rng import RngState
 
@@ -91,7 +92,8 @@ class ExchangeableModel(ABC):
     horizon) before calling these methods, so a method may assume a
     history on ``space`` and a target length beyond it.  A model that
     writes ``posterior_rows`` and ``row_width`` gets its posterior
-    integrals from them, and its continuation and f-means by default.
+    integrals from them, and its continuation, f-means and
+    ``mass_at_most`` by default.
     """
 
     @property
@@ -127,6 +129,13 @@ class ExchangeableModel(ABC):
         """An upper bound on the width s of ``posterior_rows``, by which the
         default continuation and integrals block their rows."""
         raise _no_posterior(self)
+
+    def mass_at_most(self, history: Sample, x: float, draws: int, rng: RngState) -> np.ndarray:
+        """``draws`` independent values of P(-inf, x] for P the directing
+        measure given the history; by default the indicator integrals of
+        posterior rows, the rows the default continuation draws from, capped
+        at 1 (a row's weights sum to 1 up to rounding)."""
+        return np.minimum(batched_posterior_integrals(self, history, Indicator(x).vec, draws, rng), 1.0)
 
     @abstractmethod
     def predictive(
@@ -307,7 +316,9 @@ class DirichletProcessModel(ExchangeableModel):
         c = self.total_mass
         if len(history):
             xstar, counts = np.unique(history.scalars(), return_counts=True)
-            drawn = rng.multinomial(fresh, rng.dirichlet(np.append(counts, c), size=rows))
+            p = rng.dirichlet(np.append(counts, c), size=rows)
+            # One row by its 1-d call: the same draw, without the per-row loop.
+            drawn = rng.multinomial(fresh, p[0])[None] if rows == 1 else rng.multinomial(fresh, p)
             old, a_new = drawn[:, :-1], drawn[:, -1]
         else:
             xstar, old, a_new = np.empty(0), np.zeros((rows, 0), dtype=np.int64), np.full(rows, fresh)
@@ -378,6 +389,17 @@ class DirichletProcessModel(ExchangeableModel):
 
     def row_width(self, history):
         return len(set(history.values)) + self.max_sticks + 1
+
+    def mass_at_most(self, history, x, draws, rng):
+        # Beta(c F₀(x) + #{hist <= x}, c (1 - F₀(x)) + #{hist > x}), exact
+        # (Ferguson 1973); a zero parameter, as under a point-mass base,
+        # makes it the constant 0 or 1.
+        c, below = self.total_mass, int(np.count_nonzero(history.scalars() <= x))
+        F = float(self.base.cdf(x))
+        a, b = c * F + below, c * (1.0 - F) + len(history) - below
+        if a == 0.0 or b == 0.0:
+            return np.full(draws, float(b == 0.0))
+        return rng.beta(a, b, size=draws)
 
     def predictive(self, history, f, mc_draws, rng):
         c = self.total_mass
@@ -527,12 +549,14 @@ def _truncated_sticks(
     """Truncated stick-breaking draws, one row per entry of ``scale``, the
     mass of the row's measure inside a mixture.
 
-    Sticks V_k ~ Beta(beta_at(k)) are broken in lockstep, one Beta call per
-    k over the rows still breaking: row r breaks while scale[r] times its
+    Sticks V_k ~ Beta(beta_at(k)) are broken in lockstep, one call per k
+    over the rows still breaking: row r breaks while scale[r] times its
     residual is at least ``residual_tol`` and fewer than ``max_sticks``
-    sticks are drawn.  Then one ``base.sample`` call draws every location,
-    row by row, so a one-row call draws the stream of a sequential stick
-    loop.  Returns (rows, s) atom and weight arrays: the sticks, then the
+    sticks are drawn.  A Beta(1, b) stick, as every Dirichlet-process stick
+    is, is one ``rng.random`` call inverted through its CDF 1 - (1 - v)^b
+    (Devroye 1986, sec. II.2); any other is one ``rng.beta`` call.  Then one
+    ``base.sample`` call draws every location, row by row, so a one-row
+    call draws the stream of a sequential stick loop.  Returns (rows, s) atom and weight arrays: the sticks, then the
     residual on one more atom, a row's weights summing to 1 up to rounding;
     a short row repeats its last atom with weight 0.
     """
@@ -543,7 +567,10 @@ def _truncated_sticks(
     broken, drawn = [], []  # the rows that break stick k, and its weights
     while alive.size and len(broken) < max_sticks:
         a, b = beta_at(len(broken) + 1)
-        v = rng.beta(a, b, size=alive.size)
+        if a == 1.0:
+            v = -np.expm1(np.log1p(-rng.random(alive.size)) / b)
+        else:
+            v = rng.beta(a, b, size=alive.size)
         broken.append(alive)
         drawn.append(res * v)
         res *= 1.0 - v
@@ -740,6 +767,9 @@ class FixedLawModel(ExchangeableModel):
         n = len(history)
         out[:, n:] = self.base.sample(rng, (out.shape[0], out.shape[1] - n))
 
+    def mass_at_most(self, history, x, draws, rng):
+        return np.full(draws, float(self.base.cdf(x)))
+
     def predictive(self, history, f, mc_draws, rng):
         return self.base.expect(f), 0.0
 
@@ -796,8 +826,8 @@ def batched_posterior_rows(
 
     The finite Dirichlet makes one Dirichlet call (its atoms, labels too,
     are the same in every row), the Polya tree one Beta call per level, and
-    the stick models one Beta call per stick index over the rows still
-    breaking.  ``model.row_width(history)`` bounds s.
+    the stick models one call per stick index over the rows still breaking
+    (see ``_truncated_sticks``).  ``model.row_width(history)`` bounds s.
     """
     _check_history(model, history)
     return model.posterior_rows(history, draws, rng)
@@ -876,13 +906,11 @@ def batched_sequences(
 
 
 def batched_sequence_blocks(
-    model: ExchangeableModel, history: Sample, upto: int, draws: int, rng: RngState, *, _entries: int = 4_000_000
+    model: ExchangeableModel, history: Sample, upto: int, draws: int, rng: RngState
 ) -> Iterator[np.ndarray]:
     """``batched_sequences`` in row blocks of at most 4e6 entries (bounding
-    peak memory); the blocks hold ``draws`` rows in all.  The private
-    ``_entries`` lowers the bound; only the fixed law draws the same stream
-    in any blocking."""
-    for rows in _row_chunks(draws, upto, _entries):
+    peak memory); the blocks hold ``draws`` rows in all."""
+    for rows in _row_chunks(draws, upto):
         yield batched_sequences(model, history, upto, rows, rng)
 
 

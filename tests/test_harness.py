@@ -636,6 +636,26 @@ class TestStructure:
         cfg = {**PT_REAL_N5_CONFIG, "model": model, "N_grid": [20], "replicates": 1, "coupling": coupling}
         assert len(run_experiment(ExperimentConfig.from_dict(cfg)).rows) == 1
 
+    @pytest.mark.parametrize("kind", ["fixed", "dirichlet_process", "finite_dirichlet", "polya_tree", "stick_breaking"])
+    def test_median_law_builds_no_sequence(self, monkeypatch, kind):
+        # A median cell draws each sequence's count at most x, never the
+        # sequence.
+        import finipost.priors as priors
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sequence was built")
+
+        model = {
+            "fixed": {"kind": "fixed", "base": GAUSS},
+            "dirichlet_process": DP_MODEL,
+            "finite_dirichlet": {"kind": "finite_dirichlet", "alpha": [1.0, 2.0, 0.5], "atoms": [0.0, 1.5, -2.0]},
+            "polya_tree": PT_REAL_N5_CONFIG["model"],
+            "stick_breaking": {"kind": "stick_breaking", "base": GAUSS, "beta_rule": {"a": 1.0, "b": 2.0}},
+        }[kind]
+        monkeypatch.setattr(priors, "_sequence_rows", refuse)
+        cfg = {"experiment": "median_law", "model": model, "N_grid": [3], "m_samples": 200, "replicates": 2}
+        assert len(run_experiment(ExperimentConfig.from_dict(cfg)).rows) == 2
+
 
 class TestEstimatorSweep:
     def test_mean_gap_scales_exactly(self):
@@ -762,8 +782,9 @@ class TestMedianExperiment:
 
     def test_order_statistic_count_equals_median_rule_with_ties(self):
         # DP rows grown from a tied history share its atoms, so many rows
-        # hold several values equal to x = 0.0 or x = 0.5.
-        from finipost.harness import _median_at_most
+        # hold several values equal to x = 0.0 or x = 0.5.  The median cell
+        # counts on this identity: the median of 2N + 1 values is at most x
+        # iff more than N of them are.
         from finipost.priors import batched_sequences, model_from_spec
         from finipost.rng import derive_seed
 
@@ -771,37 +792,13 @@ class TestMedianExperiment:
         for N, history in ((1, ()), (2, (0.0, 0.5, 0.0)), (5, (0.0, 0.5, 0.0)), (12, (0.5, 0.0, 0.5))):
             block = batched_sequences(model, Sample(history), 2 * N + 1, 3000, derive_seed(70, N))
             for x in (0.0, 0.5, block[0, -1], float(np.median(block[1]))):
-                assert np.array_equal(_median_at_most(block, x), np.median(block, axis=1) <= x)
+                counted = np.count_nonzero(block <= x, axis=1) > block.shape[1] // 2
+                assert np.array_equal(counted, np.median(block, axis=1) <= x)
             assert not history or np.any(np.count_nonzero(block == 0.0, axis=1) > 1)
 
-    def test_counts_medians_in_row_blocks(self):
-        # m (2N + 1) = 4.02e6 entries: two row blocks.  The fixed law draws
-        # the same stream in blocks as in one matrix, so the estimate equals
-        # one full-matrix count from the row's seed (its phase-1 stream).
-        from finipost.harness import _median_at_most
-        from finipost.priors import batched_sequences, model_from_spec
-        from finipost.rng import state_from_key
-
-        model_spec = {"kind": "fixed", "base": {"family": "uniform", "a": 0, "b": 1}}
-        cfg = ExperimentConfig.from_dict(
-            {
-                "experiment": "median_law",
-                "model": model_spec,
-                "n": 0,
-                "N_grid": [100],
-                "m_samples": 20000,
-                "replicates": 1,
-                "master_seed": 16,
-            }
-        )
-        (row,) = run_experiment(cfg).rows
-        block = batched_sequences(model_from_spec(model_spec), Sample(()), 201, 20000, state_from_key(row.seed))
-        assert block.size > 4_000_000
-        assert row.estimate == float(np.mean(_median_at_most(block, 0.5)))
-
     def test_median_cell_memory_is_bounded(self):
-        # Counting medians block by block keeps the peak far below one
-        # (20000, 51) matrix and its sampled copy (16 MB).
+        # Counting medians from one count per sequence keeps the peak far
+        # below one (20000, 51) matrix and its sampled copy (16 MB).
         import tracemalloc
 
         from finipost.harness import _median_cells

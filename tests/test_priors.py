@@ -574,12 +574,15 @@ def polya_stick_integrals(model, history, fvec, draws, rng):
 
 
 def polya_stick_draw(model, history, rng):
-    """One draw as (locations, weights): all sticks, then the locations."""
+    """One draw as (locations, weights): all sticks, then the locations.
+    Each Beta(1, c + n) stick is drawn by inverting its CDF, one uniform a
+    stick, as the package does (the lockstep reference above keeps
+    ``rng.beta``)."""
     hist = np.asarray(history.scalars())
     mass = model.total_mass + hist.size
     weights, residual = [], 1.0
     while residual >= model.residual_tol and len(weights) < model.max_sticks:
-        v = rng.beta(1.0, mass)
+        v = float(-np.expm1(np.log1p(-rng.random(1)) / mass)[0])
         weights.append(residual * v)
         residual *= 1.0 - v
     weights.append(residual)
@@ -766,6 +769,32 @@ class TestTruncationScale:
                 assert sticks.size == 0 and residual == 1.0
             sizes.add(sticks.size)
         assert len(sizes) > 10
+
+
+class TestStickLaw:
+    @pytest.mark.parametrize("b", [0.5, 1.0, 5.0])
+    def test_inverted_sticks_have_the_beta_1_b_law(self, b):
+        # The first two sticks of every row, V1 = W1 and V2 = W2 / (1 - W1),
+        # against the Beta(1, b) CDF.
+        from scipy.stats import beta, kstest
+
+        from finipost.priors import _truncated_sticks
+
+        _, w = _truncated_sticks(lambda _k: (1.0, b), GaussianLaw(0, 1), 2, 1e-300, derive_seed(140), np.ones(20000))
+        for v in (w[:, 0], w[:, 1] / (1.0 - w[:, 0])):
+            assert kstest(v, beta(1.0, b).cdf).pvalue > 1e-3
+
+    def test_only_a_equal_one_is_inverted(self):
+        # Stick 1 is Beta(1, 2), inverted from one uniform call; stick 2 is
+        # Beta(2, 3), one rng.beta call.
+        from finipost.priors import _truncated_sticks
+
+        rule = lambda k: (1.0, 2.0) if k == 1 else (2.0, 3.0)  # noqa: E731
+        _, w = _truncated_sticks(rule, GaussianLaw(0, 1), 2, 1e-300, derive_seed(141), np.ones(500))
+        rng = derive_seed(141)
+        v1 = -np.expm1(np.log1p(-rng.random(500)) / 2.0)
+        v2 = rng.beta(2.0, 3.0, size=500)
+        assert np.array_equal(w[:, 0], v1) and np.array_equal(w[:, 1], (1.0 - v1) * v2)
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +1014,56 @@ class TestStreamContracts:
         assert len({int(np.count_nonzero(w)) for w in weights}) > 1
 
 
+# (model spec, history, x): each median-law model kind, ties at x included.
+MASS_CASES = {
+    "fixed_uniform": (MODEL_SPECS["fixed"], (), 0.3),
+    "dp_gauss": (MODEL_SPECS["dirichlet_process"], (), 0.2),
+    "dp_gauss_tied": (MODEL_SPECS["dirichlet_process"], (0.0, 0.5, 0.0), 0.0),
+    "finite_dirichlet_scalars": (MODEL_SPECS["finite_dirichlet_scalars"], (), 0.0),
+    "polya_tree": (MODEL_SPECS["polya_tree"], (), None),
+    "stick_breaking": (MODEL_SPECS["stick_breaking"], (), 0.4),
+}
+
+
+class TestMassAtMost:
+    @pytest.mark.parametrize("case", sorted(MASS_CASES))
+    def test_binomial_counts_match_sequence_counts(self, case):
+        # Given P, the count of 2N + 1 new values at most x is
+        # Binomial(2N + 1, P(-inf, x]): against counts of built sequences.
+        spec, history, x = MASS_CASES[case]
+        model, h, N, R = model_from_spec(spec), Sample(history), 3, 12000
+        x = model.prior_quantile(0.5) if x is None else x
+        counts = derive_seed(941).binomial(2 * N + 1, model.mass_at_most(h, x, R, derive_seed(940)))
+        block = batched_sequences(model, h, len(h) + 2 * N + 1, R, derive_seed(942))
+        held = np.count_nonzero(block[:, len(h) :] <= x, axis=1)
+        assert 0 < held.mean() < 2 * N + 1
+        assert _chi2_same_law(counts, held) > 1e-3
+
+    def test_dp_mass_has_the_beta_moments(self):
+        # Beta(c F0(x) + #{h <= x}, c (1 - F0(x)) + #{h > x}): c = 1.5,
+        # F0(0) = 1/2, three of four history values at most 0.
+        model, R = model_from_spec(MODEL_SPECS["dirichlet_process"]), 200_000
+        theta = model.mass_at_most(Sample((0.0, 0.5, 0.0, -1.0)), 0.0, R, derive_seed(943))
+        a, b = 1.5 * 0.5 + 3.0, 1.5 * 0.5 + 1.0
+        mean, var = a / (a + b), a * b / ((a + b) ** 2 * (a + b + 1.0))
+        assert abs(theta.mean() - mean) <= 4.0 * math.sqrt(var / R)
+        assert abs(theta.var(ddof=1) / var - 1.0) <= 0.02
+
+    def test_rows_give_a_mass_at_most_one(self):
+        # At the largest atom every row holds all its weight, which sums to
+        # 1 only up to rounding; a binomial count needs a mass in [0, 1].
+        model = model_from_spec(MODEL_SPECS["finite_dirichlet_scalars"])
+        theta = model.mass_at_most(Sample(()), 1.5, 2000, derive_seed(945))
+        assert np.all((theta > 1.0 - 1e-12) & (theta <= 1.0))
+
+    @pytest.mark.parametrize(
+        "history, x, mass", [((), 1.0, 1.0), ((), 0.5, 0.0), ((1.0, 1.0), 2.0, 1.0), ((1.0,), 0.0, 0.0)]
+    )
+    def test_point_mass_base_gives_a_constant(self, history, x, mass):
+        model = DirichletProcessModel(2.0, PointMassLaw(1.0))
+        assert np.array_equal(model.mass_at_most(Sample(history), x, 5, derive_seed(944)), np.full(5, mass))
+
+
 def _all_finite(result) -> bool:
     if isinstance(result, Sample):
         return all(isinstance(v, str) for v in result.values) or bool(np.all(np.isfinite(result.scalars())))
@@ -1003,11 +1082,12 @@ EXPECTED_CODES = {
     ("finite_dirichlet_labels", "batched_f_means"): "space-mismatch",
     ("finite_dirichlet_labels", "batched_posterior_integrals"): "space-mismatch",
     ("finite_dirichlet_labels", "prior_quantile"): "space-mismatch",
+    ("finite_dirichlet_labels", "mass_at_most"): "space-mismatch",
     **{
         ("stick_breaking_n5", law): "posterior-unavailable"
         for law in (
             "continue_sequence", "posterior_draw", "batched_sequences", "batched_f_means",
-            "batched_posterior_rows", "batched_posterior_integrals",
+            "batched_posterior_rows", "batched_posterior_integrals", "mass_at_most",
             "predictive_expectation", "predictive_expectation_mc", "predictive_pair_expectation",
         )
     },
@@ -1029,6 +1109,7 @@ LAWS = {
     "predictive_expectation_mc": lambda model, h, f, g, rng: predictive_expectation_mc(model, h, f, 64, rng),
     "predictive_pair_expectation": lambda model, h, f, g, rng: predictive_pair_expectation(model, h, g, 64, rng),
     "prior_quantile": lambda model, h, f, g, rng: model.prior_quantile(0.3),
+    "mass_at_most": lambda model, h, f, g, rng: model.mass_at_most(h, 0.3, 4, rng),
 }
 
 

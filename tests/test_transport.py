@@ -699,8 +699,7 @@ class TestCertifiedBL:
     @pytest.mark.parametrize("m", [16, 24, 64])
     def test_matched_costs_equal_dense(self, monkeypatch, m, model, coupling):
         # Both blocks the harness asks for, bit for bit, on cells whose
-        # optimum is unique (seed 1 of the m = 16 DP independent cell is a
-        # tie, checked below).
+        # optimum is unique (ties are checked below).
         for seed in (2, 3):
             ps, qs = bl_cell_rows(monkeypatch, model, coupling, m, seed)
             cost = meta_cost_matrix(ps, qs, "BL")
@@ -722,16 +721,21 @@ class TestCertifiedBL:
         assert np.array_equal(meta_w1_matched(ps, qs, "BL")[1], expected)
         assert len(calls) > with_diagonal
 
-    @pytest.mark.parametrize("m, seed", [(3, 53), (16, 1)])
-    def test_tied_cell_gets_an_exact_optimal_matching(self, monkeypatch, m, seed):
-        # Seeded cells whose optimum is not unique: at m = 3, the smallest
-        # found, rows 1 and 2 may swap partners; at m = 16 rows 0 and 7 may,
-        # and the certified matching takes the other optimum than the dense
-        # one.  Either way every matched cost is an exact entry of one
-        # permutation, and its sum is the optimum.
+    @pytest.mark.parametrize(
+        "m, seed, twin", [pytest.param(3, 53, None, id="3-53"), pytest.param(16, 1, 7, id="16-1")]
+    )
+    def test_tied_cell_gets_an_exact_optimal_matching(self, monkeypatch, m, seed, twin):
+        # Cells whose optimum is not unique.  At m = 3 a seeded cell, the
+        # smallest found, where rows 0 and 1 may swap partners; at m = 16 the
+        # tie is built: posterior row 7 is a copy of row 0, so the two rows
+        # have equal costs and may swap partners.  Either way every matched
+        # cost is an exact entry of one permutation, and its sum is the
+        # optimum.
         from scipy.optimize import linear_sum_assignment
 
         ps, qs = bl_cell_rows(monkeypatch, "dp", "independent", m, seed)
+        if twin is not None:
+            ps = [*ps[:twin], ps[0], *ps[twin + 1 :]]
         cost = meta_cost_matrix(ps, qs, "BL")
         rows, cols = linear_sum_assignment(cost)
         best = cost[rows, cols].sum()
