@@ -132,9 +132,15 @@ class ExchangeableModel(ABC):
 
     def mass_at_most(self, history: Sample, x: float, draws: int, rng: RngState) -> np.ndarray:
         """``draws`` independent values of P(-inf, x] for P the directing
-        measure given the history; by default the indicator integrals of
-        posterior rows, the rows the default continuation draws from, capped
-        at 1 (a row's weights sum to 1 up to rounding)."""
+        measure given the history: the shared checks, then ``_mass_at_most``."""
+        _check_history(self, history)
+        self._check_scalar("masses at most x")
+        return self._mass_at_most(history, x, draws, rng)
+
+    def _mass_at_most(self, history: Sample, x: float, draws: int, rng: RngState) -> np.ndarray:
+        """By default the indicator integrals of posterior rows, the rows the
+        default continuation draws from, capped at 1 (a row's weights sum to
+        1 up to rounding)."""
         return np.minimum(batched_posterior_integrals(self, history, Indicator(x).vec, draws, rng), 1.0)
 
     @abstractmethod
@@ -316,9 +322,7 @@ class DirichletProcessModel(ExchangeableModel):
         c = self.total_mass
         if len(history):
             xstar, counts = np.unique(history.scalars(), return_counts=True)
-            p = rng.dirichlet(np.append(counts, c), size=rows)
-            # One row by its 1-d call: the same draw, without the per-row loop.
-            drawn = rng.multinomial(fresh, p[0])[None] if rows == 1 else rng.multinomial(fresh, p)
+            drawn = rng.multinomial(fresh, rng.dirichlet(np.append(counts, c), size=rows))
             old, a_new = drawn[:, :-1], drawn[:, -1]
         else:
             xstar, old, a_new = np.empty(0), np.zeros((rows, 0), dtype=np.int64), np.full(rows, fresh)
@@ -390,7 +394,7 @@ class DirichletProcessModel(ExchangeableModel):
     def row_width(self, history):
         return len(set(history.values)) + self.max_sticks + 1
 
-    def mass_at_most(self, history, x, draws, rng):
+    def _mass_at_most(self, history, x, draws, rng):
         # Beta(c F₀(x) + #{hist <= x}, c (1 - F₀(x)) + #{hist > x}), exact
         # (Ferguson 1973); a zero parameter, as under a point-mass base,
         # makes it the constant 0 or 1.
@@ -556,9 +560,10 @@ def _truncated_sticks(
     is, is one ``rng.random`` call inverted through its CDF 1 - (1 - v)^b
     (Devroye 1986, sec. II.2); any other is one ``rng.beta`` call.  Then one
     ``base.sample`` call draws every location, row by row, so a one-row
-    call draws the stream of a sequential stick loop.  Returns (rows, s) atom and weight arrays: the sticks, then the
-    residual on one more atom, a row's weights summing to 1 up to rounding;
-    a short row repeats its last atom with weight 0.
+    call draws the stream of a sequential stick loop.  Returns (rows, s)
+    atom and weight arrays: the sticks, then the residual on one more atom,
+    a row's weights summing to 1 up to rounding; a short row repeats its
+    last atom with weight 0.
     """
     rows = scale.size
     alive = np.flatnonzero(scale >= residual_tol)
@@ -767,7 +772,7 @@ class FixedLawModel(ExchangeableModel):
         n = len(history)
         out[:, n:] = self.base.sample(rng, (out.shape[0], out.shape[1] - n))
 
-    def mass_at_most(self, history, x, draws, rng):
+    def _mass_at_most(self, history, x, draws, rng):
         return np.full(draws, float(self.base.cdf(x)))
 
     def predictive(self, history, f, mc_draws, rng):

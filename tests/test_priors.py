@@ -1063,6 +1063,15 @@ class TestMassAtMost:
         model = DirichletProcessModel(2.0, PointMassLaw(1.0))
         assert np.array_equal(model.mass_at_most(Sample(history), x, 5, derive_seed(944)), np.full(5, mass))
 
+    @pytest.mark.parametrize("kind", ["fixed", "dirichlet_process", "polya_tree"])
+    def test_history_off_the_model_space_is_refused(self, kind):
+        # The DP and the fixed law write their own masses; the shared checks
+        # run before every model's.
+        model = model_from_spec(MODEL_SPECS[kind])
+        with pytest.raises(FiniPostError) as err:
+            model.mass_at_most(Sample(("a1", "a2")), 0.3, 4, derive_seed(946))
+        assert err.value.code == "space-mismatch"
+
 
 def _all_finite(result) -> bool:
     if isinstance(result, Sample):
