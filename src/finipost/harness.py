@@ -72,10 +72,7 @@ __all__ = [
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.9.0"
-
-_BOOTSTRAP_RESAMPLES = 200
-_BOOTSTRAP_BLOCK_ENTRIES = 2**18
+ARTIFACT_VERSION = "0.10.0"
 
 # Stream ids: replicate-level history stream, then per-(N, phase) streams.
 _STREAM_HISTORY = 0
@@ -196,27 +193,20 @@ def _test_function(f_spec: dict | None) -> tuple[NamedFunction, NamedFunction, C
     raise FiniPostError("config-error", f"unknown f_spec kind {f_spec!r}")
 
 
-def _bootstrap_se(matched: np.ndarray, rng: RngState, resamples: int = _BOOTSTRAP_RESAMPLES) -> float:
-    """Standard error of the mean matched cost under resampling of the
-    matched pair costs (the plug-in estimate is their mean).
-
-    The resample indices are drawn as int32 in row blocks of at most 2^18
-    entries (one row at least), which bounds a cell's memory and draws the
-    same stream as one (resamples, m) int64 matrix."""
-    m = matched.size
-    rows = max(1, _BOOTSTRAP_BLOCK_ENTRIES // m)
-    means = np.empty(resamples)
-    for lo in range(0, resamples, rows):
-        idx = rng.integers(0, m, size=(min(rows, resamples - lo), m), dtype=np.int32)
-        means[lo : lo + idx.shape[0]] = matched[idx].mean(axis=1)
-    return float(means.std(ddof=1))
+def _mean_stderr(costs: np.ndarray) -> float:
+    """Standard error of the mean of the matched costs (the plug-in
+    estimate), as resampling them with replacement gives it in the limit of
+    infinitely many resamples: the plug-in deviation (ddof 0) over sqrt(m)
+    (Efron & Tibshirani 1993).  It holds both samples fixed, so it reads
+    only the multiset of costs, not their order or any stream."""
+    return float(costs.std()) / math.sqrt(costs.size)
 
 
 # ---------------------------------------------------------------------------
 # The cell loop
 # ---------------------------------------------------------------------------
 
-# A cell function maps (N, replicate, history, [phase 0, 1, 2 streams]) to
+# A cell function maps (N, replicate, history, [phase 0, 1 streams]) to
 # (estimate, stderr, bound, slack, violated, stabilization), the last the
 # cell's metadata entry (bound cells) or None.
 CellFunction = Callable[[int, int, Sample, list], tuple]
@@ -226,10 +216,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one experiment over its (N, replicate) grid, N-major, one row per cell.
 
     Each replicate draws its history once, from its own stream, and shares
-    it across the N grid.  Each cell derives three streams (phases 0-2) and
-    hands them to the experiment's cell function; the row's ``seed`` is the
-    key of the experiment's seed stream (phase 1 for ``median_law``, phase
-    0 for the others).  The cells run on every usable CPU in contiguous
+    it across the N grid.  Each cell derives two streams (phases 0 and 1)
+    and hands them to the experiment's cell function; the row's ``seed`` is
+    the key of the experiment's seed stream (phase 1 for ``median_law``,
+    phase 0 for the others).  The cells run on every usable CPU in contiguous
     chunks (``_run_grid``): the lowest failing cell's error is raised, after
     the running chunks finish and the others are cancelled.  Rows and
     metadata are recorded in grid order, the same for any worker count.
@@ -239,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cell, seed_phase = _CELLS[cfg.experiment](cfg, model, metadata)
     histories = [_replicate_history(cfg, model, rep) for rep in range(cfg.replicates)]
     grid = [
-        (N, rep, [derive_key(cfg.master_seed, rep, _cell_stream(ni, phase)) for phase in range(3)])
+        (N, rep, [derive_key(cfg.master_seed, rep, _cell_stream(ni, phase)) for phase in range(2)])
         for ni, N in enumerate(cfg.N_grid)
         for rep in range(cfg.replicates)
     ]
@@ -315,22 +305,23 @@ def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
     ``coupling="independent"`` draws fresh directing measures instead,
     which over-states the distance badly in the bounded-Lipschitz
     geometry (see README).  The draws are weight matrices on a label
-    alphabet and merged rows on the line.  Slack is three bootstrap
-    standard errors of the plug-in (matched-cost resampling); the
-    real-line bound folds in three standard errors of the estimated
-    posterior mean of the sqrt(F(1-F)) integral over the step CDFs of the
-    posterior rows.  A half-sample estimate, read from the full one's
-    costs, is recorded in the metadata so bias stabilization is visible.
+    alphabet and merged rows on the line.  Slack is three standard errors
+    of the plug-in, the closed-form limit of resampling the matched costs
+    (``_mean_stderr``); the real-line bound folds in three standard errors
+    of the estimated posterior mean of the sqrt(F(1-F)) integral over the
+    step CDFs of the posterior rows.  A half-sample estimate, read from the
+    full one's costs, is recorded in the metadata so bias stabilization is
+    visible.
     """
     _check_bound_config(cfg, model)
     metadata["stabilization"] = []
 
     def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
-        post_rng, cont_rng, boot_rng = rngs
+        post_rng, cont_rng = rngs
         posts, emps = _posterior_and_empirical_draws(cfg, model, history, N, post_rng, cont_rng)
         matched, matched_half = _matched_blocks(posts, emps, cfg.ground, (cfg.m_samples, cfg.m_samples // 2))
         estimate = float(matched.mean())
-        se = _bootstrap_se(matched, boot_rng)
+        se = _mean_stderr(matched)
         slack = 3.0 * se
 
         if cfg.experiment == "bound_finite":
@@ -409,12 +400,12 @@ def _mean_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict)
         raise FiniPostError("config-error", "bound_mean has no gini f_spec; use estimator_sweep")
 
     def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
-        post_rng, seq_rng, boot_rng = rngs
+        post_rng, seq_rng = rngs
         xs = batched_f_means(model, history, N, f.vec, cfg.m_samples, seq_rng)
         ys = batched_posterior_integrals(model, history, f.vec, cfg.m_samples, post_rng)
         matched = np.abs(np.sort(xs) - np.sort(ys))
         estimate = float(matched.mean())
-        se = _bootstrap_se(matched, boot_rng)
+        se = _mean_stderr(matched)
 
         if cfg.n == 0:
             Ef2 = predictive_expectation(model, history, f2)

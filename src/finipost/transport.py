@@ -410,8 +410,8 @@ def meta_w1(ps, qs, ground: str = "TV") -> float:
 def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
     """As :func:`meta_w1`, also returning the optimally matched pair costs.
 
-    The plug-in value is the mean of the returned array; resampling that
-    array gives a cheap bootstrap of the estimate.  Under "TV" the two
+    The plug-in value is the mean of the returned array, and its standard
+    error is the array's deviation over sqrt(m).  Under "TV" the two
     samples may also be given as (m, k) weight matrices whose columns
     share one alphabet order; measure lists are converted to such
     matrices over their union alphabet on entry.  Under "BL" they may be

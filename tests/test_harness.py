@@ -251,36 +251,53 @@ class TestDeterminism:
         assert report_to_csv(report) == golden_text(name)
 
 
-class TestBootstrap:
-    @pytest.mark.parametrize("m, resamples", [(2, 200), (64, 200), (4000, 200), (300000, 3)])
-    def test_row_blocks_draw_the_one_matrix_stream(self, m, resamples):
-        # At m = 300000 one row exceeds a block; three resamples keep the
-        # one-matrix reference small (200 would take about 1 GB).
-        from finipost.harness import _bootstrap_se
+class TestMeanStderr:
+    # The stderr of every bound and mean cell: the standard error of the
+    # mean matched cost under resampling, in its closed form.
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_equals_the_exact_bootstrap_law(self, m):
+        # All m^m resamples are equally likely, so the variance of their
+        # means is the bootstrap variance with no Monte Carlo error.
+        import itertools
+
+        from finipost.harness import _mean_stderr
         from finipost.rng import derive_seed
 
         matched = derive_seed(30, m).random(m)
-        rng = derive_seed(31, m)
-        expected = float(matched[rng.integers(0, m, size=(resamples, m))].mean(axis=1).std(ddof=1))
-        assert _bootstrap_se(matched, derive_seed(31, m), resamples) == expected
+        means = matched[np.array(list(itertools.product(range(m), repeat=m)))].mean(axis=1)
+        assert abs(means.var() - matched.var() / m) < 1e-12
+        assert abs(_mean_stderr(matched) ** 2 - means.var()) < 1e-12
 
-    def test_memory_is_bounded(self):
-        # Row blocks keep the peak far below one (200, 4000) index matrix
-        # and its gathered costs (12.8 MB).
-        import tracemalloc
-
-        from finipost.harness import _bootstrap_se
+    def test_agrees_with_a_large_bootstrap(self):
+        # B = 20000 resamples leave about 0.5% Monte Carlo error on the
+        # bootstrap's standard error; 3% is six of those.
+        from finipost.harness import _mean_stderr
         from finipost.rng import derive_seed
 
-        matched = derive_seed(32).random(4000)
-        tracemalloc.start()
-        try:
-            se = _bootstrap_se(matched, derive_seed(33))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.0 < se < 0.01
-        assert peak < 4 * 2**20
+        m, resamples, block = 500, 20000, 1000
+        matched = derive_seed(31).random(m) ** 2
+        rng = derive_seed(32)
+        means = np.concatenate(
+            [matched[rng.integers(0, m, size=(block, m))].mean(axis=1) for _ in range(resamples // block)]
+        )
+        assert abs(float(means.std(ddof=1)) / _mean_stderr(matched) - 1.0) < 0.03
+
+    def test_order_does_not_matter(self):
+        from finipost.harness import _mean_stderr
+        from finipost.rng import derive_seed
+
+        matched = derive_seed(33).random(257)
+        se = _mean_stderr(matched)
+        for seed in range(5):
+            assert _mean_stderr(derive_seed(34, seed).permutation(matched)) == pytest.approx(se, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4000])
+    @pytest.mark.parametrize("value", [0.0, 0.375])
+    def test_constant_costs_have_no_error(self, m, value):
+        # A dyadic constant keeps the mean exact, so no rounding is left over.
+        from finipost.harness import _mean_stderr
+
+        assert _mean_stderr(np.full(m, value)) == 0.0
 
 
 class TestEmission:
@@ -636,6 +653,24 @@ class TestStructure:
         cfg = {**PT_REAL_N5_CONFIG, "model": model, "N_grid": [20], "replicates": 1, "coupling": coupling}
         assert len(run_experiment(ExperimentConfig.from_dict(cfg)).rows) == 1
 
+    @pytest.mark.parametrize("config", [K3_UNSORTED_CONFIG, K2_CONFIG, PT_REAL_N5_CONFIG, DP_MEAN_N5_CONFIG],
+                             ids=["bound_finite", "bound_finite_n0", "bound_real", "bound_mean"])
+    def test_meta_distance_cells_draw_two_streams(self, monkeypatch, config):
+        # Two streams per cell (posterior draws, continuations) and one per
+        # replicate history when n > 0: the standard error draws none.
+        import finipost.harness as harness
+
+        states, draw_state = [], harness.state_from_key
+
+        def counting(key):
+            states.append(key)
+            return draw_state(key)
+
+        monkeypatch.setattr(harness, "state_from_key", counting)
+        cells = len(run_experiment(ExperimentConfig.from_dict(config)).rows)
+        assert cells == len(config["N_grid"]) * config["replicates"]
+        assert len(states) == 2 * cells + (config["replicates"] if config["n"] > 0 else 0)
+
     @pytest.mark.parametrize("kind", ["fixed", "dirichlet_process", "finite_dirichlet", "polya_tree", "stick_breaking"])
     def test_median_law_builds_no_sequence(self, monkeypatch, kind):
         # A median cell draws each sequence's count at most x, never the
@@ -810,7 +845,7 @@ class TestMedianExperiment:
             {"experiment": "median_law", "model": model_spec, "n": 0, "N_grid": [25], "m_samples": 20000, "master_seed": 2}
         )
         cell, _ = _median_cells(cfg, model_from_spec(model_spec), {})
-        rngs = [derive_seed(5, phase) for phase in range(3)]
+        rngs = [derive_seed(5, phase) for phase in range(2)]
         tracemalloc.start()
         try:
             estimate, *_ = cell(25, 0, Sample(()), rngs)
