@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .errors import FiniPostError
 
@@ -165,16 +163,6 @@ def euclidean_bound(d: int, k: int, n: int, N: int, gamma_moment_post: float) ->
 # Exact law of an odd-sample median
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _median_poly_coeffs(N: int) -> tuple[Fraction, ...]:
-    # Integral of t^N (1-t)^N / B(N+1, N+1): expand (1-t)^N, integrate
-    # term by term, normalize by B(N+1,N+1)^-1 = (2N+1) * C(2N, N).
-    norm = Fraction(2 * N + 1) * math.comb(2 * N, N)
-    return tuple(
-        norm * Fraction((-1) ** j * math.comb(N, j), N + j + 1) for j in range(N + 1)
-    )
-
-
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for any a, b > 0 (scipy's ``betainc``); used here with
     a = b = N+1 for median laws."""
@@ -192,9 +180,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 def median_cdf(inputs: MedianLawInputs) -> float:
     """P{sample median <= x} for 2N+1 i.i.d. draws with F(x) given.
 
-    Exact integer-coefficient polynomial for N <= 20, the regularized
-    incomplete beta above, both with the symmetry
-    I_F(a,a) = 1 - I_(1-F)(a,a) enforced.
+    The regularized incomplete beta I_F(N+1, N+1), evaluated for F < 1/2
+    with the symmetry I_F(a,a) = 1 - I_(1-F)(a,a) enforced.
     """
     N, F = inputs.N, inputs.F_at_x
     if N == 0:
@@ -203,13 +190,6 @@ def median_cdf(inputs: MedianLawInputs) -> float:
         return 0.5
     if F > 0.5:
         return 1.0 - median_cdf(MedianLawInputs(N, 1.0 - F))
-    if N <= 20:
-        coeffs = _median_poly_coeffs(N)
-        acc = Fraction(0)
-        Ffrac = Fraction(F)
-        for j, cj in enumerate(coeffs):
-            acc += cj * Ffrac ** (N + j + 1)
-        return float(acc)
     return regularized_incomplete_beta(N + 1.0, N + 1.0, F)
 
 

@@ -224,18 +224,18 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
     # Closed-form oracles.
     from .families import UniformLaw
-    from .measures import AtomicMeasure, Cdf, gini_md, l21_functional
+    from .measures import AtomicMeasure, gini_md, l21_functional
 
     check(
         "l21(uniform) = pi/8",
-        abs(l21_functional(Cdf(family=UniformLaw(0, 1))) - math.pi / 8.0) < 1e-6,
+        abs(l21_functional(UniformLaw(0, 1)) - math.pi / 8.0) < 1e-6,
     )
     check(
         "gini of fair two-point = 1/2",
         gini_md(AtomicMeasure([(0.0, 0.5), (1.0, 0.5)])) == 0.5,
     )
     check(
-        "median polynomial N=1, F=0.3",
+        "median law N=1, F=0.3",
         abs(bd.median_cdf(bd.MedianLawInputs(1, 0.3)) - 0.216) < 1e-15,
     )
     check("median symmetry at 1/2", bd.median_cdf(bd.MedianLawInputs(9, 0.5)) == 0.5)

@@ -60,7 +60,7 @@ from .estimators import (
     variance_estimators,
 )
 from .rng import RngState, derive_key, state_from_key
-from .transport import _GROUNDS, _matched_blocks
+from .transport import _GROUNDS, meta_w1_matched
 
 __all__ = [
     "ExperimentConfig",
@@ -72,7 +72,7 @@ __all__ = [
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.10.0"
+ARTIFACT_VERSION = "0.11.0"
 
 # Stream ids: replicate-level history stream, then per-(N, phase) streams.
 _STREAM_HISTORY = 0
@@ -207,8 +207,7 @@ def _mean_stderr(costs: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 # A cell function maps (N, replicate, history, [phase 0, 1 streams]) to
-# (estimate, stderr, bound, slack, violated, stabilization), the last the
-# cell's metadata entry (bound cells) or None.
+# (estimate, stderr, bound, slack, violated).
 CellFunction = Callable[[int, int, Sample, list], tuple]
 
 
@@ -221,12 +220,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     the key of the experiment's seed stream (phase 1 for ``median_law``,
     phase 0 for the others).  The cells run on every usable CPU in contiguous
     chunks (``_run_grid``): the lowest failing cell's error is raised, after
-    the running chunks finish and the others are cancelled.  Rows and
-    metadata are recorded in grid order, the same for any worker count.
+    the running chunks finish and the others are cancelled.  Rows are
+    recorded in grid order, the same for any worker count.
     """
     model = model_from_spec(cfg.model)
-    metadata = {"config": cfg.to_dict(), "artifact_version": ARTIFACT_VERSION}
-    cell, seed_phase = _CELLS[cfg.experiment](cfg, model, metadata)
+    cell, seed_phase = _CELLS[cfg.experiment](cfg, model)
     histories = [_replicate_history(cfg, model, rep) for rep in range(cfg.replicates)]
     grid = [
         (N, rep, [derive_key(cfg.master_seed, rep, _cell_stream(ni, phase)) for phase in range(2)])
@@ -237,12 +235,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     def run(N: int, rep: int, keys: list) -> tuple:
         return cell(N, rep, histories[rep], [state_from_key(key) for key in keys])
 
-    rows = []
-    for (N, rep, keys), (*result, violated, stabilization) in zip(grid, _run_grid(run, grid)):
-        rows.append(ReportRow(cfg.experiment, N, cfg.n, rep, keys[seed_phase], *result, bool(violated)))
-        if stabilization is not None:
-            metadata["stabilization"].append(stabilization)
-    return ExperimentReport(rows, metadata)
+    rows = [
+        ReportRow(cfg.experiment, N, cfg.n, rep, keys[seed_phase], *result, bool(violated))
+        for (N, rep, keys), (*result, violated) in zip(grid, _run_grid(run, grid))
+    ]
+    return ExperimentReport(rows, {"config": cfg.to_dict(), "artifact_version": ARTIFACT_VERSION})
 
 
 def _usable_cpus() -> int:
@@ -292,7 +289,7 @@ def _require_scalar(cfg: ExperimentConfig, space: Space) -> None:
 # bound_finite / bound_real
 # ---------------------------------------------------------------------------
 
-def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict) -> tuple[CellFunction, int]:
+def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel) -> tuple[CellFunction, int]:
     """Plug-in meta distance between posterior draws and empirical draws,
     per (N, replicate), against the matching closed-form bound.
 
@@ -309,18 +306,15 @@ def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
     of the plug-in, the closed-form limit of resampling the matched costs
     (``_mean_stderr``); the real-line bound folds in three standard errors
     of the estimated posterior mean of the sqrt(F(1-F)) integral over the
-    step CDFs of the posterior rows.  A half-sample estimate, read from the
-    full one's costs, is recorded in the metadata so bias stabilization is
-    visible.
+    step CDFs of the posterior rows.  The estimate and its standard error
+    both read the costs of one optimal matching (``meta_w1_matched``).
     """
     _check_bound_config(cfg, model)
-    metadata["stabilization"] = []
 
     def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
         post_rng, cont_rng = rngs
         posts, emps = _posterior_and_empirical_draws(cfg, model, history, N, post_rng, cont_rng)
-        matched, matched_half = _matched_blocks(posts, emps, cfg.ground, (cfg.m_samples, cfg.m_samples // 2))
-        estimate = float(matched.mean())
+        estimate, matched = meta_w1_matched(posts, emps, cfg.ground)
         se = _mean_stderr(matched)
         slack = 3.0 * se
 
@@ -333,10 +327,7 @@ def _bound_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
             bound = bd.real_bound(cfg.n, N, l21_mean)
             slack += 3.0 * l21_se / math.sqrt(N - cfg.n)
 
-        entry = None
-        if len(matched_half) >= 2:
-            entry = {"N": N, "replicate": rep, "estimate_half": float(matched_half.mean()), "estimate_full": estimate}
-        return estimate, se, bound, slack, estimate > bound + slack, entry
+        return estimate, se, bound, slack, estimate > bound + slack
 
     return cell, 0
 
@@ -389,7 +380,7 @@ def _posterior_and_empirical_draws(
 # bound_mean
 # ---------------------------------------------------------------------------
 
-def _mean_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict) -> tuple[CellFunction, int]:
+def _mean_cells(cfg: ExperimentConfig, model: ExchangeableModel) -> tuple[CellFunction, int]:
     """Scalar pushforward check: the plug-in distance between f-means of
     full sequences and f-integrals of posterior draws, against the mean
     bound (unconditional when n = 0, conditional otherwise; the
@@ -417,7 +408,7 @@ def _mean_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict)
             bound = bd.mean_bound_conditional(cfg.n, N, sample_mean_f, post_mean_abs_f, pred_f2)
 
         slack = 3.0 * se
-        return estimate, se, bound, slack, estimate > bound + slack, None
+        return estimate, se, bound, slack, estimate > bound + slack
 
     return cell, 0
 
@@ -426,7 +417,7 @@ def _mean_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict)
 # estimator_sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict) -> tuple[CellFunction, int]:
+def _sweep_cells(cfg: ExperimentConfig, model: ExchangeableModel) -> tuple[CellFunction, int]:
     """Gap between the finite-horizon and classical estimators across the
     horizon grid, against the estimator's own triangle-inequality envelope.
 
@@ -446,7 +437,7 @@ def _sweep_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
         gap = abs(pair.finitary - pair.classical)
         stderr = pair.components.get("stderr")
         slack = 1e-9 + 3.0 * (stderr or 0.0)
-        return gap, stderr, pair.envelope, slack, gap > pair.envelope + slack, None
+        return gap, stderr, pair.envelope, slack, gap > pair.envelope + slack
 
     return cell, 0
 
@@ -455,7 +446,7 @@ def _sweep_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict
 # median_law
 # ---------------------------------------------------------------------------
 
-def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dict) -> tuple[CellFunction, int]:
+def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel) -> tuple[CellFunction, int]:
     """Empirical CDF of the median of 2N+1 observations on a grid of
     predictive quantile points, against the tail inequality.
 
@@ -479,7 +470,7 @@ def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel, metadata: dic
         left_bound, right_bound = bd.median_tail_bounds(bd.MedianLawInputs(N, F_x), F_x, 1.0 - F_x)
         slack = 3.0 * se
         violated = estimate > left_bound + slack or (1.0 - estimate) > right_bound + slack
-        return estimate, se, left_bound, slack, violated, None
+        return estimate, se, left_bound, slack, violated
 
     return cell, 1
 

@@ -329,27 +329,12 @@ def gini_md(measure: AtomicMeasure) -> float:
 # ---------------------------------------------------------------------------
 
 class Cdf:
-    """Right-continuous distribution function, step or analytic.
+    """Right-continuous step distribution function: sorted thresholds with
+    non-decreasing cumulative values ending at 1."""
 
-    Step form: sorted thresholds with non-decreasing cumulative values
-    ending at 1.  Analytic form: one of the named families.
-    """
+    __slots__ = ("thresholds", "cumulative")
 
-    __slots__ = ("thresholds", "cumulative", "family")
-
-    def __init__(
-        self,
-        thresholds: Sequence[float] | None = None,
-        cumulative: Sequence[float] | None = None,
-        family: AnalyticLaw | None = None,
-    ):
-        if family is not None:
-            if thresholds is not None or cumulative is not None:
-                raise FiniPostError("config-error", "a Cdf is either step or analytic, not both")
-            self.thresholds = None
-            self.cumulative = None
-            self.family = family
-            return
+    def __init__(self, thresholds: Sequence[float], cumulative: Sequence[float]):
         t = np.asarray(thresholds, dtype=float)
         c = np.asarray(cumulative, dtype=float)
         if t.ndim != 1 or t.shape != c.shape or t.size == 0:
@@ -360,15 +345,8 @@ class Cdf:
             raise FiniPostError("config-error", "cumulative values must be non-decreasing and end at 1")
         self.thresholds = t
         self.cumulative = c
-        self.family = None
-
-    @property
-    def is_step(self) -> bool:
-        return self.family is None
 
     def __call__(self, x) -> np.ndarray | float:
-        if self.family is not None:
-            return self.family.cdf(x)
         idx = np.searchsorted(self.thresholds, np.asarray(x, dtype=float), side="right")
         vals = np.concatenate([[0.0], self.cumulative])[idx]
         return vals if np.ndim(x) else float(vals)
@@ -393,36 +371,36 @@ def cdf_of_row(points: np.ndarray, weights: np.ndarray) -> Cdf:
 # The sqrt(F(1-F)) integral
 # ---------------------------------------------------------------------------
 
-def l21_functional(cdf: Cdf, tol: float = 1e-9) -> float:
-    """Integral of sqrt(F(1-F)) over the line.
+def l21_functional(law: Cdf | AnalyticLaw, tol: float = 1e-9) -> float:
+    """Integral of sqrt(F(1-F)) over the line, for a step ``Cdf`` or an
+    analytic family.
 
     Exact for step CDFs (F is constant between thresholds); ``quad`` to
     absolute tolerance ``tol`` for analytic families, clipped where F or
     1-F drops below 1e-15.  Finiteness of the integral implies a finite
     second moment.
     """
-    if cdf.is_step:
-        t = cdf.thresholds
+    if isinstance(law, Cdf):
+        t = law.thresholds
         if t.size == 1:
             return 0.0
-        F = cdf.cumulative[:-1]
+        F = law.cumulative[:-1]
         return float(np.dot(np.sqrt(F * (1.0 - F)), np.diff(t)))
 
-    fam = cdf.family
-    if isinstance(fam, PointMassLaw):
+    if isinstance(law, PointMassLaw):
         return 0.0
-    if isinstance(fam, UniformLaw):
+    if isinstance(law, UniformLaw):
         # F linear on [a, b]: closed form (b - a) * pi / 8.
-        return (fam.b - fam.a) * math.pi / 8.0
+        return (law.b - law.a) * math.pi / 8.0
 
     # Clip the domain where the integrand is below resolvable size.
-    lo = float(fam.quantile(1e-15))
-    hi = float(fam.quantile(1.0 - 1e-15))
+    lo = float(law.quantile(1e-15))
+    hi = float(law.quantile(1.0 - 1e-15))
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi - lo > 1e12:
         raise FiniPostError("l21-divergent", "tail bound test failed; integral looks divergent")
 
     def integrand(x: float) -> float:
-        F = float(fam.cdf(x))
+        F = float(law.cdf(x))
         return math.sqrt(max(F * (1.0 - F), 0.0))
 
     from scipy.integrate import quad

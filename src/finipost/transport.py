@@ -416,20 +416,13 @@ def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
     share one alphabet order; measure lists are converted to such
     matrices over their union alphabet on entry.  Under "BL" they may be
     given as lists of merged rows (``merged_rows``); measure lists are
-    converted to such lists on entry.  Where the optimum is not
-    unique, the certified BL matching may differ from the dense one.
+    converted to such lists on entry.  Under "BL" on the line the cost
+    state starts as the exact diagonal and lower bounds elsewhere; each
+    round solves the matched pairs not yet exact and assigns again.  It
+    ends below the exact costs and equal to them on the matching, which
+    is therefore optimal for the exact costs too.  Where the optimum is
+    not unique, this certified matching may differ from the dense one.
     """
-    (matched,) = _matched_blocks(ps, qs, ground, (len(ps),))
-    return float(matched.mean()), matched
-
-
-def _matched_blocks(ps, qs, ground: str, sizes: Sequence[int]) -> list[np.ndarray]:
-    """The optimally matched pair costs, in row order, of the leading h x h
-    block of one cost state for each h in ``sizes``.  Under "BL" on the
-    line the state starts as the exact diagonal and lower bounds elsewhere;
-    each round solves the matched pairs not yet exact and assigns again.
-    It ends below the exact costs and equal to them on the matching, which
-    is therefore optimal for the exact costs too."""
     if ground not in _GROUNDS:
         raise FiniPostError("config-error", f"unknown ground metric {ground!r}")
     if len(ps) != len(qs) or len(ps) == 0:
@@ -438,27 +431,26 @@ def _matched_blocks(ps, qs, ground: str, sizes: Sequence[int]) -> list[np.ndarra
     if ground == "TV" and ps.shape[1] <= 2:
         # On two letters the TV cost is the absolute difference of the
         # first-letter masses, and the sorted matching is optimal.
-        k = ps.shape[1]
-        return [np.abs(np.sort(ps[:h, 0]) - np.sort(qs[:h, 0])) if k == 2 else np.zeros(h) for h in sizes]
+        matched = np.abs(np.sort(ps[:, 0]) - np.sort(qs[:, 0])) if ps.shape[1] == 2 else np.zeros(len(ps))
+        return float(matched.mean()), matched
     from scipy.optimize import linear_sum_assignment
 
     if ground != "BL" or ps[0][0].ndim > 1:
         cost = meta_cost_matrix(ps, qs, ground)
-        return [block[linear_sum_assignment(block)] for block in (cost[:h, :h] for h in sizes)]
-    _refuse_huge(len(ps), len(qs))
-    values, xs, fs = zip(*[_bl_solve(p, q) for p, q in zip(ps, qs)])
-    cost, exact = _bl_lower_bounds(ps, qs, zip(xs, fs)), np.eye(len(ps), dtype=bool)
-    cost[exact] = values
-    out = []
-    for h in sizes:
-        rows, cols = linear_sum_assignment(cost[:h, :h])
+        matched = cost[linear_sum_assignment(cost)]
+    else:
+        _refuse_huge(len(ps), len(qs))
+        values, xs, fs = zip(*[_bl_solve(p, q) for p, q in zip(ps, qs)])
+        cost, exact = _bl_lower_bounds(ps, qs, zip(xs, fs)), np.eye(len(ps), dtype=bool)
+        cost[exact] = values
+        rows, cols = linear_sum_assignment(cost)
         while not exact[rows, cols].all():
             for i, j in zip(rows.tolist(), cols.tolist()):
                 if not exact[i, j]:
                     cost[i, j], exact[i, j] = _bl_solve(ps[i], qs[j])[0], True
-            rows, cols = linear_sum_assignment(cost[:h, :h])
-        out.append(cost[rows, cols])
-    return out
+            rows, cols = linear_sum_assignment(cost)
+        matched = cost[rows, cols]
+    return float(matched.mean()), matched
 
 
 def _bl_lower_bounds(ps, qs, witnesses) -> np.ndarray:
@@ -483,7 +475,7 @@ def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
     """Ground costs between two samples: (m, k) weight matrices under
     "TV", lists of merged rows or of measures under "BL".  A
     matrix above 2 GiB is refused with "resource-limit" before anything is
-    allocated.  Under "BL" it is the reference for :func:`_matched_blocks`."""
+    allocated.  Under "BL" it is the reference for :func:`meta_w1_matched`."""
     _refuse_huge(len(ps), len(qs))
     ps, qs = _as_arrays(ps, qs, ground)
     if ground == "TV":

@@ -25,7 +25,6 @@ from finipost.families import GaussianLaw, UniformLaw
 from finipost.harness import ExperimentConfig, run_experiment
 from finipost.measures import (
     AtomicMeasure,
-    Cdf,
     Sample,
     cdf_of,
     empirical,
@@ -387,7 +386,7 @@ def test_criterion_9_bounded_lipschitz_properties():
 def test_criterion_10_functional_oracles():
     """pi/8 for the uniform sqrt(F(1-F)) integral, exact fair-coin mean
     difference, and moment-bound domination on 100 random measures."""
-    got = l21_functional(Cdf(family=UniformLaw(0, 1)))
+    got = l21_functional(UniformLaw(0, 1))
     ok_pi = abs(got - math.pi / 8) < 1e-6
     ok_gini = gini_md(AtomicMeasure([(0.0, 0.5), (1.0, 0.5)])) == 0.5
 

@@ -150,10 +150,9 @@ class TestDeterminism:
 
     def test_worker_count_invariance(self, monkeypatch):
         # The goldens (both bound kinds and bound_mean), a sweep and a median
-        # config: CSV and JSON, metadata included (so the order of the
-        # stabilization entries), must not depend on how many workers run
-        # the cells.  Three workers on fewer cores, switching often, give
-        # the cells every chance to interleave.
+        # config: CSV and JSON, metadata included, must not depend on how
+        # many workers run the cells.  Three workers on fewer cores,
+        # switching often, give the cells every chance to interleave.
         import finipost.harness as harness
 
         sweep = {**small_mean_config(experiment="estimator_sweep", f_spec={"kind": "gini"}), "n": 4, "N_grid": [4, 16]}
@@ -179,7 +178,7 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         assert [csv for csv, _ in reports[2][: len(GOLDENS)]] == [golden_text(name) for _, name in GOLDENS]
         assert reports[1] == reports[2] == reports[3]
-        assert len(json.loads(reports[1][1][1])["metadata"]["stabilization"]) == 8
+        assert set(json.loads(reports[1][1][1])["metadata"]) == {"config", "artifact_version"}
 
     @pytest.mark.parametrize(
         "N_grid, replicates, slow, fast",
@@ -195,14 +194,14 @@ class TestDeterminism:
 
         import finipost.harness as harness
 
-        def failing_cells(cfg, model, metadata):
+        def failing_cells(cfg, model):
             def cell(N, rep, history, rngs):
                 index = cfg.N_grid.index(N) * cfg.replicates + rep
                 if index == slow:
                     time.sleep(0.2)
                 if index in (slow, fast):
                     raise FiniPostError("cell-failed", f"cell {index}")
-                return 0.0, 0.0, 1.0, 0.0, False, None
+                return 0.0, 0.0, 1.0, 0.0, False
 
             return cell, 0
 
@@ -222,14 +221,14 @@ class TestDeterminism:
 
         started = []
 
-        def failing_cells(cfg, model, metadata):
+        def failing_cells(cfg, model):
             def cell(N, rep, history, rngs):
                 index = cfg.N_grid.index(N) * cfg.replicates + rep
                 if index == 0:
                     raise FiniPostError("cell-failed", "cell 0")
                 started.append(index)
                 time.sleep(0.005)
-                return 0.0, 0.0, 1.0, 0.0, False, None
+                return 0.0, 0.0, 1.0, 0.0, False
 
             return cell, 0
 
@@ -517,7 +516,7 @@ class TestBoundExperimentShape:
         assert {(r.N, r.replicate) for r in report.rows} == {
             (N, r) for N in (2, 4, 8) for r in range(3)
         }
-        assert len(report.metadata["stabilization"]) == 9
+        assert set(report.metadata) == {"config", "artifact_version"}
 
     def test_real_bound_experiment_runs(self):
         cfg = ExperimentConfig.from_dict(
@@ -670,6 +669,25 @@ class TestStructure:
         cells = len(run_experiment(ExperimentConfig.from_dict(config)).rows)
         assert cells == len(config["N_grid"]) * config["replicates"]
         assert len(states) == 2 * cells + (config["replicates"] if config["n"] > 0 else 0)
+
+    @pytest.mark.parametrize("config", [K3_UNSORTED_CONFIG, K2_CONFIG, PT_REAL_N5_CONFIG],
+                             ids=["bound_finite", "bound_finite_n0", "bound_real"])
+    def test_bound_cells_call_the_public_matching(self, monkeypatch, config):
+        # One optimal matching per bound cell, through the public
+        # meta_w1_matched: the estimate and the stderr read its costs.
+        import finipost.harness as harness
+
+        calls, match = [], harness.meta_w1_matched
+
+        def counting(ps, qs, ground):
+            calls.append(ground)
+            return match(ps, qs, ground)
+
+        monkeypatch.setattr(harness, "meta_w1_matched", counting)
+        cells = len(run_experiment(ExperimentConfig.from_dict(config)).rows)
+        assert cells == len(config["N_grid"]) * config["replicates"]
+        assert calls == [config["ground"]] * cells
+        assert "_matched_blocks" not in names_in_module("harness")
 
     @pytest.mark.parametrize("kind", ["fixed", "dirichlet_process", "finite_dirichlet", "polya_tree", "stick_breaking"])
     def test_median_law_builds_no_sequence(self, monkeypatch, kind):
@@ -844,7 +862,7 @@ class TestMedianExperiment:
         cfg = ExperimentConfig.from_dict(
             {"experiment": "median_law", "model": model_spec, "n": 0, "N_grid": [25], "m_samples": 20000, "master_seed": 2}
         )
-        cell, _ = _median_cells(cfg, model_from_spec(model_spec), {})
+        cell, _ = _median_cells(cfg, model_from_spec(model_spec))
         rngs = [derive_seed(5, phase) for phase in range(2)]
         tracemalloc.start()
         try:

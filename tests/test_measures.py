@@ -11,7 +11,6 @@ from finipost.errors import FiniPostError
 from finipost.families import GaussianLaw, PointMassLaw, UniformLaw
 from finipost.measures import (
     AtomicMeasure,
-    Cdf,
     FiniteAlphabet,
     RealLine,
     Sample,
@@ -145,18 +144,18 @@ class TestCdfOf:
 
 class TestL21Functional:
     def test_uniform_is_pi_over_8(self):
-        assert l21_functional(Cdf(family=UniformLaw(0, 1))) == pytest.approx(math.pi / 8, abs=1e-9)
+        assert l21_functional(UniformLaw(0, 1)) == pytest.approx(math.pi / 8, abs=1e-9)
 
     def test_fair_two_point(self):
         assert l21_functional(cdf_of(AtomicMeasure([(0.0, 0.5), (1.0, 0.5)]))) == 0.5
 
     def test_dirac_is_zero(self):
         assert l21_functional(cdf_of(empirical(Sample((4.0,))))) == 0.0
-        assert l21_functional(Cdf(family=PointMassLaw(2.0))) == 0.0
+        assert l21_functional(PointMassLaw(2.0)) == 0.0
 
     def test_gaussian_scales_with_sigma(self):
-        base = l21_functional(Cdf(family=GaussianLaw(0, 1)), tol=1e-10)
-        threes = l21_functional(Cdf(family=GaussianLaw(5, 3)), tol=1e-10)
+        base = l21_functional(GaussianLaw(0, 1), tol=1e-10)
+        threes = l21_functional(GaussianLaw(5, 3), tol=1e-10)
         assert threes == pytest.approx(3 * base, rel=1e-7)
 
     def test_gaussian_against_quadrature_oracle(self):
@@ -164,7 +163,7 @@ class TestL21Functional:
         from scipy.special import ndtr
 
         ref, _ = quad(lambda t: math.sqrt(ndtr(t) * (1 - ndtr(t))), -10, 10)
-        assert l21_functional(Cdf(family=GaussianLaw(0, 1))) == pytest.approx(ref, abs=1e-7)
+        assert l21_functional(GaussianLaw(0, 1)) == pytest.approx(ref, abs=1e-7)
 
     def test_bounded_by_half_width(self):
         # sqrt(F(1-F)) <= 1/2 on an interval of length 2M.

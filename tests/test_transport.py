@@ -658,12 +658,12 @@ def bl_cell_rows(monkeypatch, model, coupling, m, seed):
 
     seen = []
 
-    def capture(ps, qs, ground, sizes):
+    def capture(ps, qs, ground):
         seen.append((ps, qs))
-        return transport._matched_blocks(ps, qs, ground, sizes)
+        return meta_w1_matched(ps, qs, ground)
 
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_matched_blocks", capture)
+        patch.setattr(harness, "meta_w1_matched", capture)
         harness.run_experiment(bl_cell_config(model, coupling, m, seed))
     return seen[0]
 
@@ -698,14 +698,15 @@ class TestCertifiedBL:
     @pytest.mark.parametrize("model", ["dp", "polya_tree"])
     @pytest.mark.parametrize("m", [16, 24, 64])
     def test_matched_costs_equal_dense(self, monkeypatch, m, model, coupling):
-        # Both blocks the harness asks for, bit for bit, on cells whose
+        # The whole cell and its leading half, bit for bit, on cells whose
         # optimum is unique (ties are checked below).
         for seed in (2, 3):
             ps, qs = bl_cell_rows(monkeypatch, model, coupling, m, seed)
             cost = meta_cost_matrix(ps, qs, "BL")
-            for h, matched in zip((m, m // 2), transport._matched_blocks(ps, qs, "BL", (m, m // 2))):
+            for h in (m, m // 2):
+                est, matched = meta_w1_matched(ps[:h], qs[:h], "BL")
                 assert np.array_equal(matched, dense_matched(cost[:h, :h]))
-            assert meta_w1_matched(ps, qs, "BL")[0] == float(dense_matched(cost).mean())
+                assert est == float(dense_matched(cost[:h, :h]).mean())
 
     def test_ramps_alone_stay_exact(self, monkeypatch):
         # Without the diagonal test functions the bounds are weak, so more
@@ -752,8 +753,8 @@ class TestCertifiedBL:
 
     @pytest.mark.parametrize("coupling", ["posterior", "independent"])
     def test_few_exact_solves(self, monkeypatch, coupling):
-        # One m = 24 cell, both blocks: well under the m^2 + (m/2)^2 = 720
-        # solves of two dense matrices, and the same count on a rerun.
+        # One m = 24 cell, one matching: well under the m^2 = 576 solves of
+        # the dense matrix, and the same count on a rerun.
         from finipost.harness import run_experiment
 
         cfg = bl_cell_config("dp", coupling, 24, seed=5)
@@ -762,7 +763,7 @@ class TestCertifiedBL:
             calls.clear()
             run_experiment(cfg)
             counts.append(len(calls))
-        assert counts[0] == counts[1] < 0.4 * (24**2 + 12**2)
+        assert counts[0] == counts[1] < 0.4 * 24**2
 
     def test_huge_sample_refused_before_any_solve(self, monkeypatch):
         def solve(p, q):
