@@ -72,7 +72,7 @@ __all__ = [
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.11.0"
+ARTIFACT_VERSION = "0.12.0"
 
 # Stream ids: replicate-level history stream, then per-(N, phase) streams.
 _STREAM_HISTORY = 0

@@ -312,12 +312,15 @@ class DirichletProcessModel(ExchangeableModel):
         ``old[r, j]`` new values of row r repeat the distinct history value
         x*ⱼ, and block b puts ``sizes[b]`` copies of a fresh base value
         ``values[b]`` in row ``block_rows[b]``, opened at new position
-        ``block_cols[b]``.  Exact in law: the counts on (x*₁…x*_K, new) are
-        Dirichlet-multinomial(fresh; n₁…n_K, c), the multicolour Pólya urn
-        (Blackwell & MacQueen 1973), and the a_new new values form an
-        Ewens(c) partition whose blocks open where independent
-        Bernoulli(c / (c + i)) indicators, i = 0…a_new − 1, are 1 (the
-        Feller coupling; Arratia, Barbour & Tavaré 2003, ch. 4).
+        ``block_cols[b]``, in round-major order.  Exact in law: the counts on
+        (x*₁…x*_K, new) are Dirichlet-multinomial(fresh; n₁…n_K, c), the
+        multicolour Pólya urn (Blackwell & MacQueen 1973), and the a_new new
+        values form an Ewens(c) partition whose blocks open where independent
+        Bernoulli(c / (c + i)) marks, i = 0…a_new − 1, are 1 (the Feller
+        coupling; Arratia, Barbour & Tavaré 2003, ch. 4).  No mark is drawn:
+        after an opening at j, none at j+1…k has probability Π i/(c + i) =
+        exp(G[j] − G[k]), G[k] = Σ_{i≤k} log1p(c/i), so the next opening is
+        the first k with G[k] > G[j] − log1p(−U), one uniform U per block.
         """
         c = self.total_mass
         if len(history):
@@ -326,23 +329,16 @@ class DirichletProcessModel(ExchangeableModel):
             old, a_new = drawn[:, :-1], drawn[:, -1]
         else:
             xstar, old, a_new = np.empty(0), np.zeros((rows, 0), dtype=np.int64), np.full(rows, fresh)
-        # A row's blocks run from each opening to the next one or to the
-        # sentinel that closes the row after its a_new new values: to the
-        # next mark in flat order, which is always in the same row.
-        i = np.arange(fresh)
-        marks = np.zeros((rows, fresh + 1), dtype=bool)
-        # The uniforms in row blocks of at most 2^16: one stream, less memory.
-        done = 0
-        for chunk in _row_chunks(rows, fresh, 2**16):
-            np.less(rng.random((chunk, fresh)), c / (c + i), out=marks[done : done + chunk, :fresh])
-            done += chunk
-        marks[:, :fresh] &= i < a_new[:, None]
-        marks[np.arange(rows), a_new] = True
-        flat = np.flatnonzero(marks)
-        block_rows, block_cols = np.divmod(flat, fresh + 1)
-        opens = block_cols < a_new[block_rows]
-        sizes = np.diff(flat)[opens[:-1]]
-        block_rows, block_cols = block_rows[opens], block_cols[opens]
+        # One round per block, over the rows still opening blocks.
+        G = np.concatenate([[0.0], np.cumsum(np.log1p(c / np.arange(1, fresh + 1)))])
+        row, at = np.flatnonzero(a_new), np.zeros(np.count_nonzero(a_new), dtype=np.intp)
+        blocks = [(np.empty(0, dtype=np.intp),) * 3]
+        while row.size:
+            nxt = np.searchsorted(G, G[at] - np.log1p(-rng.random(row.size)), side="right")
+            blocks.append((row, at, np.minimum(nxt, a_new[row]) - at))
+            keep = nxt < a_new[row]
+            row, at = row[keep], nxt[keep]
+        block_rows, block_cols, sizes = (np.concatenate(b) for b in zip(*blocks))
         values = np.asarray(self.base.sample(rng, sizes.size), dtype=float)
         return xstar, old, block_rows, block_cols, sizes, values
 
@@ -383,16 +379,27 @@ class DirichletProcessModel(ExchangeableModel):
         v = rng.beta(len(history), self.total_mass, size=draws)
         return xstar, v[:, None] * rng.dirichlet(counts, size=draws), 1.0 - v
 
+    @cached_property
+    def _stick_cap(self) -> int:
+        """min(``max_sticks``, S), S = ⌈λ + L + √(L² + 2λL)⌉ with L = 53 ln 2: a row breaks 1 + Poisson(λ)
+        sticks, λ ≤ c·ln(1/``residual_tol``), so more than S with probability ≤ 2⁻⁵³ (Bernstein's bound)."""
+        lam, L = self.total_mass * -math.log(self.residual_tol), 53 * math.log(2)
+        return min(self.max_sticks, math.ceil(lam + L + math.sqrt(L * L + 2 * lam * L)))
+
     def posterior_rows(self, history, draws, rng):
-        # The distinct history values, then the atoms of P′, its last one
-        # carrying the truncation residual.
+        """The K distinct history values, then the atoms of P′: at most
+        ``_stick_cap`` sticks, then the truncation residual on one more."""
         xstar, w, scale = self._history_part(history, draws, rng)
         c = self.total_mass
-        atoms, sticks = _truncated_sticks(lambda _k: (1.0, c), self.base, self.max_sticks, self.residual_tol, rng, scale)
-        return np.hstack([np.broadcast_to(xstar, w.shape), atoms]), np.hstack([w, scale[:, None] * sticks])
+        atoms, sticks = _truncated_sticks(lambda _k: (1.0, c), self.base, self._stick_cap, self.residual_tol, rng, scale)
+        if not xstar.size:
+            return atoms, sticks
+        sticks *= scale[:, None]
+        return np.hstack([np.broadcast_to(xstar, w.shape), atoms]), np.hstack([w, sticks])
 
     def row_width(self, history):
-        return len(set(history.values)) + self.max_sticks + 1
+        """K distinct history values, ``_stick_cap`` sticks and the residual."""
+        return len(set(history.values)) + self._stick_cap + 1
 
     def _mass_at_most(self, history, x, draws, rng):
         # Beta(c F₀(x) + #{hist <= x}, c (1 - F₀(x)) + #{hist > x}), exact
@@ -584,15 +591,17 @@ def _truncated_sticks(
             residual[alive] = res
             alive, res, sc = alive[keep], res[keep], sc[keep]
     residual[alive] = res
-    at = np.concatenate([np.empty(0, dtype=np.intp), *broken])
-    sticks = np.bincount(at, minlength=rows)
-    weights = np.zeros((rows, len(broken) + 1))
-    weights[at, np.repeat(np.arange(len(broken)), [r.size for r in broken])] = np.concatenate([np.empty(0), *drawn])
+    # A row's stick count is the last k it broke (a stick can be exactly 0).
+    weights, sticks = np.zeros((rows, len(broken) + 1)), np.zeros(rows, dtype=np.intp)
+    for k, (at, w) in enumerate(zip(broken, drawn)):
+        weights[at, k], sticks[at] = w, k + 1
+    del broken, drawn
     weights[np.arange(rows), sticks] = residual
     # Row r takes the next sticks[r] + 1 locations and repeats its last one.
     locs = np.asarray(base.sample(rng, int(sticks.sum()) + rows), dtype=float)
-    first = np.cumsum(sticks + 1) - (sticks + 1)
-    return locs[first[:, None] + np.minimum(np.arange(weights.shape[1]), sticks[:, None])], weights
+    index = np.minimum(np.arange(weights.shape[1]), sticks[:, None])
+    index += (np.cumsum(sticks + 1) - (sticks + 1))[:, None]
+    return locs[index], weights
 
 
 def _stack_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -919,10 +928,10 @@ def batched_sequence_blocks(
         yield batched_sequences(model, history, upto, rows, rng)
 
 
-def _row_chunks(draws: int, upto: int, entries: int = 4_000_000) -> Iterator[int]:
+def _row_chunks(draws: int, upto: int) -> Iterator[int]:
     """Row counts of ``draws`` rows of width ``upto`` in blocks of at most
-    ``entries`` entries (one row at least)."""
-    chunk = max(1, entries // max(upto, 1))
+    4e6 entries (one row at least)."""
+    chunk = max(1, 4_000_000 // max(upto, 1))
     for done in range(0, draws, chunk):
         yield min(chunk, draws - done)
 
@@ -976,7 +985,8 @@ def batched_posterior_integrals(
     sums = []
     for rows in _row_chunks(draws, model.row_width(history)):
         atoms, weights = model.posterior_rows(history, rows, rng)
-        sums.append((weights * fvec(atoms)).sum(axis=1))
+        weights *= fvec(atoms)
+        sums.append(weights.sum(axis=1))
         del atoms, weights  # before the next block is drawn
     return np.concatenate([np.empty(0), *sums])
 

@@ -722,18 +722,18 @@ class TestDPCountContinuation:
     @pytest.mark.parametrize(
         "history, total, picks",
         [
-            ((), 2007.6713856389965, [0.6634234719145751, 0.7542070368605767, 1.3102740664128105, 0.254179185145656]),
+            ((), 2024.1849138179193, [0.21547150157832629, 1.060940642844019, 0.24143994736848473, 2.2210952374325093]),
             (
                 (0.5, -1.0, 0.5),
-                1240.639611089935,
-                [1.0448081376687488, 0.5153077273282588, 3.0866811240963123, 0.5190713408890184],
+                1225.0883673374892,
+                [0.8033121560819406, 0.5270670392807252, 0.266327154576623, 0.45699820395708346],
             ),
         ],
         ids=["n0", "n3"],
     )
     def test_f_means_stream_is_pinned(self, history, total, picks):
-        # 2000 rows of 397-400 fresh values: the block openings draw their
-        # uniforms in several row blocks, and the stream must not move.
+        # 2000 rows of 397-400 fresh values, their blocks opened in many
+        # rounds: the stream must not move.
         means = batched_f_means(DP, Sample(history), 400, np.square, 2000, derive_seed(61))
         assert float(means.sum()) == total
         assert means[[0, 1, 999, 1999]].tolist() == picks
@@ -742,6 +742,102 @@ class TestDPCountContinuation:
         h = Sample((0.5, -1.0))
         assert np.array_equal(batched_sequences(DP, h, 2, 3, derive_seed(147)), np.tile([0.5, -1.0], (3, 1)))
         assert np.allclose(batched_f_means(DP, h, 2, IDENTITY.vec, 3, derive_seed(147)), -0.25)
+
+
+def feller_marks(a_new, c, rng):
+    """The Feller coupling as marks, one uniform per new value: a row's blocks
+    open where independent Bernoulli(c / (c + i)) marks, i = 0…a_new − 1,
+    are 1, and run to the next mark or to a_new.  The reference for the gap
+    sampler; returns (block_rows, sizes) in row-major order."""
+    rows, fresh = a_new.size, int(a_new.max(initial=0))
+    i = np.arange(fresh)
+    marks = np.zeros((rows, fresh + 1), dtype=bool)
+    marks[:, :fresh] = (rng.random((rows, fresh)) < c / (c + i)) & (i < a_new[:, None])
+    marks[np.arange(rows), a_new] = True
+    flat = np.flatnonzero(marks)
+    block_rows, block_cols = np.divmod(flat, fresh + 1)
+    opens = block_cols < a_new[block_rows]
+    return block_rows[opens], np.diff(flat)[opens[:-1]]
+
+
+def gap_blocks(c, fresh, rows, seed, history=()):
+    """(a_new, block_rows, block_cols, sizes) of the DP's count continuation."""
+    model = DirichletProcessModel(c, GaussianLaw(0, 1))
+    _, old, block_rows, block_cols, sizes, _ = model._count_continuation(Sample(history), fresh, rows, derive_seed(seed))
+    return fresh - old.sum(axis=1), block_rows, block_cols, sizes
+
+
+def largest_block(block_rows, sizes, rows):
+    out = np.zeros(rows, dtype=sizes.dtype)
+    np.maximum.at(out, block_rows, sizes)
+    return out
+
+
+def chisquare_pooled(observed, law, rows):
+    """Chi-square p-value of counts against a law, the sparse tails pooled so
+    that every expected count is at least 5."""
+    from scipy.stats import chisquare
+
+    lo, *_, hi = np.flatnonzero(rows * law >= 5)
+
+    def pooled(v):
+        return np.concatenate([[v[: lo + 1].sum()], v[lo + 1 : hi], [v[hi:].sum()]])
+
+    return chisquare(pooled(observed), pooled(rows * law)).pvalue
+
+
+class TestEwensGaps:
+    """Block openings drawn by inverting the gap law, against the Feller
+    marks and the exact Ewens laws (20,000 rows of 50 new values)."""
+
+    @pytest.mark.parametrize("c", [1.0, 5.0])
+    def test_block_counts_have_the_ewens_law(self, c):
+        # P(K = k) = c^k |s(a, k)| / (c)_a, and the marks agree in law.
+        R, a = 20000, 50
+        _, block_rows, _, sizes = gap_blocks(c, a, R, 150)
+        K = np.bincount(block_rows, minlength=R)
+        rising = math.prod(c + i for i in range(a))
+        law = np.array([c**k * s / rising for k, s in enumerate(unsigned_stirling_first(a))])
+        assert chisquare_pooled(np.bincount(K, minlength=a + 1), law, R) > 1e-3
+        ref_rows, ref_sizes = feller_marks(np.full(R, a), c, derive_seed(151))
+        assert ks_2samp(K, np.bincount(ref_rows, minlength=R)).pvalue > 1e-3
+        largest = largest_block(block_rows, sizes, R)
+        assert ks_2samp(largest, largest_block(ref_rows, ref_sizes, R)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("c", [1.0, 5.0])
+    def test_mean_block_count(self, c):
+        # E K = Σ_{i<a} c / (c + i).
+        R, a = 20000, 50
+        K = np.bincount(gap_blocks(c, a, R, 152)[1], minlength=R)
+        assert abs(K.mean() - sum(c / (c + i) for i in range(a))) <= 4 * K.std(ddof=1) / math.sqrt(R)
+
+    @pytest.mark.parametrize("c", [1.0, 5.0])
+    def test_first_gap_has_its_exact_law(self, c):
+        # No opening at 1…k has probability Π_{i≤k} i / (c + i), so the
+        # first block (opened at 0) is longer than k with that probability.
+        R, a = 20000, 50
+        _, _, block_cols, sizes = gap_blocks(c, a, R, 153)
+        first = sizes[block_cols == 0]
+        assert first.size == R
+        longer = np.append(np.cumprod([1.0, *(i / (c + i) for i in range(1, a))]), 0.0)
+        law = np.concatenate([[0.0], longer[:-1] - longer[1:]])  # P(size = s), s = 0…a
+        assert chisquare_pooled(np.bincount(first, minlength=a + 1), law, R) > 1e-3
+
+    def test_ragged_rows_partition_their_new_values(self):
+        # Under a history each row has its own a_new, some 0: a row's blocks
+        # tile 0…a_new − 1, in order of opening, and an empty row has none.
+        a_new, block_rows, block_cols, sizes = gap_blocks(2.0, 6, 5000, 154, history=(0.5, 0.5, -1.0))
+        assert np.count_nonzero(a_new == 0) > 100 and len(set(a_new.tolist())) == 7
+        assert np.array_equal(np.bincount(block_rows, weights=sizes, minlength=a_new.size), a_new)
+        order = np.lexsort((block_cols, block_rows))
+        rows, cols, ends = block_rows[order], block_cols[order], (block_cols + sizes)[order]
+        starts = np.r_[True, rows[1:] != rows[:-1]]
+        assert np.all(sizes >= 1) and np.all(cols[starts] == 0)
+        assert np.array_equal(cols[~starts], ends[:-1][~starts[1:]])
+
+    def test_no_new_values(self):
+        a_new, block_rows, block_cols, sizes = gap_blocks(1.0, 0, 7, 155)
+        assert not a_new.any() and block_rows.size == block_cols.size == sizes.size == 0
 
 
 def sticks_and_residual(row):
@@ -1147,6 +1243,38 @@ class TestProtocolConformance:
             assert width <= model.row_width(h)
         else:
             assert width == model.row_width(h)
+
+    @pytest.mark.parametrize(
+        "overrides, blocks",
+        [({}, [2000]), ({"max_sticks": 64}, [2000]), ({"mass": 250.0, "max_sticks": 4096}, [976, 976, 48])],
+        ids=["default", "capped", "max-sticks-binds"],
+    )
+    def test_dp_integrals_draw_blocks_of_the_stick_cap(self, monkeypatch, overrides, blocks):
+        # Rows are min(max_sticks, S) sticks wide, so a 2000-draw integral is
+        # one block of at most 4e6 atoms unless max_sticks binds; at c = 250
+        # S exceeds 4096, and rows are 4097 wide as before.
+        model = model_from_spec({**MODEL_SPECS["dirichlet_process"], **overrides})
+        seen = []
+
+        def rows(self, history, draws, rng):
+            seen.append(draws)
+            return np.zeros((draws, 1)), np.ones((draws, 1))
+
+        monkeypatch.setattr(DirichletProcessModel, "posterior_rows", rows)
+        batched_posterior_integrals(model, Sample(()), IDENTITY.vec, 2000, derive_seed(914))
+        assert seen == blocks
+
+    @pytest.mark.parametrize("c, tol", [(1.0, 1e-8), (1.5, 1e-8), (0.1, 1e-3), (5.0, 1e-12), (40.0, 1e-6)])
+    def test_stick_cap_binds_with_probability_below_2_to_the_minus_53(self, c, tol):
+        # A row breaks 1 + Poisson(c ln(1/tol)) sticks at most; the cap S
+        # leaves a Poisson tail P(N >= S) below 2^-53.
+        from scipy.stats import poisson
+
+        model = DirichletProcessModel(c, GaussianLaw(0, 1), residual_tol=tol)
+        cap = model.row_width(Sample((0.5, 0.5, 1.0))) - 3
+        assert poisson.sf(cap - 1, c * math.log(1 / tol)) <= 2.0**-53
+        if (c, tol) == (1.0, 1e-8):
+            assert cap == 108
 
     def test_posterior_models_write_rows_and_no_model_its_integrals(self):
         # Every posterior integral is Σ W·f(X) over the model's rows.

@@ -723,20 +723,17 @@ class TestCertifiedBL:
         assert len(calls) > with_diagonal
 
     @pytest.mark.parametrize(
-        "m, seed, twin", [pytest.param(3, 53, None, id="3-53"), pytest.param(16, 1, 7, id="16-1")]
+        "m, seed, twin", [pytest.param(3, 53, 1, id="3-53"), pytest.param(16, 1, 7, id="16-1")]
     )
     def test_tied_cell_gets_an_exact_optimal_matching(self, monkeypatch, m, seed, twin):
-        # Cells whose optimum is not unique.  At m = 3 a seeded cell, the
-        # smallest found, where rows 0 and 1 may swap partners; at m = 16 the
-        # tie is built: posterior row 7 is a copy of row 0, so the two rows
-        # have equal costs and may swap partners.  Either way every matched
-        # cost is an exact entry of one permutation, and its sum is the
-        # optimum.
+        # Cells whose optimum is not unique, built on any stream: posterior
+        # row ``twin`` is a copy of row 0, so the two rows have equal costs
+        # and may swap partners.  Every matched cost is an exact entry of one
+        # permutation, and its sum is the optimum.
         from scipy.optimize import linear_sum_assignment
 
         ps, qs = bl_cell_rows(monkeypatch, "dp", "independent", m, seed)
-        if twin is not None:
-            ps = [*ps[:twin], ps[0], *ps[twin + 1 :]]
+        ps = [*ps[:twin], ps[0], *ps[twin + 1 :]]
         cost = meta_cost_matrix(ps, qs, "BL")
         rows, cols = linear_sum_assignment(cost)
         best = cost[rows, cols].sum()
