@@ -5,8 +5,9 @@ under squared loss is the conditional mean of t applied to the length-N
 empirical measure given the first n observations; the classical estimate
 is the corresponding predictive quantity.  Closed forms are implemented
 for the mean, the variance, the CDF at a point, and the mean absolute
-difference; a generic Monte Carlo path covers arbitrary functionals and
-doubles as the independent oracle for the closed forms.
+difference; a generic Monte Carlo path, a row functional on blocks of
+continued sequences, covers arbitrary functionals and doubles as the
+independent oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import numpy as np
 
 from .errors import FiniPostError
 from .families import IDENTITY, AbsDeviation, AbsDifference, Indicator, Product, Square
-from .measures import AtomicMeasure, RealLine, Sample, empirical, gini_md
+from .measures import RealLine, Sample, empirical, gini_md
 from .priors import (
     ExchangeableModel,
+    _check_history,
+    _check_horizon,
     _mc_mean,
     batched_sequence_blocks,
     predictive_expectation_mc,
@@ -48,12 +51,12 @@ class EstimatorInputs:
     horizon: int
 
     def __post_init__(self):
-        if self.horizon < len(self.history):
-            raise FiniPostError(
-                "bad-horizon", f"horizon {self.horizon} below history length {len(self.history)}"
-            )
+        if self.horizon < 1:
+            raise FiniPostError("bad-horizon", f"horizon must be >= 1, got {self.horizon}")
+        _check_horizon(self.history, self.horizon)
         if not isinstance(self.model.space, RealLine):
             raise FiniPostError("space-mismatch", "estimators need scalar observations")
+        _check_history(self.model, self.history)
 
     @property
     def n(self) -> int:
@@ -208,38 +211,30 @@ def gini_estimators(
 # Generic Monte Carlo functionals
 # ---------------------------------------------------------------------------
 
+RowFunctional = Callable[[np.ndarray], np.ndarray]
+
+
 def finitary_functional(
-    inputs: EstimatorInputs,
-    t: Callable[[AtomicMeasure], float],
-    replicas: int,
-    rng: RngState,
+    inputs: EstimatorInputs, t: RowFunctional, replicas: int, rng: RngState
 ) -> tuple[float, float]:
     """Monte Carlo value of E[t(empirical_N) | history] with standard error.
 
-    This is the independent route against which every closed form above
-    is cross-checked: each replica continues the observed prefix to the
-    horizon and evaluates t at the resulting empirical measure.
+    The independent oracle for every closed form above: each replica
+    continues the prefix to the horizon, and t maps a (rows, N) block of
+    such rows to t of each row's empirical measure (``x.mean(axis=1)``).
     """
     return _mc_mean(_functional_draws(inputs, t, replicas, rng))
 
 
 def posterior_risk(
-    inputs: EstimatorInputs,
-    t: Callable[[AtomicMeasure], float],
-    action: float,
-    replicas: int,
-    rng: RngState,
+    inputs: EstimatorInputs, t: RowFunctional, action: float, replicas: int, rng: RngState
 ) -> tuple[float, float]:
     """Monte Carlo squared-error risk E[(t(empirical_N) - action)^2 | history]."""
     return posterior_risk_profile(inputs, t, [action], replicas, rng)[0]
 
 
 def posterior_risk_profile(
-    inputs: EstimatorInputs,
-    t: Callable[[AtomicMeasure], float],
-    actions: list[float],
-    replicas: int,
-    rng: RngState,
+    inputs: EstimatorInputs, t: RowFunctional, actions: list[float], replicas: int, rng: RngState
 ) -> list[tuple[float, float]]:
     """Risks of several actions evaluated on one shared set of replicas,
     so action comparisons are paired and their differences are exact
@@ -249,13 +244,18 @@ def posterior_risk_profile(
 
 
 def _functional_draws(
-    inputs: EstimatorInputs, t: Callable[[AtomicMeasure], float], replicas: int, rng: RngState
+    inputs: EstimatorInputs, t: RowFunctional, replicas: int, rng: RngState
 ) -> np.ndarray:
-    """t at ``replicas`` horizon-N empirical measures, one per continuation
-    row, the rows drawn in blocks."""
+    """t on ``replicas`` continuation rows, drawn in the blocks of
+    ``batched_sequence_blocks``; t must give one finite value per row."""
     if replicas < 2:
         raise FiniPostError("config-error", "need at least 2 replicas")
-    space = inputs.model.space
-    blocks = batched_sequence_blocks(inputs.model, inputs.history, inputs.N, replicas, rng)
-    rows = (row for block in blocks for row in block.tolist())
-    return np.array([float(t(empirical(Sample(tuple(row), space=space)))) for row in rows])
+    draws = []
+    for block in batched_sequence_blocks(inputs.model, inputs.history, inputs.N, replicas, rng):
+        vals = np.asarray(t(block), dtype=float)
+        if vals.shape != (len(block),):
+            raise FiniPostError("config-error", f"row functional gave shape {vals.shape} on {len(block)} rows")
+        if not np.all(np.isfinite(vals)):
+            raise FiniPostError("non-finite-integrand", "row functional is not finite at a replica")
+        draws.append(vals)
+    return np.concatenate(draws)

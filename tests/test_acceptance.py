@@ -41,6 +41,7 @@ from finipost.transport import (
     verify_plan,
     w1_real,
 )
+from test_estimators import row_gini
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -250,10 +251,10 @@ def test_criterion_5_estimator_identities_and_master_oracle():
             "gini": gini_estimators(inputs).finitary,
         }
         functionals = {
-            "mean": lambda m: integrate(m, lambda v: v),
-            "variance": lambda m: integrate(m, lambda v: v * v) - integrate(m, lambda v: v) ** 2,
-            "cdf": lambda m: integrate(m, lambda v: 1.0 if v <= 0.25 else 0.0),
-            "gini": gini_md,
+            "mean": lambda x: x.mean(axis=1),
+            "variance": lambda x: x.var(axis=1),
+            "cdf": lambda x: (x <= 0.25).mean(axis=1),
+            "gini": row_gini,
         }
         for i, (name, t) in enumerate(functionals.items()):
             mc, se = finitary_functional(inputs, t, 10000, derive_seed(70 + i, seed))
@@ -276,7 +277,7 @@ def test_criterion_6_posterior_risk_minimality():
     history = sample_sequence(dp, 5, derive_seed(80))
     inputs = EstimatorInputs(dp, history, 50)
     delta_fb = mean_estimators(inputs).finitary
-    t = lambda m: integrate(m, lambda v: v)  # noqa: E731
+    t = lambda x: x.mean(axis=1)  # noqa: E731
     actions = [delta_fb - 0.05, delta_fb, delta_fb + 0.05]
     t0 = time.perf_counter()
     risks = posterior_risk_profile(inputs, t, actions, 100000, derive_seed(81))

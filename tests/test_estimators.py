@@ -32,6 +32,25 @@ def plug_in_variance(history: Sample) -> float:
     return integrate(e, lambda v: v * v) - integrate(e, lambda v: v) ** 2
 
 
+def row_gini(x: np.ndarray) -> np.ndarray:
+    """Mean absolute difference of each row's empirical measure, from the
+    sorted row: (2/N^2) sum_i (2i - N - 1) x_(i)."""
+    N = x.shape[1]
+    return np.sort(x, axis=1) @ (2.0 * np.arange(1, N + 1) - N - 1) * (2.0 / N**2)
+
+
+class TestEstimatorInputs:
+    def test_horizon_zero_is_refused(self):
+        with pytest.raises(FiniPostError) as err:
+            EstimatorInputs(DP, Sample(()), 0)
+        assert err.value.code == "bad-horizon"
+
+    def test_history_off_the_model_space_is_refused(self):
+        with pytest.raises(FiniPostError) as err:
+            EstimatorInputs(DP, Sample(("a", "b")), 3)
+        assert err.value.code == "space-mismatch"
+
+
 class TestMeanEstimators:
     def test_convex_combination(self):
         pair = mean_estimators(EstimatorInputs(DP, Sample((2.0,)), 2))
@@ -167,24 +186,19 @@ class TestMonteCarloOracle:
 
     def test_mean(self):
         closed = mean_estimators(EstimatorInputs(DP, self.H, 11)).finitary
-        self.check(DP, closed, lambda m: integrate(m, lambda v: v), 200)
+        self.check(DP, closed, lambda x: x.mean(axis=1), 200)
 
     def test_variance(self):
         closed = variance_estimators(EstimatorInputs(DP, self.H, 11)).finitary
-        self.check(
-            DP,
-            closed,
-            lambda m: integrate(m, lambda v: v * v) - integrate(m, lambda v: v) ** 2,
-            201,
-        )
+        self.check(DP, closed, lambda x: x.var(axis=1), 201)
 
     def test_cdf(self):
         closed = cdf_estimators(EstimatorInputs(DP, self.H, 11), 0.5).finitary
-        self.check(DP, closed, lambda m: integrate(m, lambda v: 1.0 if v <= 0.5 else 0.0), 202)
+        self.check(DP, closed, lambda x: (x <= 0.5).mean(axis=1), 202)
 
     def test_gini(self):
         closed = gini_estimators(EstimatorInputs(DP, self.H, 11)).finitary
-        self.check(DP, closed, gini_md, 203)
+        self.check(DP, closed, row_gini, 203)
 
     def test_variance_wrong_coefficient_rejected(self):
         # Reading the pair coefficient as (N-n) instead of (N-n-1) must be
@@ -195,12 +209,7 @@ class TestMonteCarloOracle:
         wrong = pair.finitary - ((N - n) * (N - n) - (N - n) * (N - n - 1)) / N**2 * pair.components[
             "c12_hat_n"
         ]
-        mc, se = finitary_functional(
-            inputs,
-            lambda m: integrate(m, lambda v: v * v) - integrate(m, lambda v: v) ** 2,
-            20000,
-            derive_seed(204),
-        )
+        mc, se = finitary_functional(inputs, lambda x: x.var(axis=1), 20000, derive_seed(204))
         assert abs(pair.finitary - mc) <= 4 * se
         assert abs(wrong - mc) > 4 * se
 
@@ -214,23 +223,18 @@ class TestMonteCarloOracle:
 
         last = predictive_expectation(DP, self.H, lambda v: abs(v - self.H.values[-1]))
         wrong = pair.finitary - 2.0 * (N - n) / N**2 * last
-        mc, se = finitary_functional(inputs, gini_md, 20000, derive_seed(205))
+        mc, se = finitary_functional(inputs, row_gini, 20000, derive_seed(205))
         assert abs(pair.finitary - mc) <= 4 * se
         assert abs(wrong - mc) > 4 * se
 
 
 class TestFunctionalAndRisk:
-    def test_total_mass_is_one(self):
-        inputs = EstimatorInputs(DP, Sample((0.5,)), 5)
-        val, se = finitary_functional(inputs, lambda m: float(m.weights.sum()), 64, derive_seed(1))
-        assert val == 1.0 and se == 0.0
-
     def test_replica_guard(self):
         inputs = EstimatorInputs(DP, Sample((0.5,)), 5)
         for call in (
-            lambda: finitary_functional(inputs, gini_md, 1, derive_seed(1)),
-            lambda: posterior_risk(inputs, gini_md, 0.0, 1, derive_seed(1)),
-            lambda: posterior_risk_profile(inputs, gini_md, [0.0, 1.0], 1, derive_seed(1)),
+            lambda: finitary_functional(inputs, row_gini, 1, derive_seed(1)),
+            lambda: posterior_risk(inputs, row_gini, 0.0, 1, derive_seed(1)),
+            lambda: posterior_risk_profile(inputs, row_gini, [0.0, 1.0], 1, derive_seed(1)),
         ):
             with pytest.raises(FiniPostError) as err:
                 call()
@@ -240,30 +244,29 @@ class TestFunctionalAndRisk:
     def test_replicas_are_batched_rows(self, model):
         # Each replica is one row of ``batched_sequences`` on the same stream.
         inputs = EstimatorInputs(model, Sample((0.0, 1.0)), 9)
-        t = lambda m: integrate(m, lambda v: v * v)  # noqa: E731
-        rows = batched_sequences(model, inputs.history, 9, 50, derive_seed(6))
-        vals = (rows**2).mean(axis=1)
+        t = lambda x: (x**2).mean(axis=1)  # noqa: E731
+        vals = t(batched_sequences(model, inputs.history, 9, 50, derive_seed(6)))
         val, se = finitary_functional(inputs, t, 50, derive_seed(6))
-        assert val == pytest.approx(vals.mean(), abs=1e-12)
-        assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(50), abs=1e-12)
+        assert val == vals.mean()
+        assert se == vals.std(ddof=1) / math.sqrt(50)
 
     def test_risk_is_the_one_action_profile(self):
         inputs = EstimatorInputs(DP, Sample((0.4, 1.0)), 12)
-        t = lambda m: integrate(m, lambda v: v)  # noqa: E731
+        t = lambda x: x.mean(axis=1)  # noqa: E731
         single = posterior_risk(inputs, t, 0.3, 500, derive_seed(7))
         assert single == posterior_risk_profile(inputs, t, [0.3], 500, derive_seed(7))[0]
 
     def test_risk_of_forced_outcome_is_zero(self):
         dp0 = DirichletProcessModel(1e-12, PointMassLaw(2.0))
         inputs = EstimatorInputs(dp0, Sample((2.0,)), 6)
-        val, _ = posterior_risk(inputs, lambda m: integrate(m, lambda v: v), 2.0, 256, derive_seed(2))
+        val, _ = posterior_risk(inputs, lambda x: x.mean(axis=1), 2.0, 256, derive_seed(2))
         assert val == pytest.approx(0.0, abs=1e-18)
 
     def test_risk_shift_identity(self):
         # With shared replicas, risk(a) - risk(b) = (mean_t - b)^2 ... (a-b)
         # algebra: risk(a) = var_t + (mean_t - a)^2 exactly per sample.
         inputs = EstimatorInputs(DP, Sample((0.4, 1.0)), 12)
-        t = lambda m: integrate(m, lambda v: v)  # noqa: E731
+        t = lambda x: x.mean(axis=1)  # noqa: E731
         actions = [0.0, 0.7, 1.3]
         risks = posterior_risk_profile(inputs, t, actions, 4000, derive_seed(3))
         base = mean_estimators(EstimatorInputs(DP, Sample((0.4, 1.0)), 12)).finitary
@@ -277,7 +280,7 @@ class TestFunctionalAndRisk:
 
     def test_risk_minimized_near_conditional_mean(self):
         inputs = EstimatorInputs(DP, Sample((0.4, 1.0, -0.2)), 30)
-        t = lambda m: integrate(m, lambda v: v)  # noqa: E731
+        t = lambda x: x.mean(axis=1)  # noqa: E731
         center = mean_estimators(EstimatorInputs(DP, Sample((0.4, 1.0, -0.2)), 30)).finitary
         risks = posterior_risk_profile(
             inputs, t, [center - 0.25, center, center + 0.25], 20000, derive_seed(4)
@@ -285,3 +288,47 @@ class TestFunctionalAndRisk:
         (rm, sm), (rc, sc), (rp, sp) = risks
         assert rc <= rm + 4 * math.sqrt(sm**2 + sc**2)
         assert rc <= rp + 4 * math.sqrt(sp**2 + sc**2)
+
+    @pytest.mark.parametrize(
+        "t, code",
+        [
+            (lambda x: x.mean(), "config-error"),
+            (lambda x: x[:, :1], "config-error"),
+            (lambda x: x.mean(axis=1)[:-1], "config-error"),
+            (lambda x: np.where(x[:, -1] > 0.0, np.nan, x.mean(axis=1)), "non-finite-integrand"),
+            (lambda x: np.where(x[:, -1] > 0.0, np.inf, x.mean(axis=1)), "non-finite-integrand"),
+        ],
+        ids=["scalar", "column", "short", "nan", "inf"],
+    )
+    def test_row_functional_gives_one_finite_value_per_row(self, t, code):
+        inputs = EstimatorInputs(DP, Sample((0.5,)), 5)
+        for call in (
+            lambda: finitary_functional(inputs, t, 64, derive_seed(1)),
+            lambda: posterior_risk_profile(inputs, t, [0.0, 1.0], 64, derive_seed(1)),
+        ):
+            with pytest.raises(FiniPostError) as err:
+                call()
+            assert err.value.code == code
+
+
+class TestRowForms:
+    """The row forms the Monte Carlo tests use equal the measure-level
+    functionals of each row's empirical measure, ties included."""
+
+    @pytest.mark.parametrize("model", [DP, FD01], ids=["dp", "fd"])
+    def test_row_forms_equal_measure_functionals(self, model):
+        rows = batched_sequences(model, Sample((0.0, 1.0)), 17, 200, derive_seed(9))
+        forms = {
+            "mean": (lambda x: x.mean(axis=1), lambda e: integrate(e, lambda v: v)),
+            "variance": (
+                lambda x: x.var(axis=1),
+                lambda e: integrate(e, lambda v: v * v) - integrate(e, lambda v: v) ** 2,
+            ),
+            "cdf": (lambda x: (x <= 0.25).mean(axis=1), lambda e: integrate(e, lambda v: float(v <= 0.25))),
+            "gini": (row_gini, gini_md),
+        }
+        measures = [empirical(Sample(tuple(row))) for row in rows.tolist()]
+        for name, (row_form, measure_form) in forms.items():
+            got = row_form(rows)
+            assert got.shape == (len(rows),)
+            np.testing.assert_allclose(got, [measure_form(e) for e in measures], rtol=0, atol=1e-12, err_msg=name)

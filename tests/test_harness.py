@@ -634,10 +634,27 @@ class TestStructure:
                     sites.append((name, getattr(node, "name", None)))
         assert sites == [("transport.py", "solve_discrete_ot")]
 
-    def test_harness_names_no_atomic_measure(self):
-        # Bound cells run on weight matrices and merged rows, not on one
-        # measure object per draw.
-        assert "AtomicMeasure" not in names_in_module("harness")
+    @pytest.mark.parametrize("module", ["harness", "estimators"])
+    def test_harness_names_no_atomic_measure(self, module):
+        # Bound cells run on weight matrices and merged rows, and Monte Carlo
+        # functionals on row blocks, not on one measure object per draw.
+        assert "AtomicMeasure" not in names_in_module(module)
+
+    def test_functional_builds_no_atomic_measure(self, monkeypatch):
+        from finipost.estimators import EstimatorInputs, finitary_functional, posterior_risk_profile
+        from finipost.families import GaussianLaw
+        from finipost.measures import AtomicMeasure
+        from finipost.priors import DirichletProcessModel
+        from finipost.rng import derive_seed
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an AtomicMeasure was built")
+
+        monkeypatch.setattr(AtomicMeasure, "__init__", refuse)
+        inputs = EstimatorInputs(DirichletProcessModel(1.0, GaussianLaw(0, 1)), Sample((0.4, -0.3)), 20)
+        t = lambda x: x.mean(axis=1)  # noqa: E731
+        assert np.isfinite(finitary_functional(inputs, t, 64, derive_seed(3))[0])
+        assert len(posterior_risk_profile(inputs, t, [0.0, 1.0], 64, derive_seed(3))) == 2
 
     @pytest.mark.parametrize("coupling", ["posterior", "independent"])
     @pytest.mark.parametrize("model", [PT_REAL_N5_CONFIG["model"], DP_REAL_INDEPENDENT_CONFIG["model"]],
