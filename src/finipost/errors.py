@@ -1,4 +1,5 @@
-"""Package-wide error type carrying a stable short code.
+"""Package-wide error type carrying a stable short code, and the checks of
+config values, all without numpy.
 
 Codes are part of the public contract ("empty-sample", "space-mismatch",
 "bad-horizon", ...) so callers and the CLI can branch on them without
@@ -11,6 +12,9 @@ import math
 import numbers
 
 __all__ = ["FiniPostError", "config_int", "config_float"]
+
+# The ground metrics of a meta distance, as a config and the transport layer name them.
+_GROUNDS = ("TV", "BL")
 
 
 class FiniPostError(ValueError):

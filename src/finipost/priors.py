@@ -390,12 +390,14 @@ class DirichletProcessModel(ExchangeableModel):
         """The K distinct history values, then the atoms of P′: at most
         ``_stick_cap`` sticks, then the truncation residual on one more."""
         xstar, w, scale = self._history_part(history, draws, rng)
-        c = self.total_mass
-        atoms, sticks = _truncated_sticks(lambda _k: (1.0, c), self.base, self._stick_cap, self.residual_tol, rng, scale)
-        if not xstar.size:
-            return atoms, sticks
-        sticks *= scale[:, None]
-        return np.hstack([np.broadcast_to(xstar, w.shape), atoms]), np.hstack([w, sticks])
+        c, K = self.total_mass, xstar.size
+        atoms, weights = _truncated_sticks(
+            lambda _k: (1.0, c), self.base, self._stick_cap, self.residual_tol, rng, scale, lead=K
+        )
+        if K:
+            weights[:, K:] *= scale[:, None]
+            atoms[:, :K], weights[:, :K] = xstar, w
+        return atoms, weights
 
     def row_width(self, history):
         """K distinct history values, ``_stick_cap`` sticks and the residual."""
@@ -556,6 +558,7 @@ def _truncated_sticks(
     residual_tol: float,
     rng: RngState,
     scale: np.ndarray,
+    lead: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncated stick-breaking draws, one row per entry of ``scale``, the
     mass of the row's measure inside a mixture.
@@ -567,10 +570,11 @@ def _truncated_sticks(
     is, is one ``rng.random`` call inverted through its CDF 1 - (1 - v)^b
     (Devroye 1986, sec. II.2); any other is one ``rng.beta`` call.  Then one
     ``base.sample`` call draws every location, row by row, so a one-row
-    call draws the stream of a sequential stick loop.  Returns (rows, s)
-    atom and weight arrays: the sticks, then the residual on one more atom,
-    a row's weights summing to 1 up to rounding; a short row repeats its
-    last atom with weight 0.
+    call draws the stream of a sequential stick loop.  Returns (rows,
+    ``lead`` + s) atom and weight arrays: ``lead`` columns for the caller to
+    fill (atoms unset, weights 0), then the sticks, then the residual on one
+    more atom, a row's stick weights summing to 1 up to rounding; a short
+    row repeats its last atom with weight 0.
     """
     rows = scale.size
     alive = np.flatnonzero(scale >= residual_tol)
@@ -592,16 +596,19 @@ def _truncated_sticks(
             alive, res, sc = alive[keep], res[keep], sc[keep]
     residual[alive] = res
     # A row's stick count is the last k it broke (a stick can be exactly 0).
-    weights, sticks = np.zeros((rows, len(broken) + 1)), np.zeros(rows, dtype=np.intp)
+    out = np.zeros((rows, lead + len(broken) + 1))
+    weights, sticks = out[:, lead:], np.zeros(rows, dtype=np.intp)
     for k, (at, w) in enumerate(zip(broken, drawn)):
         weights[at, k], sticks[at] = w, k + 1
     del broken, drawn
     weights[np.arange(rows), sticks] = residual
-    # Row r takes the next sticks[r] + 1 locations and repeats its last one.
+    # Row r takes the next sticks[r] + 1 locations and repeats its last one;
+    # the lead columns take location 0 until the caller fills them.
     locs = np.asarray(base.sample(rng, int(sticks.sum()) + rows), dtype=float)
-    index = np.minimum(np.arange(weights.shape[1]), sticks[:, None])
-    index += (np.cumsum(sticks + 1) - (sticks + 1))[:, None]
-    return locs[index], weights
+    index = np.zeros(out.shape, dtype=np.intp)
+    np.minimum(np.arange(weights.shape[1]), sticks[:, None], out=index[:, lead:])
+    index[:, lead:] += (np.cumsum(sticks + 1) - (sticks + 1))[:, None]
+    return locs[index], out
 
 
 def _stack_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:

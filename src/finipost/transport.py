@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FiniPostError
+from .errors import _GROUNDS, FiniPostError
 from .measures import AtomicMeasure, FiniteAlphabet, RealLine, checked_rows, weight_matrix
 
 __all__ = [
@@ -393,7 +393,6 @@ def verify_plan(
 # Plug-in meta distance between two samples of measures
 # ---------------------------------------------------------------------------
 
-_GROUNDS = ("TV", "BL")
 _MAX_COST_MATRIX_BYTES = 2**31  # m = 16384 float64 costs per side
 
 
@@ -433,13 +432,13 @@ def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
         # first-letter masses, and the sorted matching is optimal.
         matched = np.abs(np.sort(ps[:, 0]) - np.sort(qs[:, 0])) if ps.shape[1] == 2 else np.zeros(len(ps))
         return float(matched.mean()), matched
+    _refuse_huge(len(ps), len(qs))
     from scipy.optimize import linear_sum_assignment
 
     if ground != "BL" or ps[0][0].ndim > 1:
-        cost = meta_cost_matrix(ps, qs, ground)
+        cost = _cost_matrix(ps, qs, ground)
         matched = cost[linear_sum_assignment(cost)]
     else:
-        _refuse_huge(len(ps), len(qs))
         values, xs, fs = zip(*[_bl_solve(p, q) for p, q in zip(ps, qs)])
         cost, exact = _bl_lower_bounds(ps, qs, zip(xs, fs)), np.eye(len(ps), dtype=bool)
         cost[exact] = values
@@ -477,7 +476,11 @@ def meta_cost_matrix(ps, qs, ground: str) -> np.ndarray:
     matrix above 2 GiB is refused with "resource-limit" before anything is
     allocated.  Under "BL" it is the reference for :func:`meta_w1_matched`."""
     _refuse_huge(len(ps), len(qs))
-    ps, qs = _as_arrays(ps, qs, ground)
+    return _cost_matrix(*_as_arrays(ps, qs, ground), ground)
+
+
+def _cost_matrix(ps, qs, ground: str) -> np.ndarray:
+    """:func:`meta_cost_matrix` on two samples ``_as_arrays`` has checked."""
     if ground == "TV":
         m, k = ps.shape
         out = np.empty((m, m))

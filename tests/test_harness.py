@@ -192,6 +192,7 @@ class TestDeterminism:
         # different chunks of several cells.
         import time
 
+        import finipost.cells as cells
         import finipost.harness as harness
 
         def failing_cells(cfg, model):
@@ -206,7 +207,7 @@ class TestDeterminism:
             return cell, 0
 
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-        monkeypatch.setitem(harness._CELLS, "bound_mean", failing_cells)
+        monkeypatch.setitem(cells._CELLS, "bound_mean", failing_cells)
         config = small_mean_config(N_grid=N_grid, replicates=replicates)
         with pytest.raises(FiniPostError, match=f"cell {slow}$") as err:
             run_experiment(ExperimentConfig.from_dict(config))
@@ -217,6 +218,7 @@ class TestDeterminism:
         # only the chunks already running start their cells.
         import time
 
+        import finipost.cells as cells
         import finipost.harness as harness
 
         started = []
@@ -233,7 +235,7 @@ class TestDeterminism:
             return cell, 0
 
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-        monkeypatch.setitem(harness._CELLS, "bound_mean", failing_cells)
+        monkeypatch.setitem(cells._CELLS, "bound_mean", failing_cells)
         config = small_mean_config(N_grid=[25 * k for k in range(1, 9)], replicates=8)
         with pytest.raises(FiniPostError, match="cell 0$"):
             run_experiment(ExperimentConfig.from_dict(config))
@@ -259,7 +261,7 @@ class TestMeanStderr:
         # means is the bootstrap variance with no Monte Carlo error.
         import itertools
 
-        from finipost.harness import _mean_stderr
+        from finipost.cells import _mean_stderr
         from finipost.rng import derive_seed
 
         matched = derive_seed(30, m).random(m)
@@ -270,7 +272,7 @@ class TestMeanStderr:
     def test_agrees_with_a_large_bootstrap(self):
         # B = 20000 resamples leave about 0.5% Monte Carlo error on the
         # bootstrap's standard error; 3% is six of those.
-        from finipost.harness import _mean_stderr
+        from finipost.cells import _mean_stderr
         from finipost.rng import derive_seed
 
         m, resamples, block = 500, 20000, 1000
@@ -282,7 +284,7 @@ class TestMeanStderr:
         assert abs(float(means.std(ddof=1)) / _mean_stderr(matched) - 1.0) < 0.03
 
     def test_order_does_not_matter(self):
-        from finipost.harness import _mean_stderr
+        from finipost.cells import _mean_stderr
         from finipost.rng import derive_seed
 
         matched = derive_seed(33).random(257)
@@ -294,7 +296,7 @@ class TestMeanStderr:
     @pytest.mark.parametrize("value", [0.0, 0.375])
     def test_constant_costs_have_no_error(self, m, value):
         # A dyadic constant keeps the mean exact, so no rounding is left over.
-        from finipost.harness import _mean_stderr
+        from finipost.cells import _mean_stderr
 
         assert _mean_stderr(np.full(m, value)) == 0.0
 
@@ -552,7 +554,7 @@ class TestBoundExperimentShape:
         from scipy.stats import ks_2samp
 
         from finipost.families import IDENTITY
-        from finipost.harness import _posterior_and_empirical_draws
+        from finipost.cells import _posterior_and_empirical_draws
         from finipost.priors import batched_f_means, model_from_spec, sample_sequence
         from finipost.rng import derive_seed
 
@@ -569,7 +571,7 @@ class TestBoundExperimentShape:
     def test_label_counts_mean(self, coupling):
         # Mean count = history count + fresh * (alpha + count)/(A + n), under
         # either coupling; columns come back in sorted-label order.
-        from finipost.harness import _posterior_and_empirical_draws
+        from finipost.cells import _posterior_and_empirical_draws
         from finipost.priors import model_from_spec
         from finipost.rng import derive_seed
 
@@ -587,6 +589,27 @@ class TestBoundExperimentShape:
         se = counts[:, 0].std(ddof=1) / math.sqrt(counts.shape[0])
         assert abs(counts[:, 0].mean() - expected) <= 4 * se
         assert abs(P[:, 0].mean() - 3 / 5) <= 4 * P[:, 0].std(ddof=1) / math.sqrt(P.shape[0])
+
+
+class TestPackage:
+    def test_public_names_resolve_to_their_submodules(self):
+        # Each public name loads its submodule on first access and is that
+        # submodule's own object (``__getattr__`` is called directly, as an
+        # earlier access caches the name).
+        import importlib
+
+        assert len(finipost.__all__) == len(set(finipost.__all__)) == 77
+        listed = dir(finipost)
+        for name in finipost.__all__:
+            home = importlib.import_module(f"finipost.{finipost._EXPORTS[name]}")
+            assert finipost.__getattr__(name) is getattr(finipost, name) is getattr(home, name)
+            assert name in listed
+
+    def test_submodules_resolve_and_unknown_names_raise(self):
+        assert finipost.__getattr__("priors") is finipost.priors is sys.modules["finipost.priors"]
+        assert "priors" in dir(finipost) and "harness" in dir(finipost)
+        with pytest.raises(AttributeError, match="nope"):
+            finipost.nope
 
 
 def names_in_module(module):
@@ -608,7 +631,7 @@ def names_in_module(module):
 
 
 class TestStructure:
-    @pytest.mark.parametrize("module", ["harness", "estimators"])
+    @pytest.mark.parametrize("module", ["harness", "cells", "estimators"])
     def test_no_concrete_model_class_outside_priors(self, module):
         # Model behaviour sits behind the ExchangeableModel protocol: these
         # modules neither import a concrete model class nor name one.
@@ -616,6 +639,14 @@ class TestStructure:
 
         concrete = {cls.__name__ for cls in ExchangeableModel.__subclasses__()}
         assert len(concrete) == 5 and not names_in_module(module) & concrete
+
+    def test_config_names_every_experiment_kind(self):
+        # The config layer checks the experiment name without loading the
+        # cells; both name the same kinds.
+        from finipost.cells import _CELLS
+        from finipost.harness import _EXPERIMENTS
+
+        assert _EXPERIMENTS == tuple(_CELLS)
 
     def test_one_linear_program(self):
         # Every LP, BL in R^d included, is the transportation LP of
@@ -634,7 +665,7 @@ class TestStructure:
                     sites.append((name, getattr(node, "name", None)))
         assert sites == [("transport.py", "solve_discrete_ot")]
 
-    @pytest.mark.parametrize("module", ["harness", "estimators"])
+    @pytest.mark.parametrize("module", ["harness", "cells", "estimators"])
     def test_harness_names_no_atomic_measure(self, module):
         # Bound cells run on weight matrices and merged rows, and Monte Carlo
         # functionals on row blocks, not on one measure object per draw.
@@ -674,15 +705,15 @@ class TestStructure:
     def test_meta_distance_cells_draw_two_streams(self, monkeypatch, config):
         # Two streams per cell (posterior draws, continuations) and one per
         # replicate history when n > 0: the standard error draws none.
-        import finipost.harness as harness
+        import finipost.cells
 
-        states, draw_state = [], harness.state_from_key
+        states, draw_state = [], finipost.cells.state_from_key
 
         def counting(key):
             states.append(key)
             return draw_state(key)
 
-        monkeypatch.setattr(harness, "state_from_key", counting)
+        monkeypatch.setattr(finipost.cells, "state_from_key", counting)
         cells = len(run_experiment(ExperimentConfig.from_dict(config)).rows)
         assert cells == len(config["N_grid"]) * config["replicates"]
         assert len(states) == 2 * cells + (config["replicates"] if config["n"] > 0 else 0)
@@ -692,19 +723,19 @@ class TestStructure:
     def test_bound_cells_call_the_public_matching(self, monkeypatch, config):
         # One optimal matching per bound cell, through the public
         # meta_w1_matched: the estimate and the stderr read its costs.
-        import finipost.harness as harness
+        import finipost.cells
 
-        calls, match = [], harness.meta_w1_matched
+        calls, match = [], finipost.cells.meta_w1_matched
 
         def counting(ps, qs, ground):
             calls.append(ground)
             return match(ps, qs, ground)
 
-        monkeypatch.setattr(harness, "meta_w1_matched", counting)
+        monkeypatch.setattr(finipost.cells, "meta_w1_matched", counting)
         cells = len(run_experiment(ExperimentConfig.from_dict(config)).rows)
         assert cells == len(config["N_grid"]) * config["replicates"]
         assert calls == [config["ground"]] * cells
-        assert "_matched_blocks" not in names_in_module("harness")
+        assert not any("_matched_blocks" in names_in_module(module) for module in ("harness", "cells"))
 
     @pytest.mark.parametrize("kind", ["fixed", "dirichlet_process", "finite_dirichlet", "polya_tree", "stick_breaking"])
     def test_median_law_builds_no_sequence(self, monkeypatch, kind):
@@ -748,7 +779,7 @@ class TestEstimatorSweep:
         )
         report = run_experiment(cfg)
         from finipost.estimators import EstimatorInputs, mean_estimators
-        from finipost.harness import _replicate_history
+        from finipost.cells import _replicate_history
         from finipost.priors import model_from_spec
 
         model = model_from_spec(cfg.model)
@@ -871,7 +902,7 @@ class TestMedianExperiment:
         # below one (20000, 51) matrix and its sampled copy (16 MB).
         import tracemalloc
 
-        from finipost.harness import _median_cells
+        from finipost.cells import _median_cells
         from finipost.priors import model_from_spec
         from finipost.rng import derive_seed
 
@@ -931,22 +962,25 @@ class TestCli:
 
     def test_import_parse_and_bound_finite_load_no_scipy(self):
         # scipy loads on the first call that needs a solver, a quadrature or
-        # a special function; importing the package, parsing configs and
-        # evaluating a closed-form rate bound need none of them.
+        # a special function, and numpy with the numerical layers on the
+        # first run; importing the package, parsing configs and evaluating a
+        # closed-form rate bound need none of them.
         script = textwrap.dedent(
             """
             import json, sys
             import finipost, finipost.cli
             from finipost.harness import ExperimentConfig
 
-            def scipy_modules():
-                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            def loaded():
+                layers = {f"finipost.{layer}" for layer in
+                          ("priors", "transport", "measures", "families", "estimators", "rng", "cells")}
+                return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy") or m in layers)
 
             for cfg in json.loads(sys.argv[1]):
                 ExperimentConfig.from_dict(cfg)
-            parsed = scipy_modules()
+            parsed = loaded()
             finipost.cli.main(["bound", "finite", "--params", '{"k": 3, "n": 10, "N": 100}'])
-            print(json.dumps([parsed, scipy_modules(), "concurrent.futures" in sys.modules]))
+            print(json.dumps([parsed, loaded(), "concurrent.futures" in sys.modules]))
             """
         )
         # Nor does anything before a run load the cell pool's
@@ -955,6 +989,28 @@ class TestCli:
         bound, loaded = self.run_python("-c", script, json.dumps(configs)).stdout.splitlines()
         assert float(bound) == pytest.approx(0.17905694150420948)
         assert json.loads(loaded) == [[], [], False]
+
+    @pytest.mark.parametrize(
+        "config",
+        [small_mean_config(ground="bogus"), {**K2_CONFIG, "replicats": 2}, {**K2_CONFIG, "experiment": "mystery"}],
+        ids=["ground-bogus", "unknown-field", "experiment-mystery"],
+    )
+    def test_run_refuses_a_malformed_config_without_numpy(self, tmp_path, config):
+        script = textwrap.dedent(
+            """
+            import sys
+            import finipost.cli
+
+            code = finipost.cli.main(["run", "--config", sys.argv[1]])
+            print("numpy" in sys.modules)
+            sys.exit(code)
+            """
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = self.run_python("-c", script, str(cfg_path), expect=1)
+        assert "error [config-error]" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_run_matches_goldens_in_a_fresh_process(self, tmp_path):
         # Each child takes its deferred scipy imports for the first time:

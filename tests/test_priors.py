@@ -597,6 +597,21 @@ def per_draw_integrals(model, history, fvec, draws, rng):
     return out
 
 
+def hstack_posterior_rows(model, history, draws, rng):
+    """The DP posterior rows as first built: the sticks drawn alone, then the
+    history values and their weights put in front by two ``np.hstack``
+    copies.  The reference for the rows built in place."""
+    from finipost.priors import _truncated_sticks
+
+    xstar, w, scale = model._history_part(history, draws, rng)
+    c = model.total_mass
+    atoms, sticks = _truncated_sticks(lambda _k: (1.0, c), model.base, model._stick_cap, model.residual_tol, rng, scale)
+    if not xstar.size:
+        return atoms, sticks
+    sticks *= scale[:, None]
+    return np.hstack([np.broadcast_to(xstar, w.shape), atoms]), np.hstack([w, sticks])
+
+
 class TestDPConjugateDecomposition:
     @pytest.mark.parametrize("f_id", sorted(TEST_FUNCTIONS))
     @pytest.mark.parametrize("n", [0, 1, 50])
@@ -648,6 +663,18 @@ class TestDPConjugateDecomposition:
         model = DirichletProcessModel(1.0, UniformLaw(0.0, 1.0))
         means = batched_posterior_integrals(model, Sample(()), IDENTITY.vec, 20000, derive_seed(seed))
         assert kstest(means, lambda t: np.interp(t, y, cdf)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("draws", [1, 7, 2000])
+    @pytest.mark.parametrize("n", [0, 1, 5, 50])
+    def test_rows_equal_the_hstack_reference(self, n, draws):
+        # Same bits from the same stream, the history columns filled in place.
+        h = tied_history(n)
+        for seed in range(3):
+            new_rng, old_rng = derive_seed(137, seed), derive_seed(137, seed)
+            atoms, weights = DP_SHIFTED.posterior_rows(h, draws, new_rng)
+            ref_atoms, ref_weights = hstack_posterior_rows(DP_SHIFTED, h, draws, old_rng)
+            assert np.array_equal(atoms, ref_atoms) and np.array_equal(weights, ref_weights)
+            assert new_rng.random() == old_rng.random()
 
     def test_history_atoms_are_distinct_values(self):
         h = tied_history(50)

@@ -476,6 +476,19 @@ class TestMetaW1:
         lp = solve_discrete_ot(0.5 * np.abs(P[:, None, :] - Q[None, :, :]).sum(axis=2), uniform, uniform)
         assert meta_w1_matched(P, Q, "TV")[0] == pytest.approx(lp.cost, abs=1e-12)
 
+    def test_tv_weight_matrices_checked_once(self, monkeypatch):
+        # Each weight matrix is checked once per call, by the matching and
+        # by the public cost matrix, whose costs the matching assigns.
+        rng = np.random.default_rng(41)
+        P, Q = rng.dirichlet(np.ones(3), size=30), rng.dirichlet(np.ones(3), size=30)
+        checked, check = [], transport.weight_matrix
+        monkeypatch.setattr(transport, "weight_matrix", lambda rows: checked.append(1) or check(rows))
+        cost = meta_cost_matrix(P, Q, "TV")
+        assert len(checked) == 2
+        _, matched = meta_w1_matched(P, Q, "TV")
+        assert len(checked) == 4
+        assert np.array_equal(matched, dense_matched(cost))
+
     def test_bl_assignment_equals_transport_lp(self):
         rng = np.random.default_rng(19)
         ps = [random_scalar_pair(rng, max_atoms=6)[0] for _ in range(12)]
@@ -654,6 +667,7 @@ def bl_cell_config(model, coupling, m, seed, n=5, N=100):
 def bl_cell_rows(monkeypatch, model, coupling, m, seed):
     """The posterior and empirical merged rows of one seeded bound_real
     cell, as the harness hands them to the matching."""
+    import finipost.cells as cells
     import finipost.harness as harness
 
     seen = []
@@ -663,7 +677,7 @@ def bl_cell_rows(monkeypatch, model, coupling, m, seed):
         return meta_w1_matched(ps, qs, ground)
 
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "meta_w1_matched", capture)
+        patch.setattr(cells, "meta_w1_matched", capture)
         harness.run_experiment(bl_cell_config(model, coupling, m, seed))
     return seen[0]
 
