@@ -26,7 +26,7 @@ _NAMES = {
     "predictive_expectation_mc predictive_pair_expectation sample_sequence",
     "estimators": "EstimatePair EstimatorInputs cdf_estimators finitary_functional gini_estimators mean_estimators "
     "posterior_risk posterior_risk_profile variance_estimators",
-    "transport": "CostMatrix LipschitzDual PlanCheck TransportPlan bounded_lipschitz meta_w1 meta_w1_matched "
+    "transport": "LipschitzDual PlanCheck TransportPlan bounded_lipschitz meta_w1 meta_w1_matched "
     "solve_discrete_ot tv_finite verify_plan w1_real",
     "bounds": "MedianLawInputs bounded_support_bound dudley_gamma euclidean_bound finite_bound l21_moment_bound "
     "mean_bound_conditional mean_bound_unconditional median_cdf median_tail_bounds real_bound "

@@ -133,6 +133,8 @@ def tail_probability_bound(epsilon: float, e_l21: float, n: int, N: int) -> floa
     if epsilon <= 0:
         raise FiniPostError("config-error", f"epsilon must be positive, got {epsilon}")
     _check_horizon(n, N)
+    if e_l21 < 0:
+        raise FiniPostError("config-error", "expected l21 value must be nonnegative")
     return min(1.0, (e_l21 / math.sqrt(N - n) + 2.0 * n / N) / epsilon)
 
 
@@ -193,13 +195,14 @@ def median_cdf(inputs: MedianLawInputs) -> float:
     return regularized_incomplete_beta(N + 1.0, N + 1.0, F)
 
 
-def median_tail_bounds(inputs: MedianLawInputs, p_left: float, p_right: float) -> tuple[float, float]:
-    """The two tail inequalities: both tails of the median law are at most
-    (2N+1)/N times the corresponding one-observation tail."""
-    if inputs.N < 1:
+def median_tail_bounds(N: int, p_left: float, p_right: float) -> tuple[float, float]:
+    """The two tail inequalities: both tails of the median of 2N+1
+    observations are at most (2N+1)/N times the corresponding
+    one-observation tail."""
+    if N < 1:
         raise FiniPostError("bad-horizon", "tail bounds need N >= 1")
     for p in (p_left, p_right):
         if not (0.0 <= p <= 1.0):
             raise FiniPostError("config-error", f"tail probability {p} outside [0, 1]")
-    factor = (2.0 * inputs.N + 1.0) / inputs.N
+    factor = (2.0 * N + 1.0) / N
     return min(1.0, factor * p_left), min(1.0, factor * p_right)

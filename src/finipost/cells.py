@@ -232,7 +232,8 @@ def _sweep_cells(cfg: ExperimentConfig, model: ExchangeableModel) -> tuple[CellF
 
     The estimator family follows f_spec: identity selects the mean,
     indicator(y) the CDF at y, square the variance, gini the mean
-    absolute difference.
+    absolute difference.  Both estimators are exact closed forms, so a
+    row has no stderr and its slack 1e-9 only absorbs rounding.
     """
     _require_scalar(cfg, model.space)
     f, *_, name = _test_function(cfg.f_spec)
@@ -244,9 +245,7 @@ def _sweep_cells(cfg: ExperimentConfig, model: ExchangeableModel) -> tuple[CellF
     def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
         pair = estimators(EstimatorInputs(model, history, N))
         gap = abs(pair.finitary - pair.classical)
-        stderr = pair.components.get("stderr")
-        slack = 1e-9 + 3.0 * (stderr or 0.0)
-        return gap, stderr, pair.envelope, slack, gap > pair.envelope + slack
+        return gap, None, pair.envelope, 1e-9, gap > pair.envelope + 1e-9
 
     return cell, 0
 
@@ -276,7 +275,7 @@ def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel) -> tuple[Cell
         counts = rngs[1].binomial(2 * N + 1, model.mass_at_most(history, x, cfg.m_samples, rngs[1]))
         estimate = int(np.count_nonzero(counts > N)) / cfg.m_samples
         se = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / cfg.m_samples)
-        left_bound, right_bound = bd.median_tail_bounds(bd.MedianLawInputs(N, F_x), F_x, 1.0 - F_x)
+        left_bound, right_bound = bd.median_tail_bounds(N, F_x, 1.0 - F_x)
         slack = 3.0 * se
         violated = estimate > left_bound + slack or (1.0 - estimate) > right_bound + slack
         return estimate, se, left_bound, slack, violated

@@ -20,7 +20,7 @@ from .errors import FiniPostError, config_float, config_int
 from .harness import ExperimentConfig, emit, report_to_csv, run_experiment
 
 # Each evaluator reads its parameters through two accessors: ``i(name)``
-# for an integer and ``r(name[, default])`` for a real.
+# for an integer and ``r(name)`` for a real.
 _BOUND_EVALUATORS = {
     "mean_unconditional": lambda i, r: bd.mean_bound_unconditional(i("N"), r("Ef2")),
     "mean_conditional": lambda i, r: bd.mean_bound_conditional(
@@ -33,9 +33,7 @@ _BOUND_EVALUATORS = {
     "tail_probability": lambda i, r: bd.tail_probability_bound(r("epsilon"), r("e_l21"), i("n"), i("N")),
     "euclidean": lambda i, r: bd.euclidean_bound(i("d"), i("k"), i("n"), i("N"), r("gamma_moment_post")),
     "median_cdf": lambda i, r: bd.median_cdf(bd.MedianLawInputs(i("N"), r("F"))),
-    "median_tails": lambda i, r: bd.median_tail_bounds(
-        bd.MedianLawInputs(i("N"), r("F", 0.5)), r("p_left"), r("p_right")
-    ),
+    "median_tails": lambda i, r: bd.median_tail_bounds(i("N"), r("p_left"), r("p_right")),
 }
 
 
@@ -74,16 +72,14 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
     names = set()
 
-    def read(parse, name, default=None):
+    def read(parse, name):
         names.add(name)
-        if name not in params and default is None:
+        if name not in params:
             raise FiniPostError("config-error", f"bound {args.name!r} needs parameter {name!r}")
-        return parse(params[name], name) if name in params else default
+        return parse(params[name], name)
 
-    value = _BOUND_EVALUATORS[args.name](
-        lambda name: read(config_int, name), lambda name, default=None: read(config_float, name, default)
-    )
-    # A misspelt parameter must not run as a default (median_tails' F).
+    value = _BOUND_EVALUATORS[args.name](lambda name: read(config_int, name), lambda name: read(config_float, name))
+    # A parameter the bound does not read is refused, not ignored.
     unknown = sorted(set(params) - names)
     if unknown:
         raise FiniPostError("config-error", f"unknown parameters {unknown} for bound {args.name!r}")

@@ -26,7 +26,7 @@ from .priors import (
     _check_horizon,
     _mc_mean,
     batched_sequence_blocks,
-    predictive_expectation_mc,
+    predictive_expectation,
     predictive_pair_expectation,
 )
 from .rng import RngState
@@ -85,25 +85,18 @@ def _history_stats(inputs: EstimatorInputs) -> tuple[np.ndarray, float, float]:
     return x, float(x.mean()), float(np.mean(x * x))
 
 
-def mean_estimators(
-    inputs: EstimatorInputs, mc_draws: int | None = None, rng: RngState | None = None
-) -> EstimatePair:
+def mean_estimators(inputs: EstimatorInputs) -> EstimatePair:
     """Mean estimate: the finite-horizon form is the n/N convex combination
     of the running sample mean with the predictive mean."""
     n, N = inputs.n, inputs.N
     _, mu_bar, _ = _history_stats(inputs)
-    mu_hat, se = predictive_expectation_mc(inputs.model, inputs.history, IDENTITY, mc_draws, rng)
+    mu_hat = predictive_expectation(inputs.model, inputs.history, IDENTITY)
     finitary = (n / N) * mu_bar + ((N - n) / N) * mu_hat
     envelope = (n / N) * (abs(mu_bar) + abs(mu_hat))
-    comps = {"mu_bar_n": mu_bar, "mu_hat_n": mu_hat}
-    if se:
-        comps["stderr"] = ((N - n) / N) * se
-    return EstimatePair(finitary, mu_hat, envelope, comps)
+    return EstimatePair(finitary, mu_hat, envelope, {"mu_bar_n": mu_bar, "mu_hat_n": mu_hat})
 
 
-def variance_estimators(
-    inputs: EstimatorInputs, mc_draws: int | None = None, rng: RngState | None = None
-) -> EstimatePair:
+def variance_estimators(inputs: EstimatorInputs) -> EstimatePair:
     """Variance estimate.
 
     The finite-horizon expansion of E[Var(empirical_N) | history] is
@@ -122,9 +115,9 @@ def variance_estimators(
         raise FiniPostError("bad-horizon", "variance estimation needs a horizon of at least 2")
     _, mu_bar, s2_bar = _history_stats(inputs)
     c12_bar = mu_bar * mu_bar
-    s2_hat, se1 = predictive_expectation_mc(inputs.model, inputs.history, Square(), mc_draws, rng)
-    mu_hat, se2 = predictive_expectation_mc(inputs.model, inputs.history, IDENTITY, mc_draws, rng)
-    c12_hat, se3 = predictive_pair_expectation(inputs.model, inputs.history, Product(), mc_draws or 4096, rng)
+    s2_hat = predictive_expectation(inputs.model, inputs.history, Square())
+    mu_hat = predictive_expectation(inputs.model, inputs.history, IDENTITY)
+    c12_hat = predictive_pair_expectation(inputs.model, inputs.history, Product())[0]
     coef_s2 = (N - n + n / N - 1.0) / N
     coef_c12 = (N - n) * (N - n - 1.0) / N**2
     coef_cross = 2.0 * (N - n) * n / N**2
@@ -151,31 +144,22 @@ def variance_estimators(
         "c12_bar_n": c12_bar,
         "c12_hat_n": c12_hat,
     }
-    if se1 or se2 or se3:
-        comps["stderr"] = abs(coef_s2) * se1 + coef_cross * abs(mu_bar) * se2 + coef_c12 * se3
     return EstimatePair(finitary, classical, envelope, comps)
 
 
-def cdf_estimators(
-    inputs: EstimatorInputs, y: float, mc_draws: int | None = None, rng: RngState | None = None
-) -> EstimatePair:
+def cdf_estimators(inputs: EstimatorInputs, y: float) -> EstimatePair:
     """CDF estimate at y: convex combination of the empirical CDF with the
     predictive probability of falling at or below y."""
     n, N = inputs.n, inputs.N
     x, _, _ = _history_stats(inputs)
     ecdf = float(np.mean(x <= y)) if n else 0.0
-    pred, se = predictive_expectation_mc(inputs.model, inputs.history, Indicator(float(y)), mc_draws, rng)
+    pred = predictive_expectation(inputs.model, inputs.history, Indicator(float(y)))
     finitary = (n / N) * ecdf + ((N - n) / N) * pred
     envelope = (n / N) * (ecdf + pred)
-    comps = {"ecdf_at_y": ecdf, "pred_cdf_at_y": pred}
-    if se:
-        comps["stderr"] = ((N - n) / N) * se
-    return EstimatePair(finitary, pred, envelope, comps)
+    return EstimatePair(finitary, pred, envelope, {"ecdf_at_y": ecdf, "pred_cdf_at_y": pred})
 
 
-def gini_estimators(
-    inputs: EstimatorInputs, mc_draws: int = 4096, rng: RngState | None = None
-) -> EstimatePair:
+def gini_estimators(inputs: EstimatorInputs) -> EstimatePair:
     """Mean-absolute-difference estimate.
 
     Finite-horizon form: (n/N)^2 times the plug-in value, plus the
@@ -189,21 +173,15 @@ def gini_estimators(
         raise FiniPostError("bad-horizon", "mean-difference estimation needs a horizon of at least 2")
     x, _, _ = _history_stats(inputs)
     gini_bar = gini_md(empirical(inputs.history)) if n else 0.0
-    pair_hat, se_pair = predictive_pair_expectation(inputs.model, inputs.history, AbsDifference(), mc_draws, rng)
+    pair_hat = predictive_pair_expectation(inputs.model, inputs.history, AbsDifference())[0]
     cross = 0.0
-    se_cross = 0.0
     for xj in x:
-        val, se = predictive_expectation_mc(inputs.model, inputs.history, AbsDeviation(float(xj)), mc_draws, rng)
-        cross += val
-        se_cross += se
+        cross += predictive_expectation(inputs.model, inputs.history, AbsDeviation(float(xj)))
     coef_pair = ((N - n) ** 2 - (N - n)) / N**2
     coef_cross = 2.0 * (N - n) / N**2
     finitary = (n / N) ** 2 * gini_bar + coef_pair * pair_hat + coef_cross * cross
     envelope = (n / N) ** 2 * abs(gini_bar) + abs(1.0 - coef_pair) * abs(pair_hat) + coef_cross * abs(cross)
     comps = {"gini_bar_n": gini_bar, "pair_abs_hat": pair_hat, "cross_sum": cross}
-    stderr = coef_pair * se_pair + coef_cross * se_cross
-    if stderr:
-        comps["stderr"] = stderr
     return EstimatePair(finitary, pair_hat, envelope, comps)
 
 

@@ -28,7 +28,6 @@ from .errors import _GROUNDS, FiniPostError
 from .measures import AtomicMeasure, FiniteAlphabet, RealLine, checked_rows, weight_matrix
 
 __all__ = [
-    "CostMatrix",
     "TransportPlan",
     "LipschitzDual",
     "PlanCheck",
@@ -48,23 +47,6 @@ _OPT_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CostMatrix:
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or e.size == 0:
-            raise FiniPostError("config-error", "cost matrix must be 2-d and non-empty")
-        if not np.all(np.isfinite(e)) or np.any(e < 0):
-            raise FiniPostError("config-error", "cost entries must be finite and nonnegative")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
 
 @dataclass(frozen=True)
 class TransportPlan:
@@ -317,14 +299,17 @@ def _signed_weights(p: tuple, q: tuple) -> tuple[np.ndarray, np.ndarray]:
 # Discrete optimal transport
 # ---------------------------------------------------------------------------
 
-def solve_discrete_ot(cost: CostMatrix | np.ndarray, a: Sequence[float], b: Sequence[float]) -> TransportPlan:
+def solve_discrete_ot(cost: np.ndarray, a: Sequence[float], b: Sequence[float]) -> TransportPlan:
     """Exact optimal transport between two discrete weight vectors.
 
+    ``cost`` is a 2-d, non-empty array of finite nonnegative entries.
     Every pair of marginals, uniform or not, goes to the transportation
     linear program (HiGHS), whose equality multipliers provide the dual
     certificate that :func:`verify_plan` checks.
     """
-    c = cost.entries if isinstance(cost, CostMatrix) else CostMatrix(np.asarray(cost, dtype=float)).entries
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.size == 0 or not np.all(np.isfinite(c)) or np.any(c < 0):
+        raise FiniPostError("config-error", "cost matrix must be 2-d, non-empty, finite and nonnegative")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, mp = c.shape
@@ -362,13 +347,9 @@ def _transport_constraints(m: int, mp: int):
     return sparse.vstack([rows, sparse.hstack([sparse.eye(mp)] * m)], format="csr")
 
 
-def verify_plan(
-    plan: TransportPlan,
-    cost: CostMatrix | np.ndarray,
-    duals: tuple[np.ndarray, np.ndarray] | None = None,
-) -> PlanCheck:
+def verify_plan(plan: TransportPlan, cost: np.ndarray) -> PlanCheck:
     """Check marginals, dual feasibility and the duality gap of a plan."""
-    c = cost.entries if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=float)
+    c = np.asarray(cost, dtype=float)
     g = plan.coupling
     if g.shape != c.shape:
         return PlanCheck(False, "shape")
@@ -380,7 +361,7 @@ def verify_plan(
         return PlanCheck(False, "marginal")
     if abs(float(np.sum(g * c)) - plan.cost) > _FEAS_TOL * (1.0 + abs(plan.cost)):
         return PlanCheck(False, "cost")
-    u, v = duals if duals is not None else plan.duals
+    u, v = plan.duals
     if np.max(u[:, None] + v[None, :] - c) > _OPT_TOL:
         return PlanCheck(False, "dual-infeasible")
     dual_value = float(np.dot(u, plan.row_marginal) + np.dot(v, plan.col_marginal))
@@ -396,7 +377,7 @@ def verify_plan(
 _MAX_COST_MATRIX_BYTES = 2**31  # m = 16384 float64 costs per side
 
 
-def meta_w1(ps, qs, ground: str = "TV") -> float:
+def meta_w1(ps, qs, ground: str) -> float:
     """Plug-in transport distance between the laws behind two measure samples.
 
     Solves the uniform-marginal transport problem between the samples
@@ -406,7 +387,7 @@ def meta_w1(ps, qs, ground: str = "TV") -> float:
     return meta_w1_matched(ps, qs, ground)[0]
 
 
-def meta_w1_matched(ps, qs, ground: str = "TV") -> tuple[float, np.ndarray]:
+def meta_w1_matched(ps, qs, ground: str) -> tuple[float, np.ndarray]:
     """As :func:`meta_w1`, also returning the optimally matched pair costs.
 
     The plug-in value is the mean of the returned array, and its standard

@@ -314,7 +314,7 @@ def test_criterion_7_median_law():
     for N in range(1, 51):
         for F in np.linspace(0.0, 1.0, 11):
             value = median_cdf(MedianLawInputs(N, float(F)))
-            left, right = median_tail_bounds(MedianLawInputs(N, float(F)), float(F), 1.0 - float(F))
+            left, right = median_tail_bounds(N, float(F), 1.0 - float(F))
             ok_tails &= value <= left + 1e-12 and 1.0 - value <= right + 1e-12
     ok = ok_mc and ok_sym and ok_tails
     report(7, ok, f"empirical {empirical_p:.4f} vs 0.216; symmetry exact {ok_sym}; tails {ok_tails}")

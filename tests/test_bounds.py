@@ -161,6 +161,12 @@ class TestMomentBounds:
         assert tail_probability_bound(1e9, 1.0, 0, 100) < 1e-8
         assert tail_probability_bound(1e-9, 1.0, 0, 100) == 1.0
 
+    def test_tail_probability_refuses_negative_l21(self):
+        # A negative expected l21 value would make the probability negative.
+        with pytest.raises(FiniPostError) as err:
+            tail_probability_bound(1.0, -5.0, 0, 9)
+        assert err.value.code == "config-error"
+
 
 class TestEuclideanBound:
     def test_gamma(self):
@@ -243,16 +249,19 @@ class TestMedianLaw:
                 assert v + median_cdf(MedianLawInputs(N, float(1 - f))) == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_bounds_values(self):
-        assert median_tail_bounds(MedianLawInputs(1, 0.3), 0.0, 0.1) == (0.0, pytest.approx(0.3))
-        left, right = median_tail_bounds(MedianLawInputs(1, 0.3), 0.2, 0.2)
+        assert median_tail_bounds(1, 0.0, 0.1) == (0.0, pytest.approx(0.3))
+        left, right = median_tail_bounds(1, 0.2, 0.2)
         assert left == pytest.approx(0.6) and right == pytest.approx(0.6)
-        big_left, _ = median_tail_bounds(MedianLawInputs(10**6, 0.3), 0.2, 0.0)
+        big_left, _ = median_tail_bounds(10**6, 0.2, 0.0)
         assert big_left == pytest.approx(0.4, abs=1e-5)
+        with pytest.raises(FiniPostError) as err:
+            median_tail_bounds(0, 0.2, 0.2)
+        assert err.value.code == "bad-horizon"
 
     def test_cdf_dominated_by_tail_bound(self):
         for N in range(1, 51):
             for F in np.linspace(0.0, 1.0, 11):
                 value = median_cdf(MedianLawInputs(N, float(F)))
-                left, right = median_tail_bounds(MedianLawInputs(N, float(F)), float(F), 1.0 - float(F))
+                left, right = median_tail_bounds(N, float(F), 1.0 - float(F))
                 assert value <= left + 1e-12
                 assert 1.0 - value <= right + 1e-12

@@ -352,28 +352,41 @@ class TestEmission:
         rows = json.loads(report_to_json(report))["rows"]
         assert [row["violated"] for row in rows] == [False] * 4
 
-    def test_exact_rows_write_na_stderr(self):
+    @pytest.mark.parametrize(
+        "f_spec", [{"kind": "identity"}, {"kind": "square"}, {"kind": "indicator", "y": 0.3}, {"kind": "gini"}],
+        ids=["identity", "square", "indicator", "gini"],
+    )
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"kind": "finite_dirichlet", "alpha": [1.0, 2.0, 0.5], "atoms": [-1.0, 0.25, 2.0]},
+            {"kind": "dirichlet_process", "mass": 1.0, "base": GAUSS},
+            {"kind": "polya_tree", "base": GAUSS, "depth": 4, "level_alpha": [1.0, 4.0, 9.0, 16.0]},
+            {"kind": "fixed", "base": {"family": "uniform", "a": 0, "b": 1}},
+        ],
+        ids=["finite_dirichlet", "dp", "polya_tree", "fixed"],
+    )
+    def test_exact_rows_write_na_stderr(self, model, f_spec):
+        # Every sweep estimator is an exact closed form: no row carries a
+        # standard error, and the slack only absorbs rounding.
         cfg = ExperimentConfig.from_dict(
             {
                 "experiment": "estimator_sweep",
-                "model": {
-                    "kind": "dirichlet_process",
-                    "mass": 1.0,
-                    "base": {"family": "gaussian", "mu": 0, "sigma": 1},
-                },
+                "model": model,
                 "n": 2,
-                "N_grid": [4],
+                "N_grid": [4, 9],
                 "m_samples": 2,
-                "replicates": 1,
+                "replicates": 2,
                 "ground": "BL",
-                "f_spec": {"kind": "identity"},
+                "f_spec": f_spec,
                 "master_seed": 16,
             }
         )
         report = run_experiment(cfg)
-        assert report.rows[0].stderr is None
-        assert ",na," in report_to_csv(report).splitlines()[1]
-        assert json.loads(report_to_json(report))["rows"][0]["stderr"] is None
+        assert len(report.rows) == 4
+        assert all(row.stderr is None and row.slack == 1e-9 for row in report.rows)
+        assert all(",na," in line for line in report_to_csv(report).splitlines()[1:])
+        assert all(row["stderr"] is None for row in json.loads(report_to_json(report))["rows"])
 
 
 class TestConfigValidation:
@@ -598,7 +611,7 @@ class TestPackage:
         # earlier access caches the name).
         import importlib
 
-        assert len(finipost.__all__) == len(set(finipost.__all__)) == 77
+        assert len(finipost.__all__) == len(set(finipost.__all__)) == 76
         listed = dir(finipost)
         for name in finipost.__all__:
             home = importlib.import_module(f"finipost.{finipost._EXPORTS[name]}")
@@ -1054,10 +1067,11 @@ class TestCli:
             ("real", '{"n": 2, "N": 10, "post_l21": Infinity}'),
             ("median_cdf", '{"N": 9}'),
             ("median_tails", '{"N": 9, "f": 0.3, "p_left": 0.1, "p_right": 0.2}'),
+            ("tail_probability", '{"epsilon": 1, "e_l21": -5, "n": 0, "N": 9}'),
         ],
         ids=[
             "missing", "bad-json", "list", "int-bool", "int-fraction", "int-str", "real-str", "real-nan", "real-inf",
-            "median_cdf-no-F", "median_tails-misspelt-F",
+            "median_cdf-no-F", "median_tails-misspelt-F", "tail_probability-negative-l21",
         ],
     )
     def test_bound_bad_params(self, name, params):
@@ -1065,10 +1079,11 @@ class TestCli:
         assert "error [config-error]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_bound_median_tails_defaults_F(self):
-        tails = self.run_cli("bound", "median_tails", "--params", '{"N": 9, "p_left": 0.1, "p_right": 0.2}').stdout
-        explicit = '{"N": 9, "F": 0.5, "p_left": 0.1, "p_right": 0.2}'
-        assert tails == self.run_cli("bound", "median_tails", "--params", explicit).stdout
+    def test_bound_median_tails_refuses_F(self):
+        # The tail bounds read only N and the two tails; an F would be ignored.
+        params = '{"N": 9, "F": 0.5, "p_left": 0.1, "p_right": 0.2}'
+        proc = self.run_cli("bound", "median_tails", "--params", params, expect=1)
+        assert "error [config-error]: unknown parameters ['F']" in proc.stderr
 
     def test_run_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -420,6 +420,21 @@ class TestSolveDiscreteOt:
         with pytest.raises(FiniPostError):
             solve_discrete_ot(c, [1.2, -0.2], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "cost, a, b",
+        [
+            ([[0.0, np.nan], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5]),
+            ([[0.0, -1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5]),
+            ([0.0, 1.0], [1.0], [0.5, 0.5]),
+            (np.zeros((0, 0)), [], []),
+        ],
+        ids=["nan", "negative", "one-d", "empty"],
+    )
+    def test_bad_cost_refused(self, cost, a, b):
+        with pytest.raises(FiniPostError) as err:
+            solve_discrete_ot(cost, a, b)
+        assert err.value.code == "config-error"
+
     def test_verify_reports_marginal_violation(self):
         c = np.array([[3.0, 1.0], [2.0, 4.0]])
         plan = solve_discrete_ot(c, [0.5, 0.5], [0.5, 0.5])
