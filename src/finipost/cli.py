@@ -17,7 +17,7 @@ import sys
 
 from . import bounds as bd
 from .errors import FiniPostError, config_float, config_int
-from .harness import ExperimentConfig, emit, report_to_csv, run_experiment
+from .harness import ExperimentConfig, emit, report_to_csv, report_to_json, run_experiment
 
 # Each evaluator reads its parameters through two accessors: ``i(name)``
 # for an integer and ``r(name)`` for a real.
@@ -59,7 +59,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if out:
         emit(report, out, args.format)
     else:
-        sys.stdout.write(report_to_csv(report))
+        sys.stdout.write(report_to_json(report) if args.format == "json" else report_to_csv(report))
     return 3 if report.any_violation else 0
 
 

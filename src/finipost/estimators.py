@@ -117,7 +117,7 @@ def variance_estimators(inputs: EstimatorInputs) -> EstimatePair:
     c12_bar = mu_bar * mu_bar
     s2_hat = predictive_expectation(inputs.model, inputs.history, Square())
     mu_hat = predictive_expectation(inputs.model, inputs.history, IDENTITY)
-    c12_hat = predictive_pair_expectation(inputs.model, inputs.history, Product())[0]
+    c12_hat = predictive_pair_expectation(inputs.model, inputs.history, Product())
     coef_s2 = (N - n + n / N - 1.0) / N
     coef_c12 = (N - n) * (N - n - 1.0) / N**2
     coef_cross = 2.0 * (N - n) * n / N**2
@@ -173,7 +173,7 @@ def gini_estimators(inputs: EstimatorInputs) -> EstimatePair:
         raise FiniPostError("bad-horizon", "mean-difference estimation needs a horizon of at least 2")
     x, _, _ = _history_stats(inputs)
     gini_bar = gini_md(empirical(inputs.history)) if n else 0.0
-    pair_hat = predictive_pair_expectation(inputs.model, inputs.history, AbsDifference())[0]
+    pair_hat = predictive_pair_expectation(inputs.model, inputs.history, AbsDifference())
     cross = 0.0
     for xj in x:
         cross += predictive_expectation(inputs.model, inputs.history, AbsDeviation(float(xj)))

@@ -2,7 +2,7 @@
 and posterior draws of the directing random measure.
 
 Each model is a dataclass on ``ExchangeableModel`` that holds its own laws
-as methods: the posterior rows, the predictive and pair-predictive
+as methods: the posterior rows, the exact predictive and pair-predictive
 expectations, and the prior predictive quantile.  The base class continues
 every model from its posterior rows: by de Finetti a row's new values are
 i.i.d. from one posterior row, so they are multinomial counts on its atoms,
@@ -144,21 +144,12 @@ class ExchangeableModel(ABC):
         return np.minimum(batched_posterior_integrals(self, history, Indicator(x).vec, draws, rng), 1.0)
 
     @abstractmethod
-    def predictive(
-        self, history: Sample, f: Callable, mc_draws: int | None, rng: RngState | None
-    ) -> tuple[float, float]:
-        """E[f(next observation) | history] and its standard error."""
+    def predictive(self, history: Sample, f: Callable) -> float:
+        """E[f(next observation) | history], exact."""
 
-    def pair_predictive(
-        self, history: Sample, g: Callable, mc_draws: int, rng: RngState | None
-    ) -> tuple[float, float]:
-        """E[g(next, next-but-one) | history] and its standard error; Monte
-        Carlo over ``mc_draws`` continuations by default."""
-        if rng is None or mc_draws < 1:
-            raise FiniPostError("config-error", "this model needs mc_draws >= 1 and an rng for pairs")
-        n = len(history)
-        block = batched_sequences(self, history, n + 2, mc_draws, rng)
-        return _mc_mean([float(g(x, y)) for x, y in block[:, n:].tolist()])
+    def pair_predictive(self, history: Sample, g: Callable) -> float:
+        """E[g(next, next-but-one) | history], exact; refused by default."""
+        raise FiniPostError("posterior-unavailable", f"{type(self).__name__} has no closed-form pair predictive")
 
     def prior_quantile(self, u: float) -> float:
         """Smallest x with prior predictive CDF at least u."""
@@ -254,12 +245,12 @@ class FiniteDirichletModel(ExchangeableModel):
     def row_width(self, history):
         return self.k
 
-    def predictive(self, history, f, mc_draws, rng):
+    def predictive(self, history, f):
         weights = self.posterior_alpha(history)
         vals = _finite_values(f, self.atoms)
-        return float(np.dot(weights, vals) / weights.sum()), 0.0
+        return float(np.dot(weights, vals) / weights.sum())
 
-    def pair_predictive(self, history, g, mc_draws, rng):
+    def pair_predictive(self, history, g):
         # Exact by one-step urn expansion: the outer draw conditions the
         # inner predictive.
         weights = self.posterior_alpha(history)
@@ -271,7 +262,7 @@ class FiniteDirichletModel(ExchangeableModel):
             inner[j] += 1.0
             for l, al in enumerate(self.atoms):
                 total += pj * (inner[l] / (A + 1.0)) * float(g(aj, al))
-        return total, 0.0
+        return total
 
     def prior_quantile(self, u):
         self._check_scalar("prior quantiles")
@@ -414,12 +405,12 @@ class DirichletProcessModel(ExchangeableModel):
             return np.full(draws, float(b == 0.0))
         return rng.beta(a, b, size=draws)
 
-    def predictive(self, history, f, mc_draws, rng):
+    def predictive(self, history, f):
         c = self.total_mass
         tail = math.fsum(float(f(v)) for v in history.values)
-        return (c * self.base.expect(f) + tail) / (c + len(history)), 0.0
+        return (c * self.base.expect(f) + tail) / (c + len(history))
 
-    def pair_predictive(self, history, g, mc_draws, rng):
+    def pair_predictive(self, history, g):
         # Exact by one-step urn expansion, as for the finite Dirichlet.
         c = self.total_mass
         n = len(history)
@@ -444,7 +435,7 @@ class DirichletProcessModel(ExchangeableModel):
 
         base_inner = (c * pair_gg + math.fsum(first_to_hist) + diag) / (c + n + 1.0)
         hist_inner = math.fsum(inner(v) for v in hist)
-        return (c * base_inner + hist_inner) / (c + n), 0.0
+        return (c * base_inner + hist_inner) / (c + n)
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +525,13 @@ class StickBreakingModel(ExchangeableModel):
         atoms, weights = _stack_rows(kept)
         return atoms[:draws], weights[:draws]
 
-    def predictive(self, history, f, mc_draws, rng):
-        n = len(history)
-        if n == 0:
-            return self.base.expect(f), 0.0
-        if mc_draws is None or rng is None:
+    def predictive(self, history, f):
+        # With no history the next observation is a draw from the base.
+        if len(history):
             raise FiniPostError(
-                "posterior-unavailable",
-                "stick-breaking predictive with history needs mc_draws and an rng",
+                "posterior-unavailable", "the stick-breaking predictive has no closed form given a history"
             )
-        block = batched_sequences(self, history, n + 1, mc_draws, rng)
-        return _mc_mean([float(f(v)) for v in block[:, n].tolist()])
+        return self.base.expect(f)
 
 
 # ---------------------------------------------------------------------------
@@ -725,17 +712,17 @@ class PolyaTreeModel(ExchangeableModel):
     def row_width(self, history):
         return 2**self.depth
 
-    def predictive(self, history, f, mc_draws, rng):
+    def predictive(self, history, f):
         total = 0.0
         for p, x in zip(_leaf_probs(self._posterior(history)).tolist(), self._points.tolist()):
             total += p * float(f(x))
-        return total, 0.0
+        return total
 
-    def pair_predictive(self, history, g, mc_draws, rng):
-        # Exact leaf enumeration for small trees: the first leaf adds one
-        # count along its path before the second is drawn.
+    def pair_predictive(self, history, g):
+        # Exact leaf enumeration, up to 20 000 leaf pairs (depth 7): the
+        # first leaf adds one count along its path before the second is drawn.
         if 4**self.depth > 20_000:
-            return super().pair_predictive(history, g, mc_draws, rng)
+            raise FiniPostError("resource-limit", f"{4**self.depth} leaf pairs at depth {self.depth}, over 20000")
         post = self._posterior(history)
         points = self._points.tolist()
         total = 0.0
@@ -747,7 +734,7 @@ class PolyaTreeModel(ExchangeableModel):
                 a[leaf1 >> (self.depth - level)] += 1.0
             for p2, y in zip(_leaf_probs(after).tolist(), points):
                 total += p1 * p2 * float(g(points[leaf1], y))
-        return total, 0.0
+        return total
 
     def prior_quantile(self, u):
         cum = np.cumsum(_leaf_probs(self._prior()))
@@ -791,11 +778,11 @@ class FixedLawModel(ExchangeableModel):
     def _mass_at_most(self, history, x, draws, rng):
         return np.full(draws, float(self.base.cdf(x)))
 
-    def predictive(self, history, f, mc_draws, rng):
-        return self.base.expect(f), 0.0
+    def predictive(self, history, f):
+        return self.base.expect(f)
 
-    def pair_predictive(self, history, g, mc_draws, rng):
-        return self.base.pair_expect(g), 0.0
+    def pair_predictive(self, history, g):
+        return self.base.pair_expect(g)
 
 
 # ---------------------------------------------------------------------------
@@ -854,58 +841,39 @@ def batched_posterior_rows(
     return model.posterior_rows(history, draws, rng)
 
 
-def predictive_expectation(
-    model: ExchangeableModel,
-    history: Sample,
-    f: Callable,
-    mc_draws: int | None = None,
-    rng: RngState | None = None,
-) -> float:
-    """E[f(next observation) | history], exact wherever a closed form exists.
-
-    Exact for the Dirichlet models, the Polya tree, the fixed law, and
-    the stick-breaking prior with no history; Monte Carlo (requiring
-    ``mc_draws`` and ``rng``) otherwise.  Where the base law enters (the
-    Dirichlet process, the fixed law, the stick-breaking prior), a named
-    test function of ``families`` takes its closed form there; any other
-    callable is integrated against the base law by quadrature.
-    """
-    value, _ = predictive_expectation_mc(model, history, f, mc_draws, rng)
-    return value
+def predictive_expectation(model: ExchangeableModel, history: Sample, f: Callable) -> float:
+    """E[f(next observation) | history], exact; the stick-breaking model
+    given a history has no closed form and is refused with
+    ``posterior-unavailable``.  Where the base law enters, a named test
+    function of ``families`` takes its closed form there; any other callable
+    is integrated against the base law by quadrature."""
+    _check_history(model, history)
+    return model.predictive(history, f)
 
 
 def predictive_expectation_mc(
-    model: ExchangeableModel,
-    history: Sample,
-    f: Callable,
-    mc_draws: int | None = None,
-    rng: RngState | None = None,
+    model: ExchangeableModel, history: Sample, f: Callable, mc_draws: int, rng: RngState
 ) -> tuple[float, float]:
-    """As :func:`predictive_expectation`, returning (value, standard error);
-    the standard error is zero on exact paths."""
+    """Monte Carlo E[f(next observation) | history] for any scalar model: the
+    mean of f over the next value of ``mc_draws`` independent continuations,
+    with its standard error."""
+    if mc_draws < 2:
+        raise FiniPostError("config-error", f"a standard error needs mc_draws >= 2, got {mc_draws}")
+    n = len(history)
+    block = batched_sequences(model, history, n + 1, mc_draws, rng)
+    return _mc_mean([float(f(v)) for v in block[:, n].tolist()])
+
+
+def predictive_pair_expectation(model: ExchangeableModel, history: Sample, g: Callable) -> float:
+    """E[g(next, next-but-one) | history], exact: by one-step urn expansion
+    for the Dirichlet models, by leaf enumeration for Polya trees of depth at
+    most 7 (deeper is ``resource-limit``), by product integrals for the fixed
+    law; the stick-breaking model has none (``posterior-unavailable``).
+    Base-law integrals of a named pair function of ``families`` and of its
+    sections and diagonal are closed forms; any other callable goes to
+    ``quad``/``dblquad``."""
     _check_history(model, history)
-    return model.predictive(history, f, mc_draws, rng)
-
-
-def predictive_pair_expectation(
-    model: ExchangeableModel,
-    history: Sample,
-    g: Callable,
-    mc_draws: int = 4096,
-    rng: RngState | None = None,
-) -> tuple[float, float]:
-    """E[g(next, next-but-one) | history] with its standard error.
-
-    Exact by one-step urn expansion for the Dirichlet models (the outer
-    draw conditions the inner predictive), exact leaf enumeration for
-    small Polya trees, exact product integrals for the fixed law; Monte
-    Carlo over predictive continuations otherwise (stderr zero only on
-    exact paths).  Base-law integrals of a named pair function of
-    ``families`` (|x - y|, x*y) and of its sections and diagonal are closed
-    forms; any other callable goes to ``quad``/``dblquad``.
-    """
-    _check_history(model, history)
-    return model.pair_predictive(history, g, mc_draws, rng)
+    return model.pair_predictive(history, g)
 
 
 def batched_sequences(

@@ -98,6 +98,7 @@ BL_CONFIG = {
 
 DP_MODEL = {"kind": "dirichlet_process", "mass": 1.0, "base": GAUSS}
 FD_MIXED = {"kind": "finite_dirichlet", "alpha": [1, 1]}
+SB_MODEL = {"kind": "stick_breaking", "base": GAUSS, "beta_rule": {"a": 1.0, "b": 1.0}}
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDENS = [
@@ -618,6 +619,34 @@ class TestPackage:
             assert finipost.__getattr__(name) is getattr(finipost, name) is getattr(home, name)
             assert name in listed
 
+    def test_tracer_finds_every_name_it_times(self):
+        # perfbench/tracing.py wraps finipost functions and methods by name
+        # in the modules a run loads; a renamed one would stop a traced
+        # benchmark run only when it starts.
+        import importlib
+        import importlib.util
+
+        from finipost.families import IDENTITY, UniformLaw
+        from finipost.priors import FixedLawModel
+
+        for module in ("cells", "cli"):
+            importlib.import_module(f"finipost.{module}")
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        priors, cells = sys.modules["finipost.priors"], sys.modules["finipost.cells"]
+        original, tracer = priors.predictive_expectation, tracing.Tracer()
+        try:
+            tracer.install()
+            assert cells.predictive_expectation is priors.predictive_expectation is not original
+            assert priors.predictive_expectation(FixedLawModel(UniformLaw(0, 1)), Sample(()), IDENTITY) == 0.5
+        finally:
+            tracer.restore()
+        assert cells.predictive_expectation is priors.predictive_expectation is original
+        names = [span[0] for span in tracer.spans]
+        assert names[0] == "priors.predictive_expectation" and "families.expect" in names
+
     def test_submodules_resolve_and_unknown_names_raise(self):
         assert finipost.__getattr__("priors") is finipost.priors is sys.modules["finipost.priors"]
         assert "priors" in dir(finipost) and "harness" in dir(finipost)
@@ -1084,6 +1113,43 @@ class TestCli:
         params = '{"N": 9, "F": 0.5, "p_left": 0.1, "p_right": 0.2}'
         proc = self.run_cli("bound", "median_tails", "--params", params, expect=1)
         assert "error [config-error]: unknown parameters ['F']" in proc.stderr
+
+    def test_run_writes_json_to_stdout(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**K2_CONFIG, "m_samples": 64}))
+        proc = self.run_cli("run", "--config", str(cfg_path), "--format", "json")
+        report = json.loads(proc.stdout)
+        assert len(report["rows"]) == 1 and report["rows"][0]["experiment"] == "bound_finite"
+
+    @pytest.mark.parametrize(
+        "config, code",
+        [
+            (small_mean_config(experiment="estimator_sweep", model=SB_MODEL, n=2), "posterior-unavailable"),
+            (
+                small_mean_config(experiment="estimator_sweep", model=SB_MODEL, f_spec={"kind": "gini"}),
+                "posterior-unavailable",
+            ),
+            (
+                small_mean_config(
+                    experiment="estimator_sweep",
+                    model={"kind": "polya_tree", "base": GAUSS, "depth": 8, "level_alpha": [1.0] * 8},
+                    n=2,
+                    f_spec={"kind": "square"},
+                ),
+                "resource-limit",
+            ),
+        ],
+        ids=["stick-breaking-identity-n2", "stick-breaking-gini-n0", "polya-tree-depth8-square"],
+    )
+    def test_run_refuses_a_predictive_with_no_closed_form(self, tmp_path, config, code):
+        # Estimators read only exact predictive laws, and a refusal names
+        # no Monte Carlo setting: a config has none.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = self.run_cli("run", "--config", str(cfg_path), expect=1)
+        assert f"error [{code}]" in proc.stderr and not proc.stdout
+        assert "mc_draws" not in proc.stderr and "rng" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_run_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -258,17 +258,32 @@ class TestStickBreaking:
             sample_sequence(model, 3, derive_seed(3))
         assert err.value.code == "param-missing"
 
-    def test_predictive_prior_is_base(self):
-        val, se = predictive_expectation_mc(self.SB, Sample((), space=self.SB.space), lambda x: x)
-        assert val == pytest.approx(0.0, abs=1e-9) and se == 0.0
-
-    def test_predictive_with_history_needs_rng(self):
-        with pytest.raises(FiniPostError):
-            predictive_expectation(self.SB, Sample((0.5,)), lambda x: x)
-        val, se = predictive_expectation_mc(
-            self.SB, Sample((0.5,)), lambda x: x, mc_draws=400, rng=derive_seed(9)
-        )
-        assert se > 0
+    def test_monte_carlo_predictive_matches_every_exact_predictive(self):
+        # The Monte Carlo route takes the next value of continued sequences;
+        # each exact law lies within 4 standard errors of it.
+        h = Sample((0.5, -1.25, 0.5))
+        cases = [
+            (DP, h),
+            (PolyaTreeModel(GaussianLaw(0, 1), 3, level_alpha=(1.0, 4.0, 9.0)), h),
+            (FiniteDirichletModel((1.0, 2.0, 0.5), atoms=(0.0, 1.5, -2.0)), Sample((1.5, 0.0, 1.5))),
+            (self.SB, Sample((), space=self.SB.space)),
+        ]
+        for seed, (model, history) in enumerate(cases):
+            exact = predictive_expectation(model, history, Square())
+            val, se = predictive_expectation_mc(model, history, Square(), 4000, derive_seed(9, seed))
+            assert se > 0 and abs(val - exact) <= 4 * se, type(model).__name__
+        # With no history the stick-breaking predictive is the base law's.
+        assert predictive_expectation(self.SB, Sample((), space=self.SB.space), IDENTITY) == pytest.approx(0.0, abs=1e-9)
+        # Given a history it has no closed form; Monte Carlo still serves it.
+        with pytest.raises(FiniPostError) as err:
+            predictive_expectation(self.SB, Sample((0.5,)), Square())
+        assert err.value.code == "posterior-unavailable"
+        val, se = predictive_expectation_mc(self.SB, Sample((0.5,)), Square(), 400, derive_seed(9, 4))
+        assert math.isfinite(val) and se > 0
+        # One draw has no standard error.
+        with pytest.raises(FiniPostError) as err:
+            predictive_expectation_mc(DP, h, Square(), 1, derive_seed(9, 5))
+        assert err.value.code == "config-error"
 
 
 class TestPolyaTree:
@@ -319,8 +334,7 @@ class TestPolyaTree:
     def test_pair_expectation_matches_mc(self):
         pt = PolyaTreeModel(UniformLaw(0, 1), 3, level_alpha=(1.0, 2.0, 1.0))
         h = Sample((0.3, 0.9))
-        exact, se0 = predictive_pair_expectation(pt, h, lambda x, y: abs(x - y))
-        assert se0 == 0.0
+        exact = predictive_pair_expectation(pt, h, lambda x, y: abs(x - y))
         rng = derive_seed(115)
         draws = np.array(
             [
@@ -398,7 +412,7 @@ class TestPolyaTree:
             for leaf2 in leaves:
                 g = abs(pt.leaf_point(leaf1) - pt.leaf_point(leaf2))
                 expected += p1 * string_leaf_prob(alpha2, leaf2) * g
-        assert predictive_pair_expectation(pt, h, lambda x, y: abs(x - y)) == (expected, 0.0)
+        assert predictive_pair_expectation(pt, h, lambda x, y: abs(x - y)) == expected
 
 
 def leaves_at(level):
@@ -442,22 +456,22 @@ class TestPredictives:
         )
 
     def test_pair_constant(self):
-        val, se = predictive_pair_expectation(DP, Sample((), space=DP.space), lambda x, y: 1.0)
-        assert val == pytest.approx(1.0, abs=1e-12) and se == 0.0
+        val = predictive_pair_expectation(DP, Sample((), space=DP.space), lambda x, y: 1.0)
+        assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_fd_pair_both_first_label(self):
-        val, _ = predictive_pair_expectation(
+        val = predictive_pair_expectation(
             FD, Sample((), space=FD.space), lambda x, y: 1.0 if x == "a" and y == "a" else 0.0
         )
         assert val == pytest.approx(1 / 3)
 
     def test_dp_pair_product(self):
-        val, _ = predictive_pair_expectation(DP, Sample((), space=DP.space), lambda x, y: x * y)
+        val = predictive_pair_expectation(DP, Sample((), space=DP.space), lambda x, y: x * y)
         assert val == pytest.approx(0.5, abs=1e-9)
 
     def test_dp_pair_against_mc(self):
         h = Sample((0.5, -0.25, 1.0))
-        exact, _ = predictive_pair_expectation(DP, h, lambda x, y: abs(x - y))
+        exact = predictive_pair_expectation(DP, h, lambda x, y: abs(x - y))
         rng = derive_seed(116)
         draws = np.empty(20000)
         for r in range(draws.size):
@@ -1215,6 +1229,9 @@ EXPECTED_CODES = {
     ("finite_dirichlet_labels", "batched_posterior_integrals"): "space-mismatch",
     ("finite_dirichlet_labels", "prior_quantile"): "space-mismatch",
     ("finite_dirichlet_labels", "mass_at_most"): "space-mismatch",
+    ("finite_dirichlet_labels", "predictive_expectation_mc"): "space-mismatch",
+    ("stick_breaking", "predictive_expectation"): "posterior-unavailable",
+    ("stick_breaking", "predictive_pair_expectation"): "posterior-unavailable",
     **{
         ("stick_breaking_n5", law): "posterior-unavailable"
         for law in (
@@ -1237,9 +1254,9 @@ LAWS = {
     "batched_posterior_integrals": lambda model, h, f, g, rng: batched_posterior_integrals(
         model, h, np.vectorize(f), 4, rng
     ),
-    "predictive_expectation": lambda model, h, f, g, rng: predictive_expectation(model, h, f, 64, rng),
+    "predictive_expectation": lambda model, h, f, g, rng: predictive_expectation(model, h, f),
     "predictive_expectation_mc": lambda model, h, f, g, rng: predictive_expectation_mc(model, h, f, 64, rng),
-    "predictive_pair_expectation": lambda model, h, f, g, rng: predictive_pair_expectation(model, h, g, 64, rng),
+    "predictive_pair_expectation": lambda model, h, f, g, rng: predictive_pair_expectation(model, h, g),
     "prior_quantile": lambda model, h, f, g, rng: model.prior_quantile(0.3),
     "mass_at_most": lambda model, h, f, g, rng: model.mass_at_most(h, 0.3, 4, rng),
 }
