@@ -19,18 +19,18 @@ from importlib import import_module
 _NAMES = {
     "errors": "FiniPostError",
     "families": "AnalyticLaw GaussianLaw PointMassLaw UniformLaw family_from_spec",
-    "measures": "AtomicMeasure Cdf Euclidean FiniteAlphabet Point RealLine Sample Space cdf_of empirical gini_md "
+    "measures": "AtomicMeasure Cdf FiniteAlphabet Point RealLine Sample Space cdf_of empirical gini_md "
     "integrate l21_functional mixture moment",
     "priors": "DirichletProcessModel ExchangeableModel FiniteDirichletModel FixedLawModel PolyaTreeModel "
-    "StickBreakingModel continue_sequence model_from_spec polya_tree_marginal posterior_draw predictive_expectation "
+    "StickBreakingModel continue_sequence model_from_spec posterior_draw predictive_expectation "
     "predictive_expectation_mc predictive_pair_expectation sample_sequence",
     "estimators": "EstimatePair EstimatorInputs cdf_estimators finitary_functional gini_estimators mean_estimators "
-    "posterior_risk posterior_risk_profile variance_estimators",
-    "transport": "LipschitzDual PlanCheck TransportPlan bounded_lipschitz meta_w1 meta_w1_matched "
+    "posterior_risk_profile variance_estimators",
+    "transport": "LipschitzDual PlanCheck TransportPlan bounded_lipschitz meta_w1_matched "
     "solve_discrete_ot tv_finite verify_plan w1_real",
     "bounds": "MedianLawInputs bounded_support_bound dudley_gamma euclidean_bound finite_bound l21_moment_bound "
     "mean_bound_conditional mean_bound_unconditional median_cdf median_tail_bounds real_bound "
-    "regularized_incomplete_beta tail_probability_bound",
+    "tail_probability_bound",
     "harness": "ExperimentConfig ExperimentReport ReportRow emit run_experiment",
     "rng": "RngState derive_key derive_seed state_from_key",
 }

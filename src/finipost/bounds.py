@@ -31,7 +31,6 @@ __all__ = [
     "dudley_gamma",
     "median_cdf",
     "median_tail_bounds",
-    "regularized_incomplete_beta",
 ]
 
 
@@ -165,25 +164,12 @@ def euclidean_bound(d: int, k: int, n: int, N: int, gamma_moment_post: float) ->
 # Exact law of an odd-sample median
 # ---------------------------------------------------------------------------
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for any a, b > 0 (scipy's ``betainc``); used here with
-    a = b = N+1 for median laws."""
-    if a <= 0 or b <= 0:
-        raise FiniPostError("config-error", "beta parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    from scipy.special import betainc
-
-    return float(betainc(a, b, x))
-
-
 def median_cdf(inputs: MedianLawInputs) -> float:
     """P{sample median <= x} for 2N+1 i.i.d. draws with F(x) given.
 
-    The regularized incomplete beta I_F(N+1, N+1), evaluated for F < 1/2
-    with the symmetry I_F(a,a) = 1 - I_(1-F)(a,a) enforced.
+    The regularized incomplete beta I_F(N+1, N+1) (scipy's ``betainc``),
+    evaluated for F < 1/2 with the symmetry I_F(a,a) = 1 - I_(1-F)(a,a)
+    enforced.
     """
     N, F = inputs.N, inputs.F_at_x
     if N == 0:
@@ -192,7 +178,9 @@ def median_cdf(inputs: MedianLawInputs) -> float:
         return 0.5
     if F > 0.5:
         return 1.0 - median_cdf(MedianLawInputs(N, 1.0 - F))
-    return regularized_incomplete_beta(N + 1.0, N + 1.0, F)
+    from scipy.special import betainc
+
+    return float(betainc(N + 1.0, N + 1.0, F))
 
 
 def median_tail_bounds(N: int, p_left: float, p_right: float) -> tuple[float, float]:

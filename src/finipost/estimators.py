@@ -39,7 +39,6 @@ __all__ = [
     "cdf_estimators",
     "gini_estimators",
     "finitary_functional",
-    "posterior_risk",
     "posterior_risk_profile",
 ]
 
@@ -202,13 +201,6 @@ def finitary_functional(
     such rows to t of each row's empirical measure (``x.mean(axis=1)``).
     """
     return _mc_mean(_functional_draws(inputs, t, replicas, rng))
-
-
-def posterior_risk(
-    inputs: EstimatorInputs, t: RowFunctional, action: float, replicas: int, rng: RngState
-) -> tuple[float, float]:
-    """Monte Carlo squared-error risk E[(t(empirical_N) - action)^2 | history]."""
-    return posterior_risk_profile(inputs, t, [action], replicas, rng)[0]
 
 
 def posterior_risk_profile(

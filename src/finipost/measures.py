@@ -3,8 +3,8 @@
 The atomic measure is the single-measure carrier: empirical measures of
 observed sequences, posterior draws from every prior in ``priors``, and
 mixtures of both are all finite collections of weighted points.  Points
-live in one of three spaces: a finite label alphabet, the real line, or
-a d-dimensional Euclidean space.  A batch of posterior draws leaves
+live in one of two spaces: a finite label alphabet or the real line; a
+tuple or array point is refused.  A batch of posterior draws leaves
 ``priors`` as posterior rows, (m, s) atom and weight arrays padded with
 zero weights; on one common finite support the weights alone are an
 (m, k) weight matrix, one row per measure, checked once by
@@ -30,7 +30,6 @@ from .families import AnalyticLaw, PointMassLaw, UniformLaw
 __all__ = [
     "FiniteAlphabet",
     "RealLine",
-    "Euclidean",
     "Space",
     "Point",
     "AtomicMeasure",
@@ -71,24 +70,19 @@ class RealLine:
     pass
 
 
-@dataclass(frozen=True)
-class Euclidean:
-    d: int
+Space = FiniteAlphabet | RealLine
+
+# A point is a label (str) or a scalar (float); all points of one measure
+# or sample share a variant.
+Point = str | float
 
 
-Space = FiniteAlphabet | RealLine | Euclidean
-
-# A point is a label (str), a scalar (float), or a vector (tuple of floats);
-# all points of one measure or sample share a variant.
-Point = str | float | tuple
+_NOT_SCALAR = (str, tuple, list, np.ndarray)
 
 
 def _infer_space(values: Sequence[Point]) -> Space:
-    first = values[0]
-    if isinstance(first, str):
+    if isinstance(values[0], str):
         return FiniteAlphabet(tuple(sorted({str(v) for v in values})))
-    if isinstance(first, (tuple, np.ndarray)):
-        return Euclidean(len(first))
     return RealLine()
 
 
@@ -97,19 +91,12 @@ def _check_point(p: Point, space: Space) -> Point:
         if not isinstance(p, str) or p not in space.labels:
             raise FiniPostError("space-mismatch", f"point {p!r} not in alphabet {space.labels}")
         return p
-    if isinstance(space, RealLine):
-        if isinstance(p, (str, tuple, np.ndarray)):
-            raise FiniPostError("space-mismatch", f"point {p!r} is not a scalar")
-        x = float(p)
-        if not math.isfinite(x):
-            raise FiniPostError("space-mismatch", f"non-finite scalar point {p!r}")
-        return x
-    if not isinstance(p, (tuple, np.ndarray)) or len(p) != space.d:
-        raise FiniPostError("space-mismatch", f"point {p!r} is not a {space.d}-vector")
-    vec = tuple(float(c) for c in p)
-    if not all(math.isfinite(c) for c in vec):
-        raise FiniPostError("space-mismatch", f"non-finite vector point {p!r}")
-    return vec
+    if isinstance(p, _NOT_SCALAR):
+        raise FiniPostError("space-mismatch", f"point {p!r} is not a scalar")
+    x = float(p)
+    if not math.isfinite(x):
+        raise FiniPostError("space-mismatch", f"non-finite scalar point {p!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +122,8 @@ class AtomicMeasure:
         merged: dict[Point, float] = {}
         for p, w in pairs:
             w = float(w)
-            if w < -_WEIGHT_TOL:
-                raise FiniPostError("bad-weights", f"negative weight {w}")
+            if not w >= -_WEIGHT_TOL:
+                raise FiniPostError("bad-weights", f"negative or NaN weight {w}")
             p = _check_point(p, space)
             merged[p] = merged.get(p, 0.0) + w
         total = math.fsum(merged.values())
@@ -231,8 +218,8 @@ def merged_rows(atoms, weights) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def checked_rows(rows) -> list[tuple[np.ndarray, np.ndarray]]:
     """Merged rows from a caller, checked as ``merged_rows`` checks its
-    rows: (points, weights) array pairs of equal length, finite points, no
-    weight below -1e-12 and a sum within 1e-12 of one."""
+    rows: (points, weights) pairs of 1-d arrays of one length, finite
+    scalar points, no weight below -1e-12 and a sum within 1e-12 of one."""
     out = []
     for row in rows:
         try:
@@ -241,8 +228,8 @@ def checked_rows(rows) -> list[tuple[np.ndarray, np.ndarray]]:
             raise FiniPostError("bad-weights", f"a merged row is a (points, weights) pair, not {row!r}") from None
         if w.ndim != 1 or w.size == 0 or x.shape[:1] != w.shape:
             raise FiniPostError("bad-weights", f"row points of shape {x.shape} with weights of shape {w.shape}")
-        if not np.all(np.isfinite(x)):
-            raise FiniPostError("space-mismatch", "non-finite point in a row")
+        if x.ndim != 1 or not np.all(np.isfinite(x)):
+            raise FiniPostError("space-mismatch", f"row points must be finite scalars, got shape {x.shape}")
         if not (np.all(w >= -_WEIGHT_TOL) and abs(math.fsum(w) - 1.0) <= _WEIGHT_TOL):
             raise FiniPostError("bad-weights", "a row has a negative or NaN weight or does not sum to 1")
         out.append((x, w))
@@ -263,6 +250,10 @@ class Sample:
     def __post_init__(self):
         if self.space is None and self.values:
             object.__setattr__(self, "space", _infer_space(self.values))
+        if isinstance(self.space, RealLine):
+            for v in self.values:
+                if isinstance(v, _NOT_SCALAR):
+                    raise FiniPostError("space-mismatch", f"point {v!r} is not a scalar")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -308,11 +299,8 @@ def integrate(measure: AtomicMeasure, f: Callable[[Point], float]) -> float:
 
 
 def moment(measure: AtomicMeasure, order: float) -> float:
-    """Weighted sum of ||x||^order over the atoms (scalar or vector space)."""
-    if isinstance(measure.space, FiniteAlphabet):
-        raise FiniPostError("space-mismatch", "moments need scalar or vector points")
-    norms = np.array([math.hypot(*p) if isinstance(p, tuple) else abs(p) for p in measure.points])
-    return float(np.dot(measure.weights, norms ** order))
+    """Weighted sum of |x|^order over the atoms of a real-line measure."""
+    return float(np.dot(measure.weights, np.abs(measure.scalars()) ** order))
 
 
 def gini_md(measure: AtomicMeasure) -> float:

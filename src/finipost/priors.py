@@ -69,7 +69,6 @@ __all__ = [
     "predictive_expectation",
     "predictive_expectation_mc",
     "predictive_pair_expectation",
-    "polya_tree_marginal",
     "model_from_spec",
     "batched_sequences",
     "batched_sequence_blocks",
@@ -748,17 +747,6 @@ def _leaf_probs(levels: Sequence[np.ndarray]) -> np.ndarray:
     for a in levels:
         probs = np.repeat(probs, 2) * (a / np.repeat(a[0::2] + a[1::2], 2))
     return probs
-
-
-def polya_tree_marginal(model: PolyaTreeModel, eps: str) -> float:
-    """Prior probability that one observation falls in the node set B_eps:
-    the product over prefixes of the mean branch probability chosen at
-    each level."""
-    if not eps or any(ch not in "01" for ch in eps):
-        raise FiniPostError("config-error", f"node address must be a nonempty 0/1 string, got {eps!r}")
-    if len(eps) > model.depth:
-        raise FiniPostError("param-missing", f"address {eps!r} deeper than the tree")
-    return float(_leaf_probs(model._prior(len(eps)))[int(eps, 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,14 @@ Four ground-level distances (1-d Wasserstein, total variation, bounded
 Lipschitz with an optimal test-function certificate, generic discrete
 optimal transport with dual certificates) and one meta-level plug-in: the
 order-1 transport distance between two equal-size samples of measures
-under a chosen bounded ground metric.  Bounded Lipschitz is an exact chain
-dynamic program on the line and, in R^d, transport under the truncated
-metric min(d, 2).  W1, TV and BL fold their two measures into one array
-of signed weights on the sorted union support; the BL meta ground also
-takes merged rows, a measure's distinct points and weights as two
-arrays.  Discrete OT is one HiGHS transportation LP for any marginals;
-the meta distance takes its optimal matching from
-``linear_sum_assignment``, under BL certified on lower bounds with exact
-solves only where the matching needs them.
+under a chosen bounded ground metric.  Bounded Lipschitz is computed on
+the line only, by an exact chain dynamic program.  W1, TV and BL fold
+their two measures into one array of signed weights on the sorted union
+support; the BL meta ground also takes merged rows, a measure's distinct
+points and weights as two 1-d arrays.  Discrete OT is one HiGHS
+transportation LP for any marginals; the meta distance takes its optimal
+matching from ``linear_sum_assignment``, under BL certified on lower
+bounds with exact solves only where the matching needs them.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "bounded_lipschitz",
     "solve_discrete_ot",
     "verify_plan",
-    "meta_w1",
     "meta_w1_matched",
 ]
 
@@ -72,31 +70,25 @@ class LipschitzDual:
     """A test function on a finite support: the witness of a bounded
     Lipschitz distance value.
 
-    Validated at construction: values within [-1, 1] and 1-Lipschitz with
-    respect to the pairwise point distances, both up to 1e-9.  On the
-    line the consecutive-pair check is equivalent to all pairs (the gaps
+    Validated at construction: finite points on the line and finite
+    values, within [-1, 1] and 1-Lipschitz, both up to 1e-9.  The
+    consecutive-pair check is equivalent to all pairs (the gaps
     telescope), which keeps validation linear.
     """
 
     __slots__ = ("support", "values")
 
-    def __init__(self, support: Sequence, values: Sequence[float]):
-        vals = np.asarray(values, dtype=float)
-        if len(support) != vals.size:
-            raise FiniPostError("config-error", "support and values length mismatch")
+    def __init__(self, support: Sequence[float], values: Sequence[float]):
+        x, vals = np.asarray(support, dtype=float), np.asarray(values, dtype=float)
+        if x.ndim != 1 or x.shape != vals.shape:
+            raise FiniPostError("config-error", "support and values must be 1-d of one length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(vals))):
+            raise FiniPostError("config-error", "non-finite support point or dual value")
         if np.any(np.abs(vals) > 1.0 + _OPT_TOL):
             raise FiniPostError("config-error", "dual values exceed the unit box")
-        if len(support) > 1:
-            x = np.asarray(support, dtype=float)
-            if x.ndim == 1:
-                order = np.argsort(x, kind="stable")
-                bad = np.abs(np.diff(vals[order])) > np.diff(x[order]) + _OPT_TOL
-            else:
-                from scipy.spatial.distance import pdist
-
-                bad = pdist(vals[:, None]) > pdist(x) + _OPT_TOL
-            if np.any(bad):
-                raise FiniPostError("config-error", "dual values violate the Lipschitz constraint")
+        order = np.argsort(x, kind="stable")
+        if np.any(np.abs(np.diff(vals[order])) > np.diff(x[order]) + _OPT_TOL):
+            raise FiniPostError("config-error", "dual values violate the Lipschitz constraint")
         self.support = tuple(support)
         self.values = vals
 
@@ -134,7 +126,7 @@ def tv_finite(p: AtomicMeasure, q: AtomicMeasure) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bounded Lipschitz distance: chain dynamic program on the line, transport in R^d
+# Bounded Lipschitz distance: chain dynamic program on the line
 # ---------------------------------------------------------------------------
 
 def bounded_lipschitz(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, LipschitzDual]:
@@ -144,14 +136,11 @@ def bounded_lipschitz(p: AtomicMeasure, q: AtomicMeasure) -> tuple[float, Lipsch
     |f_i| <= 1 and |f_i - f_j| <= dist(x_i, x_j).  On the line only
     consecutive-point constraints are needed (they imply all pairs by
     telescoping along the sorted support), and the resulting chain problem
-    is solved exactly by a dynamic program (:func:`_bl_chain`).  In R^d
-    the value is the transport cost under rho = min(d, 2), solved by
-    :func:`solve_discrete_ot`, and f the c-transform of its column duals.
+    is solved exactly by a dynamic program (:func:`_bl_chain`).
     """
     (rp,), (rq,) = _as_arrays([p], [q], "BL")
     value, x, f = _bl_solve(rp, rq)
-    support = x.tolist() if x.ndim == 1 else [tuple(pt) for pt in x.tolist()]
-    return value, LipschitzDual(support, f)
+    return value, LipschitzDual(x.tolist(), f)
 
 
 def _bl_solve(p: tuple, q: tuple) -> tuple[float, np.ndarray, np.ndarray]:
@@ -162,19 +151,7 @@ def _bl_solve(p: tuple, q: tuple) -> tuple[float, np.ndarray, np.ndarray]:
     x, delta = _signed_weights(p, q)
     if len(x) == 1:
         return 0.0, x, np.zeros(1)
-    if x.ndim == 1:
-        f = _bl_chain(x, delta)
-        return float(np.dot(delta, f)), x, f
-
-    from scipy.spatial.distance import cdist
-
-    # Between probability measures BL is w1 under rho = min(d, 2)
-    # (Kantorovich-Rubinstein duality; Villani 2009, ch. 5-6).  The
-    # c-transform f(z) = min_j [rho(z, y_j) - v_j] of the column duals v is
-    # rho-1-Lipschitz, so of range at most 2, and centring puts it in [-1, 1].
-    v = solve_discrete_ot(np.minimum(cdist(p[0], q[0]), 2.0), p[1], q[1]).duals[1]
-    f = (np.minimum(cdist(x, q[0]), 2.0) - v).min(axis=1)
-    f -= 0.5 * (f.max() + f.min())
+    f = _bl_chain(x, delta)
     return float(np.dot(delta, f)), x, f
 
 
@@ -280,17 +257,17 @@ def _bl_chain(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 def _signed_weights(p: tuple, q: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union support of two merged rows (lexicographic in R^d)
-    and the signed weights P - Q on it.  A stable sort puts a shared
-    point's two entries next to each other, so each group of equal points
-    holds at most one entry per side and sums to exactly P - Q."""
+    """The sorted union support of two merged rows and the signed weights
+    P - Q on it.  A stable sort puts a shared point's two entries next to
+    each other, so each group of equal points holds at most one entry per
+    side and sums to exactly P - Q."""
     x = np.concatenate((p[0], q[0]))
     w = np.concatenate((p[1], -q[1]))
-    order = x.argsort(kind="stable") if x.ndim == 1 else np.lexsort(x.T[::-1])
+    order = x.argsort(kind="stable")
     x, w = x[order], w[order]
     first = np.empty(len(x), dtype=bool)
     first[0] = True
-    first[1:] = x[1:] != x[:-1] if x.ndim == 1 else (x[1:] != x[:-1]).any(axis=1)
+    first[1:] = x[1:] != x[:-1]
     start = first.nonzero()[0]
     return x[start], np.add.reduceat(w, start)
 
@@ -377,18 +354,13 @@ def verify_plan(plan: TransportPlan, cost: np.ndarray) -> PlanCheck:
 _MAX_COST_MATRIX_BYTES = 2**31  # m = 16384 float64 costs per side
 
 
-def meta_w1(ps, qs, ground: str) -> float:
-    """Plug-in transport distance between the laws behind two measure samples.
+def meta_w1_matched(ps, qs, ground: str) -> tuple[float, np.ndarray]:
+    """Plug-in transport distance between the laws behind two measure
+    samples, and the optimally matched pair costs.
 
     Solves the uniform-marginal transport problem between the samples
     exactly, as an optimal matching.  The ground metric is always
-    explicit: "TV" on a common finite alphabet, "BL" on the line or R^d.
-    """
-    return meta_w1_matched(ps, qs, ground)[0]
-
-
-def meta_w1_matched(ps, qs, ground: str) -> tuple[float, np.ndarray]:
-    """As :func:`meta_w1`, also returning the optimally matched pair costs.
+    explicit: "TV" on a common finite alphabet, "BL" on the line.
 
     The plug-in value is the mean of the returned array, and its standard
     error is the array's deviation over sqrt(m).  Under "TV" the two
@@ -396,8 +368,8 @@ def meta_w1_matched(ps, qs, ground: str) -> tuple[float, np.ndarray]:
     share one alphabet order; measure lists are converted to such
     matrices over their union alphabet on entry.  Under "BL" they may be
     given as lists of merged rows (``merged_rows``); measure lists are
-    converted to such lists on entry.  Under "BL" on the line the cost
-    state starts as the exact diagonal and lower bounds elsewhere; each
+    converted to such lists on entry.  Under "BL" the cost state starts
+    as the exact diagonal and lower bounds elsewhere; each
     round solves the matched pairs not yet exact and assigns again.  It
     ends below the exact costs and equal to them on the matching, which
     is therefore optimal for the exact costs too.  Where the optimum is
@@ -416,7 +388,7 @@ def meta_w1_matched(ps, qs, ground: str) -> tuple[float, np.ndarray]:
     _refuse_huge(len(ps), len(qs))
     from scipy.optimize import linear_sum_assignment
 
-    if ground != "BL" or ps[0][0].ndim > 1:
+    if ground == "TV":
         cost = _cost_matrix(ps, qs, ground)
         matched = cost[linear_sum_assignment(cost)]
     else:
@@ -482,8 +454,8 @@ def _refuse_huge(m: int, mp: int) -> None:
 def _as_arrays(ps, qs, ground: str) -> tuple:
     """Two samples as (m, k) weight matrices under "TV" and lists of
     merged rows under "BL", converted from lists of measures on one space
-    (labels under TV, the line or R^d under BL) where need be (TV columns
-    follow the union alphabet), or checked if given."""
+    (labels under TV, the line under BL) where need be (TV columns follow
+    the union alphabet), or checked if given."""
     if ground == "TV" and isinstance(ps, np.ndarray) and isinstance(qs, np.ndarray):
         P, Q = weight_matrix(ps), weight_matrix(qs)
         if P.shape != Q.shape:
@@ -501,12 +473,11 @@ def _as_arrays(ps, qs, ground: str) -> tuple:
         labels = tuple(sorted(set().union(*[sp.labels for sp in spaces])))
         alphabet = next(iter(spaces)) if len(spaces) == 1 else FiniteAlphabet(labels)
         return np.stack([p.weight_vector(alphabet) for p in ps]), np.stack([q.weight_vector(alphabet) for q in qs])
-    space = spaces.pop()
-    if spaces or isinstance(space, FiniteAlphabet):
-        raise FiniPostError("space-mismatch", "BL ground needs measures on one space, the line or R^d")
+    if not all(isinstance(sp, RealLine) for sp in spaces):
+        raise FiniPostError("space-mismatch", "BL ground needs measures on the line")
     return [_row(p) for p in ps], [_row(q) for q in qs]
 
 
 def _row(m: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """A measure's points (scalars, label strings or (s, d) vectors) and weights."""
+    """A measure's points (scalars or label strings) and weights."""
     return np.asarray(m.points), m.weights

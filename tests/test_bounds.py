@@ -21,7 +21,6 @@ from finipost.bounds import (
     median_cdf,
     median_tail_bounds,
     real_bound,
-    regularized_incomplete_beta,
     tail_probability_bound,
 )
 from finipost.errors import FiniPostError
@@ -221,24 +220,6 @@ class TestMedianLaw:
             for F in (Fraction(k, 64) for k in range(1, 64, 4)):
                 ref = float(_binomial_tail(N + 1, N + 1, F))
                 assert median_cdf(MedianLawInputs(N, float(F))) == pytest.approx(ref, rel=1e-12, abs=0.0)
-
-    def test_incomplete_beta_matches_exact_binomial_tail_random_integers(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            a, b = (int(v) for v in rng.integers(1, 61, size=2))
-            x = float(rng.uniform(0.001, 0.999))
-            ref = float(_binomial_tail(a, b, Fraction(x)))
-            assert regularized_incomplete_beta(a, b, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
-
-    def test_incomplete_beta_passes_generic_parameters_to_betainc(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            a = float(rng.uniform(0.5, 60))
-            b = float(rng.uniform(0.5, 60))
-            x = float(rng.uniform(0.001, 0.999))
-            assert regularized_incomplete_beta(a, b, x) == pytest.approx(
-                float(betainc(a, b, x)), rel=1e-10, abs=1e-13
-            )
 
     def test_monotone_in_F_and_symmetric(self):
         for N in (1, 4, 19, 30):

@@ -14,7 +14,6 @@ from finipost.estimators import (
     finitary_functional,
     gini_estimators,
     mean_estimators,
-    posterior_risk,
     posterior_risk_profile,
     variance_estimators,
 )
@@ -233,7 +232,7 @@ class TestFunctionalAndRisk:
         inputs = EstimatorInputs(DP, Sample((0.5,)), 5)
         for call in (
             lambda: finitary_functional(inputs, row_gini, 1, derive_seed(1)),
-            lambda: posterior_risk(inputs, row_gini, 0.0, 1, derive_seed(1)),
+            lambda: posterior_risk_profile(inputs, row_gini, [0.0], 1, derive_seed(1)),
             lambda: posterior_risk_profile(inputs, row_gini, [0.0, 1.0], 1, derive_seed(1)),
         ):
             with pytest.raises(FiniPostError) as err:
@@ -253,13 +252,13 @@ class TestFunctionalAndRisk:
     def test_risk_is_the_one_action_profile(self):
         inputs = EstimatorInputs(DP, Sample((0.4, 1.0)), 12)
         t = lambda x: x.mean(axis=1)  # noqa: E731
-        single = posterior_risk(inputs, t, 0.3, 500, derive_seed(7))
-        assert single == posterior_risk_profile(inputs, t, [0.3], 500, derive_seed(7))[0]
+        single = posterior_risk_profile(inputs, t, [0.3], 500, derive_seed(7))[0]
+        assert single == posterior_risk_profile(inputs, t, [0.0, 0.3, 1.3], 500, derive_seed(7))[1]
 
     def test_risk_of_forced_outcome_is_zero(self):
         dp0 = DirichletProcessModel(1e-12, PointMassLaw(2.0))
         inputs = EstimatorInputs(dp0, Sample((2.0,)), 6)
-        val, _ = posterior_risk(inputs, lambda x: x.mean(axis=1), 2.0, 256, derive_seed(2))
+        val, _ = posterior_risk_profile(inputs, lambda x: x.mean(axis=1), [2.0], 256, derive_seed(2))[0]
         assert val == pytest.approx(0.0, abs=1e-18)
 
     def test_risk_shift_identity(self):

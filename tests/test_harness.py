@@ -612,7 +612,7 @@ class TestPackage:
         # earlier access caches the name).
         import importlib
 
-        assert len(finipost.__all__) == len(set(finipost.__all__)) == 76
+        assert len(finipost.__all__) == len(set(finipost.__all__)) == 71
         listed = dir(finipost)
         for name in finipost.__all__:
             home = importlib.import_module(f"finipost.{finipost._EXPORTS[name]}")
@@ -691,8 +691,8 @@ class TestStructure:
         assert _EXPERIMENTS == tuple(_CELLS)
 
     def test_one_linear_program(self):
-        # Every LP, BL in R^d included, is the transportation LP of
-        # solve_discrete_ot: the one linprog call site in the package.
+        # Every LP is the transportation LP of solve_discrete_ot: the one
+        # linprog call site in the package.
         import ast
 
         root, sites = os.path.dirname(finipost.__file__), []
@@ -706,6 +706,22 @@ class TestStructure:
                         node = parent[node]
                     sites.append((name, getattr(node, "name", None)))
         assert sites == [("transport.py", "solve_discrete_ot")]
+
+    def test_no_pairwise_distances_in_the_plane(self):
+        # Bounded Lipschitz runs on the line only: no module imports
+        # scipy.spatial, which the R^d solver needed for its distances.
+        import ast
+
+        root, imports = os.path.dirname(finipost.__file__), []
+        for name in sorted(f for f in os.listdir(root) if f.endswith(".py")):
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                for node in ast.walk(ast.parse(fh.read())):
+                    if isinstance(node, ast.Import):
+                        imports += [(name, alias.name) for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom) and node.module:
+                        imports += [(name, f"{node.module}.{alias.name}") for alias in node.names]
+        assert any(module.startswith("scipy.") for _, module in imports)
+        assert [(name, m) for name, m in imports if m.startswith("scipy.spatial")] == []
 
     @pytest.mark.parametrize("module", ["harness", "cells", "estimators"])
     def test_harness_names_no_atomic_measure(self, module):

@@ -189,10 +189,6 @@ class TestGiniMoment:
         assert moment(AtomicMeasure([(-1.0, 0.5), (1.0, 0.5)]), 2.0) == 1.0
         assert moment(AtomicMeasure([(1.0, 0.25), (3.0, 0.75)]), 1.0) == 2.5
 
-    def test_vector_moment(self):
-        m = AtomicMeasure([((3.0, 4.0), 1.0)])
-        assert moment(m, 2.0) == pytest.approx(25.0)
-
     def test_gini_dominated_by_first_moment(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -234,6 +230,10 @@ class TestInvariants:
             AtomicMeasure([(0.0, 0.5), (1.0, 0.6)])
         with pytest.raises(FiniPostError):
             AtomicMeasure([(0.0, 1.5), (1.0, -0.5)])
+        # Every comparison with NaN is false: a NaN weight must still fail.
+        with pytest.raises(FiniPostError) as err:
+            AtomicMeasure([(0.0, 1.0), (1.0, math.nan)])
+        assert err.value.code == "bad-weights"
 
 
 class TestSampleAndSpaces:

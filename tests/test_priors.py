@@ -22,7 +22,6 @@ from finipost.priors import (
     batched_sequences,
     continue_sequence,
     model_from_spec,
-    polya_tree_marginal,
     posterior_draw,
     predictive_expectation,
     predictive_expectation_mc,
@@ -284,6 +283,18 @@ class TestStickBreaking:
         with pytest.raises(FiniPostError) as err:
             predictive_expectation_mc(DP, h, Square(), 1, derive_seed(9, 5))
         assert err.value.code == "config-error"
+
+
+def polya_tree_marginal(pt, eps):
+    """Prior probability that one observation falls in the node set B_eps,
+    read from the exact prior predictive: B_eps holds the base quantiles
+    of the dyadic interval (k / 2^l, (k + 1) / 2^l], k = int(eps, 2)."""
+    k, scale = int(eps, 2), 2.0 ** len(eps)
+
+    def in_node(x):
+        return float(k / scale < pt.quantile_base.cdf(x) <= (k + 1) / scale)
+
+    return predictive_expectation(pt, Sample((), space=pt.space), in_node)
 
 
 class TestPolyaTree:

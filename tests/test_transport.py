@@ -3,7 +3,6 @@ certificates, discrete optimal transport with duals, and the plug-in meta
 distance between measure samples."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -12,13 +11,12 @@ from hypothesis import strategies as st
 
 from finipost import transport
 from finipost.errors import FiniPostError
-from finipost.measures import AtomicMeasure, FiniteAlphabet, Sample, empirical, merged_rows
+from finipost.measures import AtomicMeasure, FiniteAlphabet, RealLine, Sample, empirical, merged_rows
 from finipost.transport import (
     LipschitzDual,
     TransportPlan,
     bounded_lipschitz,
     meta_cost_matrix,
-    meta_w1,
     meta_w1_matched,
     solve_discrete_ot,
     tv_finite,
@@ -74,14 +72,25 @@ class TestW1Real:
 
     @pytest.mark.parametrize("p, q", [
         (empirical(Sample(("a", "b"))), empirical(Sample(("a",)))),
-        (AtomicMeasure([((0.0, 0.0), 1.0)]), AtomicMeasure([((1.0, 0.0), 1.0)])),
-        (dirac(0.0), AtomicMeasure([((0.0, 0.0), 1.0)])),
-    ], ids=["labels", "plane", "mixed"])
+        (dirac(0.0), empirical(Sample(("a",)))),
+    ], ids=["labels", "line-and-labels"])
     def test_off_the_line_is_refused(self, p, q):
         for a, b in ((p, q), (q, p)):
             with pytest.raises(FiniPostError) as err:
                 w1_real(a, b)
             assert err.value.code == "space-mismatch"
+
+    @pytest.mark.parametrize("build", [
+        lambda: AtomicMeasure([((0.0, 0.0), 1.0)]),
+        lambda: Sample(((0.0, 0.0),)),
+        lambda: Sample((0.0, np.zeros(2))),
+        lambda: Sample(((0.0, 0.0),), space=RealLine()),
+    ], ids=["plane", "mixed", "sample-array", "sample-on-the-line"])
+    def test_vector_points_are_refused(self, build):
+        # A point is a label or a scalar: no measure or sample reaches a plane.
+        with pytest.raises(FiniPostError) as err:
+            build()
+        assert err.value.code == "space-mismatch"
 
 
 class TestTvFinite:
@@ -137,52 +146,18 @@ class TestBoundedLipschitz:
             value, dual = bounded_lipschitz(p, q)
             assert dual.pairing(p, q) == pytest.approx(value, abs=1e-9)
 
-    def test_euclidean_pairs(self):
-        p = AtomicMeasure([((0.0, 0.0), 1.0)])
-        q = AtomicMeasure([((3.0, 4.0), 1.0)])
-        value, _ = bounded_lipschitz(p, q)
-        assert value == pytest.approx(2.0, abs=1e-9)  # distance 5 capped by the box
-        q2 = AtomicMeasure([((0.3, 0.4), 1.0)])
-        value2, _ = bounded_lipschitz(p, q2)
-        assert value2 == pytest.approx(0.5, abs=1e-9)
-
-    @pytest.mark.parametrize("span", [0.3, 1.0, 4.0])
-    def test_euclidean_multi_atom_against_pairwise_lp(self, span):
-        rng = np.random.default_rng(17)
-        for _ in range(8):
-            p, q = (
-                AtomicMeasure(list(zip(map(tuple, rng.uniform(-span, span, (k, 2))), rng.dirichlet(np.ones(k)))))
-                for k in rng.integers(3, 8, size=2)
-            )
-            value, dual = bounded_lipschitz(p, q)
-            assert len(dual.support) >= 5
-            assert value == pytest.approx(plane_bl_lp(p, q), abs=1e-9)
-            assert dual.pairing(p, q) == pytest.approx(value, abs=1e-12)
-
-
-def plane_bl_lp(p, q):
-    """Reference bounded Lipschitz value in R^d: the LP over the union
-    support with the two constraints of each pair i < j written one pair
-    at a time, solved by HiGHS."""
-    from scipy.optimize import linprog
-
-    support = list(dict.fromkeys(list(p.points) + list(q.points)))
-    delta = np.zeros(len(support))
-    for m, sign in ((p, 1.0), (q, -1.0)):
-        for pt, w in zip(m.points, m.weights):
-            delta[support.index(pt)] += sign * w
-    rows, rhs = [], []
-    for i in range(len(support)):
-        for j in range(i + 1, len(support)):
-            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(support[i], support[j])))
-            for sign in (1.0, -1.0):
-                row = np.zeros(len(support))
-                row[i], row[j] = sign, -sign
-                rows.append(row)
-                rhs.append(d)
-    res = linprog(-delta, A_ub=np.array(rows), b_ub=rhs, bounds=[(-1.0, 1.0)] * len(support), method="highs")
-    assert res.success
-    return -res.fun
+    @pytest.mark.parametrize("support, values", [
+        ([0.0, 1.0], [0.0, np.nan]),
+        ([0.0, np.nan], [0.0, 0.0]),
+        ([0.0, np.inf], [0.0, 1.0]),
+        ([0.0], [np.nan]),
+    ], ids=["nan-value", "nan-point", "inf-point", "one-nan-value"])
+    def test_dual_refuses_non_finite(self, support, values):
+        # Every comparison with NaN is false, so the box and Lipschitz
+        # checks alone would certify it.
+        with pytest.raises(FiniPostError) as err:
+            LipschitzDual(support, values)
+        assert err.value.code == "config-error"
 
 
 def line_bl_lp(p, q):
@@ -336,13 +311,13 @@ class TestInvariance:
         ps = [random_scalar_pair(rng, max_atoms=5)[0] for _ in range(8)]
         qs = [random_scalar_pair(rng, max_atoms=5)[0] for _ in range(8)]
         for A, B, ground in ((P, Q, "TV"), (ps, qs, "BL")):
-            est = meta_w1(A, B, ground)
+            est = meta_w1_matched(A, B, ground)[0]
             for _ in range(3):
                 pa, pb = rng.permutation(len(A)), rng.permutation(len(B))
                 A_perm = A[pa] if ground == "TV" else [A[i] for i in pa]
                 B_perm = B[pb] if ground == "TV" else [B[i] for i in pb]
                 for args in ((A_perm, B), (A, B_perm), (A_perm, B_perm)):
-                    assert meta_w1(*args, ground) == pytest.approx(est, abs=1e-12)
+                    assert meta_w1_matched(*args, ground)[0] == pytest.approx(est, abs=1e-12)
 
 
 class TestMetricProperties:
@@ -459,13 +434,13 @@ class TestMetaW1:
         rng = np.random.default_rng(9)
         alpha = FiniteAlphabet(("a", "b", "c"))
         ps = [random_finite_pair(rng, alpha)[0] for _ in range(5)]
-        assert meta_w1(ps, list(ps), "TV") == pytest.approx(0.0, abs=1e-15)
+        assert meta_w1_matched(ps, list(ps), "TV")[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_single_pair_is_ground_distance(self):
         alpha = FiniteAlphabet(("a", "b"))
         p = AtomicMeasure([("a", 0.7), ("b", 0.3)], space=alpha)
         q = AtomicMeasure([("a", 0.2), ("b", 0.8)], space=alpha)
-        assert meta_w1([p], [q], "TV") == pytest.approx(tv_finite(p, q), abs=1e-15)
+        assert meta_w1_matched([p], [q], "TV")[0] == pytest.approx(tv_finite(p, q), abs=1e-15)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_brute_force_permutations(self, m):
@@ -474,7 +449,7 @@ class TestMetaW1:
         for _ in range(20):
             ps = [random_finite_pair(rng, alpha)[0] for _ in range(m)]
             qs = [random_finite_pair(rng, alpha)[0] for _ in range(m)]
-            got = meta_w1(ps, qs, "TV")
+            got = meta_w1_matched(ps, qs, "TV")[0]
             cost = np.array([[tv_finite(p, q) for q in qs] for p in ps])
             best = min(
                 np.mean([cost[i, perm[i]] for i in range(m)])
@@ -511,7 +486,7 @@ class TestMetaW1:
         cost = np.array([[bounded_lipschitz(p, q)[0] for q in qs] for p in ps])
         uniform = np.full(12, 1.0 / 12)
         lp = solve_discrete_ot(cost, uniform, uniform)
-        assert meta_w1(ps, qs, "BL") == pytest.approx(lp.cost, abs=1e-12)
+        assert meta_w1_matched(ps, qs, "BL")[0] == pytest.approx(lp.cost, abs=1e-12)
 
     def test_binary_reduction_matches_assignment(self):
         # The sorted fast path for two-label alphabets must agree with the
@@ -530,7 +505,7 @@ class TestMetaW1:
         rng = np.random.default_rng(18)
         ps = [random_scalar_pair(rng, max_atoms=4)[0] for _ in range(4)]
         qs = [random_scalar_pair(rng, max_atoms=4)[0] for _ in range(4)]
-        got = meta_w1(ps, qs, "BL")
+        got = meta_w1_matched(ps, qs, "BL")[0]
         cost = np.array([[bounded_lipschitz(p, q)[0] for q in qs] for p in ps])
         best = min(
             np.mean([cost[i, perm[i]] for i in range(4)])
@@ -609,7 +584,7 @@ class TestMetaW1:
     def test_merged_rows_and_measures_do_not_mix(self):
         rows = merged_rows(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]]))
         with pytest.raises(FiniPostError) as err:
-            meta_w1(rows, [dirac(0.5)], "BL")
+            meta_w1_matched(rows, [dirac(0.5)], "BL")
         assert err.value.code == "space-mismatch"
 
     @pytest.mark.parametrize("points, weights, code", [
@@ -626,38 +601,40 @@ class TestMetaW1:
         ([(np.array([0.0, 1.0]), np.array([0.7, 0.7]))], [(np.array([0.0]), np.array([1.0]))], "bad-weights"),
         ([(np.array([0.0, np.nan]), np.array([0.3, 0.7]))], [(np.array([0.0]), np.array([1.0]))], "space-mismatch"),
         ([1, 2], [3, 4], "bad-weights"),
-    ], ids=["sum", "nan-point", "not-a-pair"])
+        ([(np.zeros((2, 2)), np.array([0.5, 0.5]))] * 2, [(np.array([0.0, 1.0]), np.array([0.5, 0.5]))] * 2,
+         "space-mismatch"),
+    ], ids=["sum", "nan-point", "not-a-pair", "vector-points"])
     def test_given_rows_are_checked(self, ps, qs, code):
         with pytest.raises(FiniPostError) as err:
-            meta_w1(ps, qs, "BL")
+            meta_w1_matched(ps, qs, "BL")
         assert err.value.code == code
 
     def test_weight_matrix_rows_are_checked(self):
         P = np.array([[0.5, 0.5, 0.0], [0.2, 0.2, 0.2]])
         with pytest.raises(FiniPostError) as err:
-            meta_w1(P, P, "TV")
+            meta_w1_matched(P, P, "TV")
         assert err.value.code == "bad-weights"
 
     def test_matrix_and_measure_list_do_not_mix(self):
         alpha = FiniteAlphabet(("a", "b"))
         p = AtomicMeasure([("a", 0.7), ("b", 0.3)], space=alpha)
         with pytest.raises(FiniPostError) as err:
-            meta_w1(np.array([[0.7, 0.3]]), [p], "TV")
+            meta_w1_matched(np.array([[0.7, 0.3]]), [p], "TV")
         assert err.value.code == "space-mismatch"
 
     def test_size_mismatch(self):
         p = dirac(0.0)
         with pytest.raises(FiniPostError) as err:
-            meta_w1([p], [p, p], "BL")
+            meta_w1_matched([p], [p, p], "BL")
         assert err.value.code == "size-mismatch"
 
     def test_unknown_ground(self):
         p = dirac(0.0)
         with pytest.raises(FiniPostError) as err:
-            meta_w1([p], [p], "L2")
+            meta_w1_matched([p], [p], "L2")
         assert err.value.code == "config-error"
         with pytest.raises(FiniPostError) as err:
-            meta_w1([p], [p], "W1REAL")
+            meta_w1_matched([p], [p], "W1REAL")
         assert err.value.code == "config-error"
 
 
