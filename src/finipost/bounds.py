@@ -156,7 +156,10 @@ def euclidean_bound(d: int, k: int, n: int, N: int, gamma_moment_post: float) ->
     if gamma_moment_post < 0:
         raise FiniPostError("config-error", "posterior moment must be nonnegative")
     Y = 2.0 * gamma_moment_post ** (1.0 / gamma)
-    const = 4.0 / 3.0 + 4.0 * 3.0 ** (2 * k) * 2.0 ** (d / 2.0) * math.sqrt(1.0 + Y)
+    try:
+        const = 4.0 / 3.0 + 4.0 * 3.0 ** (2 * k) * 2.0 ** (d / 2.0) * math.sqrt(1.0 + Y)
+    except OverflowError:
+        return math.inf  # the bound exceeds every float: vacuous
     return const * (N - n) ** (-1.0 / k) + 2.0 * n / N
 
 

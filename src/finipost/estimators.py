@@ -12,7 +12,7 @@ independent oracle for the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -74,7 +74,6 @@ class EstimatePair:
     finitary: float
     classical: float
     envelope: float
-    components: dict = field(default_factory=dict)
 
 
 def _history_stats(inputs: EstimatorInputs) -> tuple[np.ndarray, float, float]:
@@ -92,7 +91,7 @@ def mean_estimators(inputs: EstimatorInputs) -> EstimatePair:
     mu_hat = predictive_expectation(inputs.model, inputs.history, IDENTITY)
     finitary = (n / N) * mu_bar + ((N - n) / N) * mu_hat
     envelope = (n / N) * (abs(mu_bar) + abs(mu_hat))
-    return EstimatePair(finitary, mu_hat, envelope, {"mu_bar_n": mu_bar, "mu_hat_n": mu_hat})
+    return EstimatePair(finitary, mu_hat, envelope)
 
 
 def variance_estimators(inputs: EstimatorInputs) -> EstimatePair:
@@ -135,15 +134,7 @@ def variance_estimators(inputs: EstimatorInputs) -> EstimatePair:
         + abs(1.0 - coef_c12) * abs(c12_hat)
         + coef_cross * abs(mu_bar * mu_hat)
     )
-    comps = {
-        "mu_bar_n": mu_bar,
-        "mu_hat_n": mu_hat,
-        "s2_bar_n": s2_bar,
-        "s2_hat_n": s2_hat,
-        "c12_bar_n": c12_bar,
-        "c12_hat_n": c12_hat,
-    }
-    return EstimatePair(finitary, classical, envelope, comps)
+    return EstimatePair(finitary, classical, envelope)
 
 
 def cdf_estimators(inputs: EstimatorInputs, y: float) -> EstimatePair:
@@ -155,7 +146,7 @@ def cdf_estimators(inputs: EstimatorInputs, y: float) -> EstimatePair:
     pred = predictive_expectation(inputs.model, inputs.history, Indicator(float(y)))
     finitary = (n / N) * ecdf + ((N - n) / N) * pred
     envelope = (n / N) * (ecdf + pred)
-    return EstimatePair(finitary, pred, envelope, {"ecdf_at_y": ecdf, "pred_cdf_at_y": pred})
+    return EstimatePair(finitary, pred, envelope)
 
 
 def gini_estimators(inputs: EstimatorInputs) -> EstimatePair:
@@ -180,8 +171,7 @@ def gini_estimators(inputs: EstimatorInputs) -> EstimatePair:
     coef_cross = 2.0 * (N - n) / N**2
     finitary = (n / N) ** 2 * gini_bar + coef_pair * pair_hat + coef_cross * cross
     envelope = (n / N) ** 2 * abs(gini_bar) + abs(1.0 - coef_pair) * abs(pair_hat) + coef_cross * abs(cross)
-    comps = {"gini_bar_n": gini_bar, "pair_abs_hat": pair_hat, "cross_sum": cross}
-    return EstimatePair(finitary, pair_hat, envelope, comps)
+    return EstimatePair(finitary, pair_hat, envelope)
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,6 @@ Space = FiniteAlphabet | RealLine
 Point = str | float
 
 
-_NOT_SCALAR = (str, tuple, list, np.ndarray)
-
-
 def _infer_space(values: Sequence[Point]) -> Space:
     if isinstance(values[0], str):
         return FiniteAlphabet(tuple(sorted({str(v) for v in values})))
@@ -91,7 +88,7 @@ def _check_point(p: Point, space: Space) -> Point:
         if not isinstance(p, str) or p not in space.labels:
             raise FiniPostError("space-mismatch", f"point {p!r} not in alphabet {space.labels}")
         return p
-    if isinstance(p, _NOT_SCALAR):
+    if isinstance(p, (str, tuple, list, np.ndarray)):
         raise FiniPostError("space-mismatch", f"point {p!r} is not a scalar")
     x = float(p)
     if not math.isfinite(x):
@@ -242,7 +239,8 @@ def checked_rows(rows) -> list[tuple[np.ndarray, np.ndarray]]:
 
 @dataclass(frozen=True)
 class Sample:
-    """An observed finite sequence, tagged with the space it lives in."""
+    """An observed finite sequence, tagged with the space it lives in; on
+    the real line every value is a finite scalar (else ``space-mismatch``)."""
 
     values: tuple[Point, ...]
     space: Space | None = None
@@ -252,8 +250,7 @@ class Sample:
             object.__setattr__(self, "space", _infer_space(self.values))
         if isinstance(self.space, RealLine):
             for v in self.values:
-                if isinstance(v, _NOT_SCALAR):
-                    raise FiniPostError("space-mismatch", f"point {v!r} is not a scalar")
+                _check_point(v, self.space)
 
     def __len__(self) -> int:
         return len(self.values)

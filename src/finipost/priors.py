@@ -78,6 +78,7 @@ __all__ = [
 ]
 
 _REJECTION_CAP = 2_000_000
+_RULE_STICKS_CAP = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,12 @@ def _mc_mean(values: np.ndarray | list[float]) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
 
 
+def _check_positive(values: Sequence[float], what: str) -> None:
+    """Refuse any value that is not a finite number above 0, NaN included."""
+    if not all(0.0 < v < math.inf for v in values):
+        raise FiniPostError("config-error", f"{what} must be finite and positive")
+
+
 def _check_truncation(max_sticks: int, residual_tol: float) -> None:
     if max_sticks < 8:
         raise FiniPostError("config-error", f"max_sticks must be >= 8, got {max_sticks}")
@@ -203,8 +210,7 @@ class FiniteDirichletModel(ExchangeableModel):
         conc = tuple(float(a) for a in self.concentration)
         if len(conc) < 2:
             raise FiniPostError("config-error", "need an alphabet of size >= 2")
-        if any(a <= 0 for a in conc):
-            raise FiniPostError("config-error", "all concentration parameters must be positive")
+        _check_positive(conc, "concentration parameters")
         atoms = self.atoms if self.atoms else tuple(f"a{i + 1}" for i in range(len(conc)))
         if len(atoms) != len(conc):
             raise FiniPostError("config-error", "atoms and concentration lengths differ")
@@ -291,8 +297,7 @@ class DirichletProcessModel(ExchangeableModel):
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.total_mass <= 0:
-            raise FiniPostError("config-error", "total mass must be positive")
+        _check_positive((self.total_mass,), "the total mass")
         _check_truncation(self.max_sticks, self.residual_tol)
 
     def _count_continuation(self, history: Sample, fresh: int, rows: int, rng: RngState) -> tuple:
@@ -381,9 +386,8 @@ class DirichletProcessModel(ExchangeableModel):
         ``_stick_cap`` sticks, then the truncation residual on one more."""
         xstar, w, scale = self._history_part(history, draws, rng)
         c, K = self.total_mass, xstar.size
-        atoms, weights = _truncated_sticks(
-            lambda _k: (1.0, c), self.base, self._stick_cap, self.residual_tol, rng, scale, lead=K
-        )
+        sticks = ((1.0, c),) * self._stick_cap
+        atoms, weights = _truncated_sticks(sticks, self.base, self.residual_tol, rng, scale, lead=K)
         if K:
             weights[:, K:] *= scale[:, None]
             atoms[:, :K], weights[:, :K] = xstar, w
@@ -443,34 +447,26 @@ class DirichletProcessModel(ExchangeableModel):
 
 @dataclass(frozen=True)
 class StickBreakingModel(ExchangeableModel):
-    """Sticks V_k ~ Beta(a_k, b_k) independent, locations i.i.d. from base."""
+    """Sticks V_k ~ Beta(a_k, b_k) independent, locations i.i.d. from base.
+
+    ``beta_params`` lists (a_k, b_k) for k = 1, 2, ...: at least
+    ``max_sticks`` pairs, since a row may break that many sticks; a shorter
+    list is ``param-missing`` when the model is built, and the model keeps
+    the first ``max_sticks``.
+    """
 
     base: AnalyticLaw
-    beta_params: tuple[tuple[float, float], ...] | None = None
-    beta_rule: Callable[[int], tuple[float, float]] | None = None
+    beta_params: tuple[tuple[float, float], ...]
     max_sticks: int = 4096
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if (self.beta_params is None) == (self.beta_rule is None):
-            raise FiniPostError("config-error", "give exactly one of beta_params or beta_rule")
-        if self.beta_params is not None:
-            params = tuple((float(a), float(b)) for a, b in self.beta_params)
-            if any(a <= 0 or b <= 0 for a, b in params):
-                raise FiniPostError("config-error", "stick Beta parameters must be positive")
-            object.__setattr__(self, "beta_params", params)
+        params = tuple((float(a), float(b)) for a, b in self.beta_params)
+        _check_positive([x for ab in params for x in ab], "stick Beta parameters")
         _check_truncation(self.max_sticks, self.residual_tol)
-
-    def stick_beta(self, k: int) -> tuple[float, float]:
-        """Beta parameters of the k-th stick (k is 1-based)."""
-        if self.beta_rule is not None:
-            a, b = self.beta_rule(k)
-            if a <= 0 or b <= 0:
-                raise FiniPostError("config-error", f"stick rule gave nonpositive parameters at k={k}")
-            return float(a), float(b)
-        if k > len(self.beta_params):
-            raise FiniPostError("param-missing", f"no Beta parameters for stick {k}")
-        return self.beta_params[k - 1]
+        if len(params) < self.max_sticks:
+            raise FiniPostError("param-missing", f"no Beta parameters for stick {len(params) + 1}")
+        object.__setattr__(self, "beta_params", params[: self.max_sticks])
 
     def posterior_rows(self, history, draws, rng):
         if len(history) > 4:
@@ -485,7 +481,7 @@ class StickBreakingModel(ExchangeableModel):
         return self.max_sticks + 1
 
     def _prior_rows(self, draws: int, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
-        return _truncated_sticks(self.stick_beta, self.base, self.max_sticks, self.residual_tol, rng, np.ones(draws))
+        return _truncated_sticks(self.beta_params, self.base, self.residual_tol, rng, np.ones(draws))
 
     def _rejection_posterior(self, history: Sample, draws: int, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
         """Condition stick weights on a nonempty history by partition matching.
@@ -538,9 +534,8 @@ class StickBreakingModel(ExchangeableModel):
 # ---------------------------------------------------------------------------
 
 def _truncated_sticks(
-    beta_at: Callable[[int], tuple[float, float]],
+    betas: Sequence[tuple[float, float]],
     base: AnalyticLaw,
-    max_sticks: int,
     residual_tol: float,
     rng: RngState,
     scale: np.ndarray,
@@ -549,10 +544,10 @@ def _truncated_sticks(
     """Truncated stick-breaking draws, one row per entry of ``scale``, the
     mass of the row's measure inside a mixture.
 
-    Sticks V_k ~ Beta(beta_at(k)) are broken in lockstep, one call per k
-    over the rows still breaking: row r breaks while scale[r] times its
-    residual is at least ``residual_tol`` and fewer than ``max_sticks``
-    sticks are drawn.  A Beta(1, b) stick, as every Dirichlet-process stick
+    Sticks V_k ~ Beta(a_k, b_k), (a_k, b_k) = ``betas[k - 1]``, are broken
+    in lockstep, one call per k over the rows still breaking: row r breaks
+    while scale[r] times its residual is at least ``residual_tol`` and
+    fewer than ``len(betas)`` sticks are drawn.  A Beta(1, b) stick, as every Dirichlet-process stick
     is, is one ``rng.random`` call inverted through its CDF 1 - (1 - v)^b
     (Devroye 1986, sec. II.2); any other is one ``rng.beta`` call.  Then one
     ``base.sample`` call draws every location, row by row, so a one-row
@@ -567,8 +562,8 @@ def _truncated_sticks(
     res, sc = np.ones(alive.size), scale[alive]
     residual = np.ones(rows)
     broken, drawn = [], []  # the rows that break stick k, and its weights
-    while alive.size and len(broken) < max_sticks:
-        a, b = beta_at(len(broken) + 1)
+    while alive.size and len(broken) < len(betas):
+        a, b = betas[len(broken)]
         if a == 1.0:
             v = -np.expm1(np.log1p(-rng.random(alive.size)) / b)
         else:
@@ -622,10 +617,10 @@ class PolyaTreeModel(ExchangeableModel):
 
     ``params`` maps binary strings (node addresses, length 1..depth) to
     positive weights; ``level_alpha`` optionally supplies one weight per
-    level as a fallback for addresses missing from ``params``.  The laws
-    run on one weight array per level, the node ``eps`` of level
-    ``len(eps)`` at index ``int(eps, 2)``; a level with a node that
-    neither gives raises ``param-missing`` when a law reads it.
+    level as a fallback for addresses missing from ``params``.  Every law
+    reads every level, so a node that neither gives is ``param-missing``
+    when the model is built.  The laws run on one weight array per level,
+    the node ``eps`` of level ``len(eps)`` at index ``int(eps, 2)``.
     """
 
     quantile_base: AnalyticLaw
@@ -633,7 +628,6 @@ class PolyaTreeModel(ExchangeableModel):
     params: Mapping[str, float] = field(default_factory=dict)
     level_alpha: tuple[float, ...] | None = None
     _levels: tuple = field(init=False, repr=False, compare=False)
-    _missing: str | None = field(init=False, repr=False, compare=False)
     _points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -644,46 +638,24 @@ class PolyaTreeModel(ExchangeableModel):
         for eps, a in self.params.items():
             if not eps or any(ch not in "01" for ch in eps) or len(eps) > self.depth:
                 raise FiniPostError("config-error", f"bad node address {eps!r}")
-            if a <= 0:
-                raise FiniPostError("config-error", f"alpha({eps}) must be positive")
+            _check_positive((a,), f"alpha({eps})")
         if self.level_alpha is not None:
             la = tuple(float(a) for a in self.level_alpha)
-            if len(la) != self.depth or any(a <= 0 for a in la):
-                raise FiniPostError("config-error", "level_alpha needs one positive entry per level")
+            if len(la) != self.depth:
+                raise FiniPostError("config-error", "level_alpha needs one entry per level")
+            _check_positive(la, "level_alpha")
             object.__setattr__(self, "level_alpha", la)
         fill = self.level_alpha or (math.nan,) * self.depth
         levels = [np.full(2**level, fill[level - 1]) for level in range(1, self.depth + 1)]
         for eps, a in self.params.items():
             levels[len(eps) - 1][int(eps, 2)] = a
+        for level, a in enumerate(levels, 1):
+            if np.isnan(a).any():
+                node = format(int(np.flatnonzero(np.isnan(a))[0]), f"0{level}b")
+                raise FiniPostError("param-missing", f"no alpha for node {node!r}")
         object.__setattr__(self, "_levels", tuple(levels))
-        # The first node that neither gives: ``_prior`` raises it for a law
-        # that reads its level.
-        holes = [
-            format(int(np.flatnonzero(np.isnan(a))[0]), f"0{level}b")
-            for level, a in enumerate(levels, 1)
-            if np.isnan(a).any()
-        ]
-        object.__setattr__(self, "_missing", holes[0] if holes else None)
         points = self.quantile_base.quantile((np.arange(2**self.depth) + 0.5) / 2**self.depth)
         object.__setattr__(self, "_points", np.asarray(points, dtype=float))
-
-    def alpha(self, eps: str) -> float:
-        if eps in self.params:
-            return float(self.params[eps])
-        if self.level_alpha is not None and 1 <= len(eps) <= self.depth:
-            return self.level_alpha[len(eps) - 1]
-        raise FiniPostError("param-missing", f"no alpha for node {eps!r}")
-
-    def leaf_point(self, bits: str) -> float:
-        lo = sum(int(b) / 2 ** (i + 1) for i, b in enumerate(bits))
-        return float(self.quantile_base.quantile(lo + 1.0 / 2 ** (len(bits) + 1)))
-
-    def _prior(self, depth: int | None = None) -> tuple[np.ndarray, ...]:
-        """The node weights of levels 1..depth (all levels by default)."""
-        levels = self._levels[:depth]
-        if self._missing is not None and len(self._missing) <= len(levels):
-            raise FiniPostError("param-missing", f"no alpha for node {self._missing!r}")
-        return levels
 
     def _counts(self, history: Sample) -> list[np.ndarray]:
         """The history's count in each node set, level by level.
@@ -697,7 +669,7 @@ class PolyaTreeModel(ExchangeableModel):
         return [np.bincount(leaf >> (d - level), minlength=2**level).astype(float) for level in range(1, d + 1)]
 
     def _posterior(self, history: Sample) -> list[np.ndarray]:
-        return [a + c for a, c in zip(self._prior(), self._counts(history))]
+        return [a + c for a, c in zip(self._levels, self._counts(history))]
 
     def posterior_rows(self, history, draws, rng):
         # Draw every branch probability, one Beta call per level for all
@@ -736,7 +708,7 @@ class PolyaTreeModel(ExchangeableModel):
         return total
 
     def prior_quantile(self, u):
-        cum = np.cumsum(_leaf_probs(self._prior()))
+        cum = np.cumsum(_leaf_probs(self._levels))
         return float(self._points[int(np.searchsorted(cum, u - 1e-12))])
 
 
@@ -980,19 +952,22 @@ def model_from_spec(spec: dict) -> ExchangeableModel:
                 config_float(spec.get("residual_tol", 1e-8), "residual_tol"),
             )
         if kind == "stick_breaking":
-            rule = None
-            params = None
+            if ("beta_rule" in spec) == ("beta_params" in spec):
+                raise FiniPostError("config-error", "give exactly one of beta_params or beta_rule")
+            max_sticks = config_int(spec.get("max_sticks", 4096), "max_sticks")
             if "beta_rule" in spec:
-                a, b = (config_float(spec["beta_rule"][key], "beta_rule") for key in "ab")
-                rule = lambda k, a=a, b=b: (a, b)  # noqa: E731
-            if "beta_params" in spec:
+                # One (a, b) pair for every stick a row may break: bound the
+                # list's length before building it.
+                if max_sticks > _RULE_STICKS_CAP:
+                    raise FiniPostError("resource-limit", f"beta_rule for {max_sticks} sticks, over {_RULE_STICKS_CAP}")
+                params = (tuple(config_float(spec["beta_rule"][key], "beta_rule") for key in "ab"),) * max_sticks
+            else:
                 params = tuple(tuple(config_float(x, "beta_params") for x in ab) for ab in spec["beta_params"])
             return StickBreakingModel(
                 family_from_spec(spec["base"]),
-                beta_params=params,
-                beta_rule=rule,
-                max_sticks=config_int(spec.get("max_sticks", 4096), "max_sticks"),
-                residual_tol=config_float(spec.get("residual_tol", 1e-8), "residual_tol"),
+                params,
+                max_sticks,
+                config_float(spec.get("residual_tol", 1e-8), "residual_tol"),
             )
         if kind == "polya_tree":
             level_alpha = spec.get("level_alpha")

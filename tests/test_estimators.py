@@ -17,9 +17,14 @@ from finipost.estimators import (
     posterior_risk_profile,
     variance_estimators,
 )
-from finipost.families import GaussianLaw, PointMassLaw
+from finipost.families import GaussianLaw, PointMassLaw, Product
 from finipost.measures import Sample, empirical, gini_md, integrate
-from finipost.priors import DirichletProcessModel, FiniteDirichletModel, batched_sequences
+from finipost.priors import (
+    DirichletProcessModel,
+    FiniteDirichletModel,
+    batched_sequences,
+    predictive_pair_expectation,
+)
 from finipost.rng import derive_seed
 
 FD01 = FiniteDirichletModel((1.0, 1.0), atoms=(0.0, 1.0))
@@ -144,9 +149,7 @@ class TestHorizonEnvelope:
         for N in (4, 8, 16, 64, 256):
             pair = mean_estimators(EstimatorInputs(DP, h, N))
             gap = pair.finitary - pair.classical
-            assert gap * N / n == pytest.approx(
-                mu_bar - pair.components["mu_hat_n"], abs=1e-12
-            )
+            assert gap * N / n == pytest.approx(mu_bar - pair.classical, abs=1e-12)
 
     def test_bounded_ratio_for_mean_and_cdf(self):
         h = Sample((0.5, 1.5, -2.0, 0.25))
@@ -205,9 +208,8 @@ class TestMonteCarloOracle:
         inputs = EstimatorInputs(DP, self.H, 11)
         pair = variance_estimators(inputs)
         n, N = 3, 11
-        wrong = pair.finitary - ((N - n) * (N - n) - (N - n) * (N - n - 1)) / N**2 * pair.components[
-            "c12_hat_n"
-        ]
+        c12_hat = predictive_pair_expectation(DP, self.H, Product())
+        wrong = pair.finitary - ((N - n) * (N - n) - (N - n) * (N - n - 1)) / N**2 * c12_hat
         mc, se = finitary_functional(inputs, lambda x: x.var(axis=1), 20000, derive_seed(204))
         assert abs(pair.finitary - mc) <= 4 * se
         assert abs(wrong - mc) > 4 * se

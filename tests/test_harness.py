@@ -1095,6 +1095,15 @@ class TestCli:
         assert "error [bad-horizon]" in proc.stderr and not proc.stdout
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("params", [
+        '{"d": 300, "k": 324, "n": 1, "N": 10, "gamma_moment_post": 1.0}',
+        '{"d": 3000, "k": 3001, "n": 1, "N": 10, "gamma_moment_post": 1.0}',
+    ], ids=["3^2k", "2^(d/2)"])
+    def test_bound_euclidean_beyond_every_float_is_inf(self, params):
+        # The bound's constant overflows a float: the bound is vacuous, not an error.
+        proc = self.run_cli("bound", "euclidean", "--params", params)
+        assert proc.stdout.strip() == "inf" and "Traceback" not in proc.stderr
+
     def test_bound_unknown_name(self):
         self.run_cli("bound", "nope", "--params", "{}", expect=1)
 

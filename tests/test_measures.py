@@ -244,3 +244,11 @@ class TestSampleAndSpaces:
     def test_inferred_spaces(self):
         assert isinstance(Sample((1.0,)).space, RealLine)
         assert Sample(("x", "y")).space == FiniteAlphabet(("x", "y"))
+
+    @pytest.mark.parametrize("values", [(math.nan,), (0.5, math.inf), (-math.inf,)], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("space", [None, RealLine()], ids=["inferred", "given"])
+    def test_line_sample_refuses_non_finite_values(self, values, space):
+        # As a measure's points do: no law computes with a NaN or infinite history.
+        with pytest.raises(FiniPostError) as err:
+            Sample(values, space=space)
+        assert err.value.code == "space-mismatch"

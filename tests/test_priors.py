@@ -200,7 +200,7 @@ class TestPosteriorDraws:
         from finipost.priors import _truncated_sticks
 
         _, weights = _truncated_sticks(
-            lambda _k: (1.0, 6.0), model.base, model.max_sticks, model.residual_tol, derive_seed(111), np.ones(200)
+            ((1.0, 6.0),) * model.max_sticks, model.base, model.residual_tol, derive_seed(111), np.ones(200)
         )
         for row in weights:
             sticks, residual = sticks_and_residual(row)
@@ -214,7 +214,7 @@ class TestPosteriorDraws:
 
 
 class TestStickBreaking:
-    SB = StickBreakingModel(GaussianLaw(0, 1), beta_rule=lambda k: (1.0, 1.0))
+    SB = StickBreakingModel(GaussianLaw(0, 1), ((1.0, 1.0),) * 4096)
 
     def test_prior_draw_normalized(self):
         m = posterior_draw(self.SB, Sample((), space=self.SB.space), derive_seed(1))
@@ -250,11 +250,10 @@ class TestStickBreaking:
         assert err.value.code == "posterior-unavailable"
 
     def test_param_list_too_short(self):
-        model = StickBreakingModel(
-            GaussianLaw(0, 1), beta_params=((1.0, 1.0),), max_sticks=64, residual_tol=1e-4
-        )
-        with pytest.raises(FiniPostError) as err:
-            sample_sequence(model, 3, derive_seed(3))
+        # A row may break max_sticks sticks, so a shorter list is refused
+        # when built, whatever the seed.
+        with pytest.raises(FiniPostError, match="stick 2$") as err:
+            StickBreakingModel(GaussianLaw(0, 1), ((1.0, 1.0),), max_sticks=64, residual_tol=1e-4)
         assert err.value.code == "param-missing"
 
     def test_monte_carlo_predictive_matches_every_exact_predictive(self):
@@ -320,9 +319,8 @@ class TestPolyaTree:
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_param(self):
-        pt = PolyaTreeModel(UniformLaw(0, 1), 2, {"0": 1.0, "1": 1.0})
-        with pytest.raises(FiniPostError) as err:
-            polya_tree_marginal(pt, "01")
+        with pytest.raises(FiniPostError, match="'00'") as err:
+            PolyaTreeModel(UniformLaw(0, 1), 2, {"0": 1.0, "1": 1.0})
         assert err.value.code == "param-missing"
 
     def test_depth_one_conjugacy(self):
@@ -333,7 +331,7 @@ class TestPolyaTree:
         exact = predictive_expectation(pt, h, lambda x: 1.0 if x < 0.5 else 0.0)
         assert exact == pytest.approx((2 + 2) / (3 + 3))
         rng = derive_seed(114)
-        left = pt.leaf_point("0")
+        left = leaf_point(pt, "0")
         ws = np.array([posterior_draw(pt, h, rng).mass_at(left) for _ in range(8000)])
         assert abs(ws.mean() - exact) <= 4 * ws.std(ddof=1) / math.sqrt(ws.size)
 
@@ -375,19 +373,12 @@ class TestPolyaTree:
         with pytest.raises(FiniPostError):
             PolyaTreeModel(PointMassLaw(0.0), 2, level_alpha=(1.0, 1.0))
 
-    def test_missing_param_raises_at_use(self):
-        # A partial tree builds; every law that reads the unfilled level fails.
-        pt = PolyaTreeModel(UniformLaw(0, 1), 2, {"0": 1.0, "1": 1.0, "00": 2.0})
-        h = Sample((0.1,))
-        for law in (
-            lambda: continue_sequence(pt, h, 3, derive_seed(116)),
-            lambda: posterior_draw(pt, h, derive_seed(116)),
-            lambda: predictive_expectation(pt, h, lambda x: x),
-            lambda: pt.prior_quantile(0.5),
-        ):
-            with pytest.raises(FiniPostError) as err:
-                law()
-            assert err.value.code == "param-missing"
+    def test_partial_level_is_refused_when_built(self):
+        # Every law reads every level, so the first node of a partly given
+        # level is refused by name when the tree is built.
+        with pytest.raises(FiniPostError, match="'01'") as err:
+            PolyaTreeModel(UniformLaw(0, 1), 2, {"0": 1.0, "1": 1.0, "00": 2.0})
+        assert err.value.code == "param-missing"
 
     # A partial tree over a level fallback: "0" and "10" override levels 1
     # and 2, "111" level 3.  The history holds the base median, where
@@ -399,14 +390,14 @@ class TestPolyaTree:
         pt, h = self.PARTIAL, self.PARTIAL_HISTORY
         alpha = string_posterior_alpha(pt, h)
         for leaf in leaves_at(pt.depth):
-            x = pt.leaf_point(leaf)
+            x = leaf_point(pt, leaf)
             assert predictive_expectation(pt, h, lambda y, x=x: 1.0 if y == x else 0.0) == string_leaf_prob(alpha, leaf)
 
     def test_prior_quantile_equals_string_addressed_reference(self):
         pt = self.PARTIAL
-        cum = np.cumsum([string_leaf_prob(pt.alpha, leaf) for leaf in leaves_at(pt.depth)])
+        cum = np.cumsum([string_leaf_prob(string_alpha(pt), leaf) for leaf in leaves_at(pt.depth)])
         for u in (0.0, 0.01, 0.2, 0.5, 0.61, 0.9, 1.0):
-            expected = pt.leaf_point(leaves_at(pt.depth)[int(np.searchsorted(cum, u - 1e-12))])
+            expected = leaf_point(pt, leaves_at(pt.depth)[int(np.searchsorted(cum, u - 1e-12))])
             assert pt.prior_quantile(u) == expected
 
     def test_pair_expectation_equals_string_addressed_reference(self):
@@ -421,13 +412,25 @@ class TestPolyaTree:
                 return alpha(eps) + (1.0 if leaf1.startswith(eps) else 0.0)
 
             for leaf2 in leaves:
-                g = abs(pt.leaf_point(leaf1) - pt.leaf_point(leaf2))
+                g = abs(leaf_point(pt, leaf1) - leaf_point(pt, leaf2))
                 expected += p1 * string_leaf_prob(alpha2, leaf2) * g
         assert predictive_pair_expectation(pt, h, lambda x, y: abs(x - y)) == expected
 
 
 def leaves_at(level):
     return [format(i, f"0{level}b") for i in range(2**level)]
+
+
+def string_alpha(pt):
+    """Node weight by string address: the ``params`` entry, else the
+    level's ``level_alpha`` entry."""
+    return lambda eps: float(pt.params[eps]) if eps in pt.params else pt.level_alpha[len(eps) - 1]
+
+
+def leaf_point(pt, bits):
+    """The base quantile at the midpoint of the node's dyadic interval."""
+    lo = sum(int(b) / 2 ** (i + 1) for i, b in enumerate(bits))
+    return float(pt.quantile_base.quantile(lo + 1.0 / 2 ** (len(bits) + 1)))
 
 
 def string_posterior_alpha(pt, history):
@@ -443,7 +446,8 @@ def string_posterior_alpha(pt, history):
             else:
                 bits += "0"
             counts[bits] = counts.get(bits, 0.0) + 1.0
-    return lambda eps: pt.alpha(eps) + counts.get(eps, 0.0)
+    alpha = string_alpha(pt)
+    return lambda eps: alpha(eps) + counts.get(eps, 0.0)
 
 
 def string_leaf_prob(alpha, leaf):
@@ -630,7 +634,7 @@ def hstack_posterior_rows(model, history, draws, rng):
 
     xstar, w, scale = model._history_part(history, draws, rng)
     c = model.total_mass
-    atoms, sticks = _truncated_sticks(lambda _k: (1.0, c), model.base, model._stick_cap, model.residual_tol, rng, scale)
+    atoms, sticks = _truncated_sticks(((1.0, c),) * model._stick_cap, model.base, model.residual_tol, rng, scale)
     if not xstar.size:
         return atoms, sticks
     sticks *= scale[:, None]
@@ -905,7 +909,7 @@ class TestTruncationScale:
         from finipost.priors import _truncated_sticks
 
         scale = np.repeat([1.0, 0.3, 1e-3, 1e-7], 100)
-        _, weights = _truncated_sticks(lambda _k: (1.0, 2.0), GaussianLaw(0, 1), 4096, 1e-6, derive_seed(137), scale)
+        _, weights = _truncated_sticks(((1.0, 2.0),) * 4096, GaussianLaw(0, 1), 1e-6, derive_seed(137), scale)
         sizes = set()
         for s, row in zip(scale, weights):
             sticks, residual = sticks_and_residual(row)
@@ -928,7 +932,7 @@ class TestStickLaw:
 
         from finipost.priors import _truncated_sticks
 
-        _, w = _truncated_sticks(lambda _k: (1.0, b), GaussianLaw(0, 1), 2, 1e-300, derive_seed(140), np.ones(20000))
+        _, w = _truncated_sticks(((1.0, b),) * 2, GaussianLaw(0, 1), 1e-300, derive_seed(140), np.ones(20000))
         for v in (w[:, 0], w[:, 1] / (1.0 - w[:, 0])):
             assert kstest(v, beta(1.0, b).cdf).pvalue > 1e-3
 
@@ -937,8 +941,7 @@ class TestStickLaw:
         # Beta(2, 3), one rng.beta call.
         from finipost.priors import _truncated_sticks
 
-        rule = lambda k: (1.0, 2.0) if k == 1 else (2.0, 3.0)  # noqa: E731
-        _, w = _truncated_sticks(rule, GaussianLaw(0, 1), 2, 1e-300, derive_seed(141), np.ones(500))
+        _, w = _truncated_sticks(((1.0, 2.0), (2.0, 3.0)), GaussianLaw(0, 1), 1e-300, derive_seed(141), np.ones(500))
         rng = derive_seed(141)
         v1 = -np.expm1(np.log1p(-rng.random(500)) / 2.0)
         v2 = rng.beta(2.0, 3.0, size=500)
@@ -987,7 +990,7 @@ def _per_step_pt_urn(model, history, upto, rng):
     given all points so far, and adds one count along its path.  An
     independent reference, in law, for the continuation from posterior
     rows."""
-    prior = [a.tolist() for a in model._prior()]
+    prior = [a.tolist() for a in model._levels]
     counts = [c.tolist() for c in model._counts(history)]
     points = model._points.tolist()
     values = list(history.values)
@@ -1420,6 +1423,39 @@ class TestModelSpecs:
         with pytest.raises(FiniPostError):
             DirichletProcessModel(1.0, GaussianLaw(0, 1), residual_tol=0.5)
         with pytest.raises(FiniPostError):
-            StickBreakingModel(GaussianLaw(0, 1))
+            StickBreakingModel(GaussianLaw(0, 1), ())
         with pytest.raises(FiniPostError):
             PolyaTreeModel(UniformLaw(0, 1), 0, {})
+        # A stick-breaking spec gives exactly one of beta_rule and beta_params.
+        sb = {k: v for k, v in MODEL_SPECS["stick_breaking"].items() if k != "beta_rule"}
+        for spec in (sb, {**sb, "beta_rule": {"a": 1.0, "b": 1.0}, "beta_params": [[1.0, 1.0]] * 4096}):
+            with pytest.raises(FiniPostError) as err:
+                model_from_spec(spec)
+            assert err.value.code == "config-error"
+        # beta_rule becomes one pair per stick, so its stick count is bounded.
+        with pytest.raises(FiniPostError) as err:
+            model_from_spec({**MODEL_SPECS["stick_breaking"], "max_sticks": 2**20 + 1})
+        assert err.value.code == "resource-limit"
+        assert model_from_spec({**MODEL_SPECS["stick_breaking"], "max_sticks": 2**20}).max_sticks == 2**20
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("build", [
+        lambda v: FiniteDirichletModel((1.0, v)),
+        lambda v: DirichletProcessModel(v, GaussianLaw(0, 1)),
+        lambda v: StickBreakingModel(GaussianLaw(0, 1), ((1.0, 1.0), (1.0, v)) * 2048),
+        lambda v: PolyaTreeModel(GaussianLaw(0, 1), 2, {"01": v}, (1.0, 1.0)),
+        lambda v: PolyaTreeModel(GaussianLaw(0, 1), 2, level_alpha=(1.0, v)),
+    ], ids=["fd-concentration", "dp-mass", "sb-stick", "pt-params", "pt-level_alpha"])
+    def test_non_finite_parameter_is_refused_when_built(self, build, value):
+        with pytest.raises(FiniPostError) as err:
+            build(value)
+        assert err.value.code == "config-error"
+
+    @pytest.mark.parametrize("build", [
+        lambda: StickBreakingModel(GaussianLaw(0, 1), ((1.0, 1.0),) * 20),
+        lambda: PolyaTreeModel(GaussianLaw(0, 1), 3, {"0": 1.0, "1": 1.0}, None),
+    ], ids=["short-stick-list", "partial-tree"])
+    def test_unset_parameter_is_refused_when_built(self, build):
+        with pytest.raises(FiniPostError) as err:
+            build()
+        assert err.value.code == "param-missing"
