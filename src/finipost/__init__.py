@@ -28,8 +28,8 @@ _NAMES = {
     "posterior_risk_profile variance_estimators",
     "transport": "LipschitzDual PlanCheck TransportPlan bounded_lipschitz meta_w1_matched "
     "solve_discrete_ot tv_finite verify_plan w1_real",
-    "bounds": "MedianLawInputs bounded_support_bound dudley_gamma euclidean_bound finite_bound l21_moment_bound "
-    "mean_bound_conditional mean_bound_unconditional median_cdf median_tail_bounds real_bound "
+    "bounds": "MedianLawInputs beta_binomial_sf bounded_support_bound dudley_gamma euclidean_bound finite_bound "
+    "l21_moment_bound mean_bound_conditional mean_bound_unconditional median_cdf median_tail_bounds real_bound "
     "tail_probability_bound",
     "harness": "ExperimentConfig ExperimentReport ReportRow emit run_experiment",
     "rng": "RngState derive_key derive_seed state_from_key",

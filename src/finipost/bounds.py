@@ -30,6 +30,7 @@ __all__ = [
     "euclidean_bound",
     "dudley_gamma",
     "median_cdf",
+    "beta_binomial_sf",
     "median_tail_bounds",
 ]
 
@@ -184,6 +185,20 @@ def median_cdf(inputs: MedianLawInputs) -> float:
     from scipy.special import betainc
 
     return float(betainc(N + 1.0, N + 1.0, F))
+
+
+def beta_binomial_sf(k: int, n: int, a: float, b: float) -> float:
+    """P{K > k} for K ~ BetaBinomial(n; a, b), the count of n draws at most x
+    given P(-inf, x] ~ Beta(a, b) (for n = 2N+1, k = N: P{median <= x}).  The
+    pmf C(n, j) B(j+a, n-j+b) / B(a, b) summed over j > k, C(n, j) being
+    1 / ((n+1) B(j+1, n-j+1)), in logs by scipy's ``betaln``."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise FiniPostError("config-error", f"Beta parameters must be finite and positive, got {a}, {b}")
+    import numpy as np
+    from scipy.special import betaln
+
+    j = np.arange(max(k + 1, 0), n + 1, dtype=float)
+    return float(np.exp(betaln(j + a, n - j + b) - betaln(j + 1.0, n - j + 1.0) - betaln(a, b)).sum()) / (n + 1.0)
 
 
 def median_tail_bounds(N: int, p_left: float, p_right: float) -> tuple[float, float]:

@@ -32,6 +32,7 @@ from .harness import _STREAM_HISTORY, ExperimentConfig
 from .measures import FiniteAlphabet, RealLine, Sample, Space, cdf_of_row, l21_functional, merged_rows
 from .priors import (
     ExchangeableModel,
+    _mc_mean,
     batched_f_means,
     batched_posterior_integrals,
     batched_posterior_rows,
@@ -255,15 +256,14 @@ def _sweep_cells(cfg: ExperimentConfig, model: ExchangeableModel) -> tuple[CellF
 # ---------------------------------------------------------------------------
 
 def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel) -> tuple[CellFunction, int]:
-    """Empirical CDF of the median of 2N+1 observations on a grid of
-    predictive quantile points, against the tail inequality.
+    """P{median of 2N+1 observations <= x_r} against the tail inequality, x_r
+    the predictive quantile at level (r+1)/(replicates+1) for replicate r.
 
-    The replicate index enumerates the grid: replicate r targets the
-    predictive CDF level (r+1)/(replicates+1).  Each row estimates
-    P{median <= x_r} from m_samples independent sequences, each drawn as
-    its count of values at most x_r, Binomial(2N+1, P(-inf, x_r]) given
-    its directing measure P (``model.mass_at_most``): its median is at most
-    x_r iff more than N are, ties included.
+    Given M = P(-inf, x_r], P the directing measure, the median is at most
+    x_r iff more than N values are, with probability I_M(N+1, N+1).  Where
+    ``model.mass_law`` gives the law of M the row is exact, with no stderr:
+    ``median_cdf`` of a constant, the beta-binomial tail of a Beta.  Else
+    it averages I_M(N+1, N+1) over m_samples masses (Rao-Blackwell).
     """
     _require_scalar(cfg, model.space)
     if cfg.n != 0:
@@ -272,11 +272,18 @@ def _median_cells(cfg: ExperimentConfig, model: ExchangeableModel) -> tuple[Cell
     def cell(N: int, rep: int, history: Sample, rngs: list) -> tuple:
         x = model.prior_quantile((rep + 1) / (cfg.replicates + 1))
         F_x = predictive_expectation(model, history, Indicator(x))
-        counts = rngs[1].binomial(2 * N + 1, model.mass_at_most(history, x, cfg.m_samples, rngs[1]))
-        estimate = int(np.count_nonzero(counts > N)) / cfg.m_samples
-        se = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / cfg.m_samples)
+        law = model.mass_law(history, x)
+        if law is None:
+            from scipy.special import betainc
+
+            p = betainc(N + 1.0, N + 1.0, model.mass_at_most(history, x, cfg.m_samples, rngs[1]))
+            estimate, se = _mc_mean(p)
+        elif isinstance(law, tuple):
+            estimate, se = bd.beta_binomial_sf(N, 2 * N + 1, *law), None
+        else:
+            estimate, se = bd.median_cdf(bd.MedianLawInputs(N, law)), None
         left_bound, right_bound = bd.median_tail_bounds(N, F_x, 1.0 - F_x)
-        slack = 3.0 * se
+        slack = 1e-9 if se is None else 3.0 * se
         violated = estimate > left_bound + slack or (1.0 - estimate) > right_bound + slack
         return estimate, se, left_bound, slack, violated
 

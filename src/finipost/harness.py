@@ -52,7 +52,7 @@ __all__ = [
     "report_to_json",
 ]
 
-ARTIFACT_VERSION = "0.12.0"
+ARTIFACT_VERSION = "0.13.0"
 
 # The experiment kinds, one cell builder each in ``cells._CELLS``.
 _EXPERIMENTS = ("bound_finite", "bound_real", "bound_mean", "estimator_sweep", "median_law")

@@ -92,8 +92,8 @@ class ExchangeableModel(ABC):
     horizon) before calling these methods, so a method may assume a
     history on ``space`` and a target length beyond it.  A model that
     writes ``posterior_rows`` and ``row_width`` gets its posterior
-    integrals from them, and its continuation, f-means and
-    ``mass_at_most`` by default.
+    integrals from them, and its continuation and f-means by default, and
+    ``mass_at_most`` wherever ``mass_law`` gives no closed form.
     """
 
     @property
@@ -131,17 +131,19 @@ class ExchangeableModel(ABC):
         raise _no_posterior(self)
 
     def mass_at_most(self, history: Sample, x: float, draws: int, rng: RngState) -> np.ndarray:
-        """``draws`` independent values of P(-inf, x] for P the directing
-        measure given the history: the shared checks, then ``_mass_at_most``."""
+        """``draws`` independent values of P(-inf, x], P the directing measure
+        given the history: from ``mass_law`` where it is closed form, else the
+        indicator integrals of posterior rows, capped at 1 against rounding."""
         _check_history(self, history)
         self._check_scalar("masses at most x")
-        return self._mass_at_most(history, x, draws, rng)
+        law = self.mass_law(history, x)
+        if law is None:
+            return np.minimum(batched_posterior_integrals(self, history, Indicator(x).vec, draws, rng), 1.0)
+        return rng.beta(*law, size=draws) if isinstance(law, tuple) else np.full(draws, law)
 
-    def _mass_at_most(self, history: Sample, x: float, draws: int, rng: RngState) -> np.ndarray:
-        """By default the indicator integrals of posterior rows, the rows the
-        default continuation draws from, capped at 1 (a row's weights sum to
-        1 up to rounding)."""
-        return np.minimum(batched_posterior_integrals(self, history, Indicator(x).vec, draws, rng), 1.0)
+    def mass_law(self, history: Sample, x: float) -> float | tuple[float, float] | None:
+        """The law of P(-inf, x] given the history: a constant, Beta(a, b) as (a, b), or None."""
+        return None
 
     @abstractmethod
     def predictive(self, history: Sample, f: Callable) -> float:
@@ -181,6 +183,11 @@ def _check_positive(values: Sequence[float], what: str) -> None:
     """Refuse any value that is not a finite number above 0, NaN included."""
     if not all(0.0 < v < math.inf for v in values):
         raise FiniPostError("config-error", f"{what} must be finite and positive")
+
+
+def _beta_law(a: float, b: float) -> float | tuple[float, float]:
+    """Beta(a, b), or the constant 0 or 1 it is when a parameter is 0."""
+    return float(b == 0.0) if a == 0.0 or b == 0.0 else (a, b)
 
 
 def _check_truncation(max_sticks: int, residual_tol: float) -> None:
@@ -249,6 +256,11 @@ class FiniteDirichletModel(ExchangeableModel):
 
     def row_width(self, history):
         return self.k
+
+    def mass_law(self, history, x):
+        # By aggregation: the posterior weights of the atoms on each side of x.
+        alpha, below = self.posterior_alpha(history), np.asarray(self.atoms, dtype=float) <= x
+        return _beta_law(float(alpha[below].sum()), float(alpha[~below].sum()))
 
     def predictive(self, history, f):
         weights = self.posterior_alpha(history)
@@ -397,16 +409,13 @@ class DirichletProcessModel(ExchangeableModel):
         """K distinct history values, ``_stick_cap`` sticks and the residual."""
         return len(set(history.values)) + self._stick_cap + 1
 
-    def _mass_at_most(self, history, x, draws, rng):
+    def mass_law(self, history, x):
         # Beta(c F₀(x) + #{hist <= x}, c (1 - F₀(x)) + #{hist > x}), exact
         # (Ferguson 1973); a zero parameter, as under a point-mass base,
         # makes it the constant 0 or 1.
         c, below = self.total_mass, int(np.count_nonzero(history.scalars() <= x))
         F = float(self.base.cdf(x))
-        a, b = c * F + below, c * (1.0 - F) + len(history) - below
-        if a == 0.0 or b == 0.0:
-            return np.full(draws, float(b == 0.0))
-        return rng.beta(a, b, size=draws)
+        return _beta_law(c * F + below, c * (1.0 - F) + len(history) - below)
 
     def predictive(self, history, f):
         c = self.total_mass
@@ -461,12 +470,16 @@ class StickBreakingModel(ExchangeableModel):
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        params = tuple((float(a), float(b)) for a, b in self.beta_params)
-        _check_positive([x for ab in params for x in ab], "stick Beta parameters")
+        # Each distinct pair is converted and checked once (a beta_rule repeats one for 2^20 sticks).
+        pairs = {ab: _float_pair(ab) for ab in dict.fromkeys(self.beta_params)}
+        _check_positive([x for ab in pairs.values() for x in ab], "stick Beta parameters")
         _check_truncation(self.max_sticks, self.residual_tol)
-        if len(params) < self.max_sticks:
-            raise FiniPostError("param-missing", f"no Beta parameters for stick {len(params) + 1}")
-        object.__setattr__(self, "beta_params", params[: self.max_sticks])
+        if len(self.beta_params) < self.max_sticks:
+            raise FiniPostError("param-missing", f"no Beta parameters for stick {len(self.beta_params) + 1}")
+        params = tuple(self.beta_params[: self.max_sticks])
+        if not all(pairs[ab] is ab for ab in params):
+            params = tuple(map(pairs.get, params))
+        object.__setattr__(self, "beta_params", params)
 
     def posterior_rows(self, history, draws, rng):
         if len(history) > 4:
@@ -527,6 +540,11 @@ class StickBreakingModel(ExchangeableModel):
                 "posterior-unavailable", "the stick-breaking predictive has no closed form given a history"
             )
         return self.base.expect(f)
+
+
+def _float_pair(ab: tuple) -> tuple[float, float]:
+    a, b = ab
+    return ab if type(ab) is tuple and type(a) is type(b) is float else (float(a), float(b))
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +753,8 @@ class FixedLawModel(ExchangeableModel):
         n = len(history)
         out[:, n:] = self.base.sample(rng, (out.shape[0], out.shape[1] - n))
 
-    def _mass_at_most(self, history, x, draws, rng):
-        return np.full(draws, float(self.base.cdf(x)))
+    def mass_law(self, history, x):
+        return float(self.base.cdf(x))
 
     def predictive(self, history, f):
         return self.base.expect(f)

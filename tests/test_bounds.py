@@ -11,6 +11,7 @@ from scipy.special import betainc
 
 from finipost.bounds import (
     MedianLawInputs,
+    beta_binomial_sf,
     bounded_support_bound,
     dudley_gamma,
     euclidean_bound,
@@ -228,6 +229,38 @@ class TestMedianLaw:
             assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
             for f, v in zip(F, vals):
                 assert v + median_cdf(MedianLawInputs(N, float(1 - f))) == pytest.approx(1.0, abs=1e-12)
+
+    def test_beta_binomial_tail_equals_a_direct_pmf_sum(self):
+        # P{BetaBinomial(2N+1; a, b) > N}, the median law under a Beta mass,
+        # against the pmf summed term by term in math.lgamma; swapping a and
+        # b mirrors the count, so it takes the tail to one minus itself.
+        def log_beta(x, y):
+            return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+        for N, a, b in ((0, 1.0, 1.0), (1, 0.5, 2.0), (5, 2.3, 0.7), (25, 10.0, 40.0), (60, 0.05, 0.2), (200, 7.5, 7.5)):
+            n = 2 * N + 1
+            ref = math.fsum(
+                math.exp(math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                         + log_beta(j + a, n - j + b) - log_beta(a, b))
+                for j in range(N + 1, n + 1)
+            )
+            tail = beta_binomial_sf(N, n, a, b)
+            assert tail == pytest.approx(ref, rel=1e-11)
+            assert beta_binomial_sf(N, n, b, a) == pytest.approx(1.0 - tail, abs=1e-12)
+
+    def test_beta_binomial_tail_tends_to_the_median_law(self):
+        # A Beta(tF, t(1-F)) mass tends to the constant F as t grows, and
+        # the tail to median_cdf; out-of-range counts and bad parameters.
+        for N, F in ((1, 0.3), (12, 0.45), (40, 0.6)):
+            assert beta_binomial_sf(N, 2 * N + 1, 1e7 * F, 1e7 * (1 - F)) == pytest.approx(
+                median_cdf(MedianLawInputs(N, F)), rel=1e-4
+            )
+        assert beta_binomial_sf(-1, 5, 2.0, 3.0) == pytest.approx(1.0, abs=1e-15)
+        assert beta_binomial_sf(5, 5, 2.0, 3.0) == 0.0
+        for a, b in ((0.0, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(FiniPostError) as err:
+                beta_binomial_sf(1, 3, a, b)
+            assert err.value.code == "config-error"
 
     def test_tail_bounds_values(self):
         assert median_tail_bounds(1, 0.0, 0.1) == (0.0, pytest.approx(0.3))

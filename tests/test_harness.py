@@ -612,7 +612,7 @@ class TestPackage:
         # earlier access caches the name).
         import importlib
 
-        assert len(finipost.__all__) == len(set(finipost.__all__)) == 71
+        assert len(finipost.__all__) == len(set(finipost.__all__)) == 72
         listed = dir(finipost)
         for name in finipost.__all__:
             home = importlib.import_module(f"finipost.{finipost._EXPORTS[name]}")
@@ -710,6 +710,9 @@ class TestStructure:
     def test_no_pairwise_distances_in_the_plane(self):
         # Bounded Lipschitz runs on the line only: no module imports
         # scipy.spatial, which the R^d solver needed for its distances.
+        # Nor scipy.stats, whose import alone takes about 0.5 s and tens of
+        # MB of resident memory: the exact laws are written with
+        # scipy.special.
         import ast
 
         root, imports = os.path.dirname(finipost.__file__), []
@@ -721,7 +724,7 @@ class TestStructure:
                     elif isinstance(node, ast.ImportFrom) and node.module:
                         imports += [(name, f"{node.module}.{alias.name}") for alias in node.names]
         assert any(module.startswith("scipy.") for _, module in imports)
-        assert [(name, m) for name, m in imports if m.startswith("scipy.spatial")] == []
+        assert [(name, m) for name, m in imports if m.startswith(("scipy.spatial", "scipy.stats"))] == []
 
     @pytest.mark.parametrize("module", ["harness", "cells", "estimators"])
     def test_harness_names_no_atomic_measure(self, module):
@@ -956,28 +959,51 @@ class TestMedianExperiment:
             assert not history or np.any(np.count_nonzero(block == 0.0, axis=1) > 1)
 
     def test_median_cell_memory_is_bounded(self):
-        # Counting medians from one count per sequence keeps the peak far
-        # below one (20000, 51) matrix and its sampled copy (16 MB).
+        # A Polya-tree row averages I_M(N+1, N+1) over one mass per
+        # sequence, drawn from (20000, 4) posterior rows: its peak stays far
+        # below one (20000, 51) matrix of sequences (8 MB).
         import tracemalloc
 
         from finipost.cells import _median_cells
         from finipost.priors import model_from_spec
         from finipost.rng import derive_seed
 
-        model_spec = {"kind": "fixed", "base": {"family": "uniform", "a": 0, "b": 1}}
+        model_spec = {"kind": "polya_tree", "base": GAUSS, "depth": 2, "level_alpha": [1.0, 4.0]}
         cfg = ExperimentConfig.from_dict(
-            {"experiment": "median_law", "model": model_spec, "n": 0, "N_grid": [25], "m_samples": 20000, "master_seed": 2}
+            {"experiment": "median_law", "model": model_spec, "n": 0, "N_grid": [25], "m_samples": 20000,
+             "replicates": 1, "master_seed": 2}
         )
         cell, _ = _median_cells(cfg, model_from_spec(model_spec))
         rngs = [derive_seed(5, phase) for phase in range(2)]
         tracemalloc.start()
         try:
-            estimate, *_ = cell(25, 0, Sample(()), rngs)
+            estimate, se, *_ = cell(25, 0, Sample(()), rngs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0.45 < estimate < 0.55
+        assert 0.45 < estimate < 0.55 and 0.0 < se < 0.01
         assert peak < 4 * 2**20
+
+    def test_polya_tree_tail_row_is_not_saturated(self):
+        # At u = 1/12 and N = 25 nearly every count of 51 values stays at
+        # most N, so counting medians read 0 with a stderr of 7e-9.  The
+        # average of I_M(N+1, N+1) over the masses is positive, with a
+        # positive, finite stderr below it.
+        from finipost.cells import _median_cells
+        from finipost.priors import model_from_spec
+        from finipost.rng import derive_seed
+
+        model_spec = {"kind": "polya_tree", "base": GAUSS, "depth": 3, "level_alpha": [1.0, 4.0, 9.0]}
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "median_law", "model": model_spec, "n": 0, "N_grid": [25], "m_samples": 20000,
+             "replicates": 11, "master_seed": 3}
+        )
+        model = model_from_spec(model_spec)
+        assert model.mass_law(Sample(()), model.prior_quantile(1 / 12)) is None
+        cell, _ = _median_cells(cfg, model)
+        estimate, se, bound, slack, violated = cell(25, 0, Sample(()), [derive_seed(6, phase) for phase in range(2)])
+        assert 0.0 < se < estimate < bound and slack == 3.0 * se and not violated
+        assert math.isfinite(se)
 
     def test_fixed_uniform_matches_exact_law(self):
         from finipost.bounds import MedianLawInputs, median_cdf
@@ -997,8 +1023,8 @@ class TestMedianExperiment:
         report = run_experiment(cfg)
         levels = [(r + 1) / 4 for r in range(3)]
         for row, level in zip(report.rows, levels):
-            target = median_cdf(MedianLawInputs(2, level))
-            assert abs(row.estimate - target) <= 4 * (row.stderr or 0.0) + 1e-9
+            assert row.estimate == median_cdf(MedianLawInputs(2, level))
+            assert row.stderr is None and row.slack == 1e-9
 
 
 class TestCli:

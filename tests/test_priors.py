@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from finipost.bounds import MedianLawInputs, beta_binomial_sf, median_cdf
 from finipost.errors import FiniPostError
 from finipost.families import IDENTITY, GaussianLaw, Indicator, PointMassLaw, Product, Square, UniformLaw
 from finipost.measures import RealLine, Sample
@@ -1224,6 +1225,57 @@ class TestMassAtMost:
         assert err.value.code == "space-mismatch"
 
 
+# (model spec, history, points x): the models whose mass at most x has a
+# closed-form law.
+LAW_CASES = {
+    "fixed_uniform": (MODEL_SPECS["fixed"], (), (0.1, 0.3, 0.7)),
+    "dp_gauss": (MODEL_SPECS["dirichlet_process"], (), (-1.0, 0.2, 1.0)),
+    "dp_gauss_tied": (MODEL_SPECS["dirichlet_process"], (0.0, 0.5, 0.0), (-0.5, 0.0, 0.5)),
+    "finite_dirichlet_scalars": (MODEL_SPECS["finite_dirichlet_scalars"], (), (-2.0, 0.0, 1.0)),
+    "finite_dirichlet_scalars_history": (MODEL_SPECS["finite_dirichlet_scalars"], (1.5, 0.0, 1.5), (-2.0, 0.0, 1.0)),
+}
+
+
+class TestMassLaw:
+    @pytest.mark.parametrize("case", sorted(LAW_CASES))
+    def test_exact_median_law_matches_binomial_counts(self, case):
+        # P{more than N of 2N + 1 new values at most x}: median_cdf of a
+        # constant mass, the beta-binomial tail of a Beta mass.  Against
+        # binomial counts on masses P(-inf, x] of posterior rows, which do
+        # not read mass_law (the fixed law, with none, from mass_at_most),
+        # at 4 sigma.
+        spec, history, points = LAW_CASES[case]
+        model, h, R = model_from_spec(spec), Sample(history), 20000
+        laws = []
+        for i, (N, x) in enumerate((N, x) for N in (1, 5, 20) for x in points):
+            law = model.mass_law(h, x)
+            exact = beta_binomial_sf(N, 2 * N + 1, *law) if isinstance(law, tuple) else median_cdf(MedianLawInputs(N, law))
+            if case == "fixed_uniform":
+                masses = model.mass_at_most(h, x, R, derive_seed(951, i))
+            else:
+                masses = np.minimum(batched_posterior_integrals(model, h, Indicator(x).vec, R, derive_seed(951, i)), 1.0)
+            counts = derive_seed(950, i).binomial(2 * N + 1, masses)
+            assert abs(np.count_nonzero(counts > N) / R - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / R)
+            laws.append(law)
+        assert all(isinstance(law, tuple) for law in laws) == (case != "fixed_uniform")
+
+    def test_the_finite_dirichlet_law_aggregates_the_atoms(self):
+        # Beta(sum of the posterior alphas at most x, the rest); a constant
+        # on either side of every atom.
+        model = model_from_spec(MODEL_SPECS["finite_dirichlet_scalars"])
+        assert model.mass_law(Sample((1.5,)), 0.0) == (1.5, 3.0)
+        assert model.mass_law(Sample(()), -3.0) == 0.0 and model.mass_law(Sample(()), 1.5) == 1.0
+
+    @pytest.mark.parametrize("kind", ["polya_tree", "stick_breaking"])
+    def test_no_closed_form_law(self, kind):
+        # Their masses are the indicator integrals of posterior rows, capped
+        # at 1: past the largest atom a row holds all its weight.
+        model = model_from_spec(MODEL_SPECS[kind])
+        assert model.mass_law(Sample(()), model.prior_quantile(0.3)) is None
+        theta = model.mass_at_most(Sample(()), 1e9, 2000, derive_seed(947))
+        assert np.all((theta > 1.0 - 1e-12) & (theta <= 1.0))
+
+
 def _all_finite(result) -> bool:
     if isinstance(result, Sample):
         return all(isinstance(v, str) for v in result.values) or bool(np.all(np.isfinite(result.scalars())))
@@ -1437,6 +1489,28 @@ class TestModelSpecs:
             model_from_spec({**MODEL_SPECS["stick_breaking"], "max_sticks": 2**20 + 1})
         assert err.value.code == "resource-limit"
         assert model_from_spec({**MODEL_SPECS["stick_breaking"], "max_sticks": 2**20}).max_sticks == 2**20
+
+    def test_beta_rule_build_shares_one_pair(self):
+        # A beta_rule repeats one (a, b) pair for every stick: the model
+        # converts and checks it once and keeps the list it was given, so
+        # the build holds little more than that list's 8 MB of references.
+        import tracemalloc
+
+        spec = {**MODEL_SPECS["stick_breaking"], "beta_rule": {"a": 1, "b": 3}, "max_sticks": 2**20}
+        tracemalloc.start()
+        try:
+            model = model_from_spec(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert model.beta_params == ((1.0, 3.0),) * 2**20
+        assert all(type(x) is float for x in model.beta_params[-1])
+        # Integer pairs become float pairs, one tuple per distinct pair.
+        mixed = StickBreakingModel(GaussianLaw(0, 1), ((1.0, 1.0), (1, 1), (2.0, 3)) * 32, max_sticks=60)
+        assert mixed.beta_params == ((1.0, 1.0), (1.0, 1.0), (2.0, 3.0)) * 20
+        assert len({id(ab) for ab in mixed.beta_params}) == 2
+        assert all(type(x) is float for ab in mixed.beta_params for x in ab)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("build", [
